@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff
+.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -123,3 +123,13 @@ bench-diff:
 	if [ $$# -lt 2 ]; then echo "bench-diff: need two committed BENCH_*.json snapshots"; exit 1; fi; \
 	echo "bench-diff: $$1 -> $$2"; \
 	$(GO) run ./cmd/pimdsm diff -bench $$1 $$2
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing them.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# fuzz-smoke runs the result-envelope decoder's differential fuzz target
+# (one-pass decoder vs json.Unmarshal) for a short fixed time on top of its
+# checked-in seed corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve

@@ -95,7 +95,7 @@ type eNode struct {
 	rng      uint64
 	inject   *sim.Recurring
 	st       EventStats
-	fp       uint64 // running delivery fingerprint
+	fp       uint64   // running delivery fingerprint
 	_        [24]byte // pad: adjacent nodes land on different shards
 }
 

@@ -208,10 +208,10 @@ func WatchEngine(e *sim.Engine, r *Registry, first, period sim.Time) *sim.Recurr
 // collecting several runs aggregates them.
 func CollectMachine(r *Registry, m *stats.Machine) {
 	for c := proto.LatClass(0); c < proto.NumLatClasses; c++ {
-		r.Counter("read.count."+c.String()).Add(m.ReadCount[c])
-		r.Counter("read.lat."+c.String()).Add(uint64(m.ReadLatSum[c]))
-		r.Counter("write.count."+c.String()).Add(m.WriteCount[c])
-		r.Counter("write.lat."+c.String()).Add(uint64(m.WriteLatSum[c]))
+		r.Counter("read.count." + c.String()).Add(m.ReadCount[c])
+		r.Counter("read.lat." + c.String()).Add(uint64(m.ReadLatSum[c]))
+		r.Counter("write.count." + c.String()).Add(m.WriteCount[c])
+		r.Counter("write.lat." + c.String()).Add(uint64(m.WriteLatSum[c]))
 	}
 	for _, kv := range []struct {
 		name string

@@ -66,14 +66,14 @@ func (p Phase) String() string {
 // keeps; spans for which that could not be established (a non-monotone mark)
 // are dropped and counted by Spans.Bad instead.
 type Span struct {
-	ID     uint64                // dense transaction ID, 0-based per run
-	Start  sim.Time              // issue time at the requesting P-node
-	End    sim.Time              // retirement time (access done)
-	Addr   uint64                // line-aligned address
-	Phases [NumPhases]sim.Time   // cycles attributed to each phase
-	Queued sim.Time              // mesh link queueing observed while open
-	Node   int32                 // requesting P-node
-	Class  proto.LatClass        // where the access was satisfied
+	ID     uint64              // dense transaction ID, 0-based per run
+	Start  sim.Time            // issue time at the requesting P-node
+	End    sim.Time            // retirement time (access done)
+	Addr   uint64              // line-aligned address
+	Phases [NumPhases]sim.Time // cycles attributed to each phase
+	Queued sim.Time            // mesh link queueing observed while open
+	Node   int32               // requesting P-node
+	Class  proto.LatClass      // where the access was satisfied
 	Write  bool
 }
 

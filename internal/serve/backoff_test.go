@@ -21,8 +21,8 @@ func TestBackoffWindow(t *testing.T) {
 		{time.Second, 3, 30 * time.Second, 8 * time.Second},
 		{time.Second, 5, 30 * time.Second, 30 * time.Second}, // 32s capped
 		{2 * time.Second, 2, 30 * time.Second, 8 * time.Second},
-		{0, 0, 30 * time.Second, time.Second},                // hint floor
-		{5 * time.Second, 0, 2 * time.Second, 2 * time.Second}, // hint above cap
+		{0, 0, 30 * time.Second, time.Second},                   // hint floor
+		{5 * time.Second, 0, 2 * time.Second, 2 * time.Second},  // hint above cap
 		{time.Second, 1000, 30 * time.Second, 30 * time.Second}, // shift saturates
 	}
 	for _, tc := range cases {

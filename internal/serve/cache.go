@@ -223,6 +223,23 @@ func canonicalResultJSON(res *machine.Result) ([]byte, error) {
 	return json.Marshal(res)
 }
 
+// ingestResult re-derives the canonical bytes of a result that arrived from
+// outside this process: a persisted index entry, a peer's compute reply,
+// replica or stolen-job report. The API serves cached bytes verbatim, so
+// they must be canonicalized here, once, rather than trusted as they came —
+// an indented or padded copy would otherwise reach clients unnormalized.
+func ingestResult(raw []byte) (*machine.Result, []byte, error) {
+	var res machine.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		return nil, nil, err
+	}
+	js, err := canonicalResultJSON(&res)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &res, js, nil
+}
+
 // indexEntry is the persisted form of one cache entry.
 type indexEntry struct {
 	Key    string          `json:"key"` // hex; recomputed and verified on load
@@ -268,13 +285,12 @@ func (c *Cache) LoadIndex(idx *index) int {
 		if fmt.Sprintf("%016x", want) != ie.Key {
 			continue
 		}
-		var res machine.Result
-		if err := json.Unmarshal(ie.Result, &res); err != nil {
+		res, js, err := ingestResult(ie.Result)
+		if err != nil {
 			continue
 		}
-		js := append([]byte(nil), ie.Result...)
 		c.mu.Lock()
-		c.insert(want, ie.Seed, ie.Spec, &res, js)
+		c.insert(want, ie.Seed, ie.Spec, res, js)
 		c.mu.Unlock()
 		n++
 	}

@@ -126,22 +126,28 @@ func apiError(resp *http.Response, body []byte) error {
 	return fmt.Errorf("serve: %s: %s", resp.Status, msg)
 }
 
+// maxPresizedBody caps the buffer readBody allocates up front on the
+// server's word (Content-Length); a larger body still reads, just grown.
+const maxPresizedBody = 64 << 20
+
+// readBody reads a response body into one buffer sized from Content-Length
+// when the server sent one, instead of growing it step by step through
+// io.ReadAll. It reads to EOF either way, so the connection is reused.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n <= 0 || n > maxPresizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(n) + bytes.MinRead)
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
+}
+
 func (c *Client) get(path string, out any) error {
-	req, err := c.newRequest(nil, "GET", c.url(path), nil)
+	body, err := c.raw(path)
 	if err != nil {
 		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return apiError(resp, body)
 	}
 	return json.Unmarshal(body, out)
 }
@@ -173,7 +179,7 @@ func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 		if err != nil {
 			return st, err
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := readBody(resp)
 		resp.Body.Close()
 		if err != nil {
 			return st, err
@@ -279,13 +285,163 @@ func (c *Client) Jobs() ([]JobStatus, error) {
 }
 
 // Result fetches a finished job's results. The returned raw messages are
-// the canonical result JSON, byte-identical to what a direct run encodes.
+// the canonical result JSON, byte-identical to what a direct run encodes;
+// they are sub-slices of the one response buffer, not copies.
 func (c *Client) Result(id string) (JobStatus, []json.RawMessage, error) {
-	var env resultEnvelope
-	if err := c.get("/api/v1/jobs/"+id+"/result", &env); err != nil {
+	body, err := c.raw("/api/v1/jobs/" + id + "/result")
+	if err != nil {
+		return JobStatus{}, nil, err
+	}
+	env, err := decodeResultEnvelope(body)
+	if err != nil {
 		return JobStatus{}, nil, err
 	}
 	return env.Job, env.Results, nil
+}
+
+// decodeResultEnvelope decodes a GET .../result body in one validating
+// pass: json.Valid checks the whole body, splitResultEnvelope walks the
+// now-valid bytes to find the two members, the results become sub-slices of
+// body, and only the small job object goes through json.Unmarshal. Any
+// shape other than the one the server writes — another, repeated or
+// escaped key, a results that is not an array — falls back to
+// json.Unmarshal, so the outcome always equals json.Unmarshal(body, &env).
+func decodeResultEnvelope(body []byte) (resultEnvelope, error) {
+	var env resultEnvelope
+	if json.Valid(body) {
+		if job, results, ok := splitResultEnvelope(body); ok {
+			if job == nil || json.Unmarshal(job, &env.Job) == nil {
+				env.Results = results
+				return env, nil
+			}
+			env = resultEnvelope{} // a job type mismatch: let Unmarshal report it
+		}
+	}
+	err := json.Unmarshal(body, &env)
+	return env, err
+}
+
+// splitResultEnvelope finds the "job" and "results" members of a valid JSON
+// object. It tracks only strings, escapes and nesting depth, which is all a
+// valid document needs; ok is false for anything but an object whose keys
+// are exactly "job" and "results", each at most once, with an array for
+// results. A missing member comes back nil, as json.Unmarshal leaves it.
+func splitResultEnvelope(b []byte) (job []byte, results []json.RawMessage, ok bool) {
+	i := skipSpace(b, 0)
+	if b[i] != '{' {
+		return nil, nil, false
+	}
+	i = skipSpace(b, i+1)
+	if b[i] == '}' {
+		return nil, nil, true
+	}
+	var seenJob, seenResults bool
+	for {
+		end := skipString(b, i)
+		key := b[i+1 : end-1]
+		i = skipSpace(b, skipSpace(b, end)+1) // past the ':'
+		switch string(key) {
+		case "job":
+			if seenJob {
+				return nil, nil, false
+			}
+			seenJob = true
+			end = skipValue(b, i)
+			job = b[i:end]
+		case "results":
+			if seenResults || b[i] != '[' {
+				return nil, nil, false
+			}
+			seenResults = true
+			results, end = splitArray(b, i)
+		default:
+			return nil, nil, false
+		}
+		i = skipSpace(b, end)
+		if b[i] == '}' {
+			return job, results, true
+		}
+		i = skipSpace(b, i+1) // past the ','
+	}
+}
+
+// splitArray returns the elements of the valid array starting at b[i] as
+// capacity-capped sub-slices, and the index just past the array. An empty
+// array is a non-nil empty slice, as json.Unmarshal makes it.
+func splitArray(b []byte, i int) ([]json.RawMessage, int) {
+	out := []json.RawMessage{}
+	i = skipSpace(b, i+1)
+	if b[i] == ']' {
+		return out, i + 1
+	}
+	for {
+		end := skipValue(b, i)
+		out = append(out, b[i:end:end])
+		i = skipSpace(b, end)
+		if b[i] == ']' {
+			return out, i + 1
+		}
+		i = skipSpace(b, i+1) // past the ','
+	}
+}
+
+// skipValue returns the index just past the valid JSON value at b[i].
+func skipValue(b []byte, i int) int {
+	switch b[i] {
+	case '"':
+		return skipString(b, i)
+	case '{', '[':
+		depth := 0
+		for ; i < len(b); i++ {
+			switch b[i] {
+			case '"':
+				i = skipString(b, i) - 1
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+		return i
+	}
+	// A number or literal: it ends at the first delimiter.
+	for i < len(b) {
+		switch b[i] {
+		case ',', '}', ']', ' ', '\t', '\n', '\r':
+			return i
+		}
+		i++
+	}
+	return i
+}
+
+// skipString returns the index just past the valid JSON string at b[i].
+func skipString(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return i
+}
+
+// skipSpace returns the index of the first non-whitespace byte at or after
+// b[i].
+func skipSpace(b []byte, i int) int {
+	for i < len(b) {
+		switch b[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
 }
 
 // Metrics fetches a finished job's metrics registry JSON.
@@ -315,6 +471,8 @@ func (c *Client) Decompose(id string) ([]byte, error) {
 	return c.raw("/api/v1/jobs/" + id + "/decompose")
 }
 
+// raw GETs path and returns the 2xx body; any other status becomes an
+// apiError.
 func (c *Client) raw(path string) ([]byte, error) {
 	req, err := c.newRequest(nil, "GET", c.url(path), nil)
 	if err != nil {
@@ -325,7 +483,7 @@ func (c *Client) raw(path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}

@@ -372,8 +372,9 @@ type clusterComputeRequest struct {
 	Key  string     `json:"key"`
 }
 
-// forwardCompute asks peer to resolve one config; the response body is the
-// canonical result JSON verbatim, so forwarding preserves byte identity.
+// forwardCompute asks peer to resolve one config. The reply is the peer's
+// canonical result JSON; it is re-canonicalized on ingest all the same, so a
+// peer's bytes are never served unchecked.
 func (s *Server) forwardCompute(peer string, key, seed uint64, cs ConfigSpec) (*machine.Result, []byte, error) {
 	body, err := json.Marshal(clusterComputeRequest{
 		Spec: cs, Seed: seed, Key: fmt.Sprintf("%016x", key),
@@ -388,11 +389,11 @@ func (s *Server) forwardCompute(peer string, key, seed uint64, cs ConfigSpec) (*
 	if code != http.StatusOK {
 		return nil, nil, fmt.Errorf("serve: peer %s compute: HTTP %d: %s", peer, code, clip(data))
 	}
-	var res machine.Result
-	if err := json.Unmarshal(data, &res); err != nil {
+	res, js, err := ingestResult(data)
+	if err != nil {
 		return nil, nil, fmt.Errorf("serve: peer %s compute: %w", peer, err)
 	}
-	return &res, data, nil
+	return res, js, nil
 }
 
 // recoverFromReplicas probes the key's successor set for a replicated copy.
@@ -410,12 +411,12 @@ func (s *Server) recoverFromReplicas(key uint64) (*machine.Result, []byte, bool)
 		if err != nil || code != http.StatusOK {
 			continue
 		}
-		var res machine.Result
-		if err := json.Unmarshal(data, &res); err != nil {
+		res, js, err := ingestResult(data)
+		if err != nil {
 			continue
 		}
 		s.countCluster(func(c *clusterCounters) { c.recoveries++ })
-		return &res, data, true
+		return res, js, true
 	}
 	return nil, nil, false
 }
@@ -671,13 +672,12 @@ func (s *Server) completeStolen(j *Job, rep stolenReport) {
 			j.stolenBy, len(rep.Results), len(rep.Hows), n)
 	default:
 		for i := range rep.Results {
-			var res machine.Result
-			if err := json.Unmarshal(rep.Results[i], &res); err != nil {
+			res, js, err := ingestResult(rep.Results[i])
+			if err != nil {
 				jobErr = fmt.Errorf("serve: stolen result %d: %w", i, err)
 				break
 			}
-			results[i] = &res
-			resJSON[i] = append([]byte(nil), rep.Results[i]...)
+			results[i], resJSON[i] = res, js
 		}
 	}
 	if jobErr == nil {
@@ -930,12 +930,12 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 			"replica key does not match its spec (mixed KeyVersion deployment?)")
 		return
 	}
-	var res machine.Result
-	if err := json.Unmarshal(ie.Result, &res); err != nil {
+	res, js, err := ingestResult(ie.Result)
+	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, "bad replica result: "+err.Error())
 		return
 	}
-	a.srv.Cache().Fulfill(want, ie.Seed, ie.Spec, &res, append([]byte(nil), ie.Result...))
+	a.srv.Cache().Fulfill(want, ie.Seed, ie.Spec, res, js)
 	a.srv.countCluster(func(c *clusterCounters) { c.replicasReceived++ })
 	w.WriteHeader(http.StatusNoContent)
 }

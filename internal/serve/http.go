@@ -77,7 +77,9 @@ func (a *API) HTTPStats() *svclog.HTTPStats { return a.hs }
 
 // resultEnvelope is the GET .../result payload. Results holds each run's
 // canonical JSON verbatim, so the bytes a client extracts are exactly the
-// bytes the cache stores.
+// bytes the cache stores. The server writes it with resultEnvelopeBody, the
+// client reads it with decodeResultEnvelope; the struct is the reference
+// both are tested against.
 type resultEnvelope struct {
 	Job     JobStatus         `json:"job"`
 	Results []json.RawMessage `json:"results"`
@@ -400,21 +402,52 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, r, code, fmt.Sprintf("job %s is %s (%d/%d)", st.ID, st.State, st.Done, st.Total))
 		return
 	}
-	env := resultEnvelope{Job: st, Results: make([]json.RawMessage, len(js))}
-	for i, b := range js {
-		env.Results[i] = json.RawMessage(b)
+	body, err := resultEnvelopeBody(st, js)
+	if err != nil {
+		a.writeError(w, r, http.StatusInternalServerError, "encode job status: "+err.Error())
+		return
 	}
-	// No indentation here: an indenting encoder reformats the raw messages,
-	// and this endpoint's contract is that each result is the cache's
-	// canonical bytes verbatim.
+	n := 0
+	for _, b := range body {
+		n += len(b)
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
-	if err := json.NewEncoder(w).Encode(env); err != nil {
+	if _, err := body.WriteTo(w); err != nil {
 		a.log.Error("response_encode_failed",
 			"request_id", svclog.RequestID(r.Context()),
 			"route", r.Pattern, "status", http.StatusOK, "err", err.Error())
 	}
 }
+
+// resultEnvelopeBody lays out the GET .../result body as a list of byte
+// slices: the encoded job status, then each cached result verbatim,
+// comma-separated. The output is byte-identical to
+// json.NewEncoder(w).Encode(resultEnvelope{st, js}) because the cache holds
+// only json.Marshal output (ingestResult canonicalizes everything that
+// enters from outside), which is already compact and HTML-escaped — so a
+// hit is a copy of the stored bytes, with no re-encoding.
+func resultEnvelopeBody(st JobStatus, js [][]byte) (net.Buffers, error) {
+	job, err := json.Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	body := make(net.Buffers, 1, 2*len(js)+2)
+	body[0] = append(append([]byte(`{"job":`), job...), `,"results":[`...)
+	for i, b := range js {
+		if i > 0 {
+			body = append(body, envelopeSep)
+		}
+		body = append(body, b)
+	}
+	return append(body, envelopeTail), nil
+}
+
+var (
+	envelopeSep  = []byte{','}
+	envelopeTail = []byte("]}\n")
+)
 
 func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 	j, ok := a.jobFor(w, r)

@@ -205,11 +205,11 @@ type JobStatus struct {
 	// Forwarded counts configs resolved by a cluster peer; StolenBy names the
 	// peer that executed the whole job after stealing it. Both are zero-valued
 	// (and absent from the JSON) outside cluster mode.
-	Forwarded int      `json:"forwarded,omitempty"`
-	StolenBy  string   `json:"stolen_by,omitempty"`
-	Telemetry bool     `json:"telemetry,omitempty"`
-	Tenant    string   `json:"tenant,omitempty"`
-	Error     string   `json:"error,omitempty"`
+	Forwarded int    `json:"forwarded,omitempty"`
+	StolenBy  string `json:"stolen_by,omitempty"`
+	Telemetry bool   `json:"telemetry,omitempty"`
+	Tenant    string `json:"tenant,omitempty"`
+	Error     string `json:"error,omitempty"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`

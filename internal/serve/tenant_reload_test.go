@@ -83,8 +83,8 @@ func TestTenantsReloadRejectsInvalid(t *testing.T) {
 	reg := twoTenants(t, []Tenant{{Name: "a", Key: "key-aaaaaaaa"}})
 
 	bad := [][]Tenant{
-		{{Name: "", Key: "key-xxxxxxxx"}}, // empty name
-		{{Name: "x", Key: "short"}},       // short key
+		{{Name: "", Key: "key-xxxxxxxx"}},                                    // empty name
+		{{Name: "x", Key: "short"}},                                          // short key
 		{{Name: "x", Key: "key-xxxxxxxx"}, {Name: "x", Key: "key-yyyyyyyy"}}, // dup name
 	}
 	for i, list := range bad {
