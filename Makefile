@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke
+.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -35,10 +35,11 @@ bench:
 
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
-# record paths at zero allocations (the alloc-regression gate).
+# record paths and the floor-attached Resource calendar at zero allocations
+# (the alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim
 
 ci: build vet test race-hot
 
@@ -128,8 +129,17 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the result-envelope decoder's differential fuzz target
-# (one-pass decoder vs json.Unmarshal) for a short fixed time on top of its
-# checked-in seed corpus.
+# fuzz-smoke runs the two differential fuzz targets for a short fixed time
+# each on top of their checked-in seed corpora: the result-envelope decoder
+# (one-pass decoder vs json.Unmarshal) and the floor-pruned Resource calendar
+# (vs the unpruned calendar).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzResourceFloor$$' -fuzztime 10s ./internal/sim
+
+# perfbench-test runs the benchmark module's own tests (perfbench/ has its
+# own go.mod): among them the exact check of the simulator workloads'
+# Results against perfbench/reference.json, which otherwise runs only when
+# the benchmark does.
+perfbench-test:
+	cd perfbench && $(GO) test ./...

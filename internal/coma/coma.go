@@ -207,6 +207,15 @@ func (m *Machine) SetProfile(p *obs.Profile) {
 	m.net.SetProfile(p)
 }
 
+// SetFloor attaches the scheduler floor to every resource calendar — home
+// engines, attraction-memory banks, paging devices and the mesh links — so
+// they drop the past no request can reach (nil detaches). Timing is
+// unaffected.
+func (m *Machine) SetFloor(floor *sim.Time) {
+	sim.SetFloors(floor, m.hproc, m.bank, m.disk)
+	m.net.SetFloor(floor)
+}
+
 // FinishProfile folds the home engines' and paging devices' resource
 // accounting into the attached profile. Cold path, called once after a run.
 func (m *Machine) FinishProfile() {

@@ -258,6 +258,14 @@ func (m *Machine) SetProfile(p *obs.Profile) {
 	m.net.SetProfile(p)
 }
 
+// SetFloor attaches the scheduler floor to every resource calendar — P-node
+// banks, D-node processors, banks and disks, and the mesh links — so they
+// drop the past no request can reach (nil detaches). Timing is unaffected.
+func (m *Machine) SetFloor(floor *sim.Time) {
+	sim.SetFloors(floor, m.pbank, m.dproc, m.dbank, m.disk)
+	m.net.SetFloor(floor)
+}
+
 // FinishProfile folds the independent per-resource accounting — the
 // cross-check side of the profiler's Σclass == busy invariant — into the
 // attached profile. Cold path, called once after a run.

@@ -162,6 +162,7 @@ type engine interface {
 	SetTrace(*obs.Trace)
 	SetSpans(*obs.Spans)
 	SetProfile(*obs.Profile)
+	SetFloor(*sim.Time)
 	FinishProfile()
 	SetAudit(bool)
 	AuditReport() (uint64, []string)
@@ -243,7 +244,12 @@ func Size(cfg Config, fp uint64) (Sizing, error) {
 }
 
 // Run executes one simulation and returns its measurements.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, true) }
+
+// run is Run; floor selects whether the engine's resource calendars prune
+// below the scheduler floor (results are identical either way — the
+// identity test runs both).
+func run(cfg Config, floor bool) (*Result, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("machine: negative shard count %d", cfg.Shards)
 	}
@@ -313,6 +319,11 @@ func Run(cfg Config) (*Result, error) {
 
 	streams := app.Streams(cfg.Threads)
 	sched := sim.NewScheduler()
+	var f *sim.Time // nil: calendars keep their whole past
+	if floor {
+		f = sched.Floor()
+	}
+	eng.SetFloor(f)
 	sd := cpu.NewSyncDomain(sched)
 	threads := make([]*cpu.Thread, cfg.Threads)
 

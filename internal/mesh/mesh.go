@@ -128,6 +128,10 @@ func (m *Mesh) SetProfile(p *obs.Profile) {
 	m.prof = p
 }
 
+// SetFloor attaches the scheduler floor to every link calendar (nil
+// detaches); see sim.Resource.SetFloor.
+func (m *Mesh) SetFloor(floor *sim.Time) { sim.SetFloors(floor, m.links) }
+
 // FoldProfile copies every directed link's resource accounting into p.
 // Cold path, called once after a run.
 func (m *Mesh) FoldProfile(p *obs.Profile) {

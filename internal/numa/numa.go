@@ -188,6 +188,14 @@ func (m *Machine) SetProfile(p *obs.Profile) {
 	m.net.SetProfile(p)
 }
 
+// SetFloor attaches the scheduler floor to every resource calendar — home
+// engines, memory banks and the mesh links — so they drop the past no
+// request can reach (nil detaches). Timing is unaffected.
+func (m *Machine) SetFloor(floor *sim.Time) {
+	sim.SetFloors(floor, m.hproc, m.bank)
+	m.net.SetFloor(floor)
+}
+
 // FinishProfile folds each home engine's resource accounting into the
 // attached profile. Cold path, called once after a run.
 func (m *Machine) FinishProfile() {

@@ -83,3 +83,28 @@ func BenchmarkResourceAcquire(b *testing.B) {
 		r.Acquire(Time(i*3%(1<<14)), 2)
 	}
 }
+
+// BenchmarkResourceAcquireFloor runs a simulator-shaped stream (arrivals up
+// to 1024 cycles past an advancing floor) through a calendar that keeps its
+// whole past up to maxIntervals (detached) and one that prunes below the
+// floor (attached).
+func BenchmarkResourceAcquireFloor(b *testing.B) {
+	for _, attached := range []bool{false, true} {
+		name := "detached"
+		if attached {
+			name = "attached"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			s := floorStream{x: 1}
+			var r Resource
+			if attached {
+				r.SetFloor(&s.floor)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Acquire(s.next())
+			}
+		})
+	}
+}

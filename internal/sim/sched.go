@@ -36,6 +36,12 @@ type Thread interface {
 // global time never moves backwards across steps, contended Resources are
 // acquired in nondecreasing time order.
 //
+// Global time is published as the floor (Floor): the clock of the thread
+// about to be stepped. Every thread's clock only grows and a released thread
+// resumes at its releaser's time or later, so the floor never decreases and
+// nothing a step does can happen before it — which is what lets Resource
+// calendars forget the intervals that end before it.
+//
 // The runnable set is an inlined min-heap over (clock, id) with both keys
 // cached in the entry — refreshing the cached clock once per step avoids two
 // interface calls per heap comparison — and the ID lookup table is a dense
@@ -46,6 +52,7 @@ type Scheduler struct {
 	parked int
 	done   int
 	total  int
+	floor  Time
 }
 
 type schedEntry struct {
@@ -97,6 +104,12 @@ func (s *Scheduler) Unpark(id int, t Time) {
 	s.push(e)
 }
 
+// Floor returns the address of the scheduler's floor, for Resource.SetFloor.
+// It is updated before every step; it only ever rises, even if a thread were
+// resumed behind it, so that thread's requests would fail loudly at a
+// floor-attached Resource instead of reading a forgotten past.
+func (s *Scheduler) Floor() *Time { return &s.floor }
+
 // Running reports how many threads are neither parked nor done.
 func (s *Scheduler) Running() int { return len(s.h) }
 
@@ -110,6 +123,9 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	e := s.h[0]
+	if e.clock > s.floor {
+		s.floor = e.clock
+	}
 	switch e.t.Step() {
 	case Runnable:
 		e.clock = e.t.Clock()
