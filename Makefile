@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke speedup-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke perfbench-test
+.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -18,17 +18,9 @@ race:
 	$(GO) test -race ./...
 
 # race-hot covers the packages with real concurrency (the sweep pool sits in
-# the root package; sim and hashmap are what the workers hammer; mesh hosts
-# the partitioned event engine's workload).
+# the root package; sim and hashmap are what the workers hammer).
 race-hot:
 	$(GO) test -race ./internal/sim ./internal/hashmap .
-
-# speedup-smoke is the partitioned-engine gate, run under the race detector:
-# a mid-size event-driven mesh at K=1 and K=4 must produce bit-identical
-# delivery fingerprints and stats, and on a host with >= 4 cores K=4 must
-# not be slower than K=1 (on fewer cores only the identity half asserts).
-speedup-smoke:
-	$(GO) test -race -count 1 -run 'TestEventsSpeedupSmoke' -v ./internal/mesh
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	aggsim -arch agg|numa|coma -app fft -pressure 0.75 -dratio 1
-//	       [-threads 32] [-scale 1.0] [-dnodes n] [-shards n]
+//	       [-threads 32] [-scale 1.0] [-dnodes n]
 //	       [-trace f.json] [-trace-bin f.bin] [-trace-buf n]
 //	       [-metrics-out f.json] [-progress]
 //	       [-spans] [-spans-out f.bin] [-audit] [-http addr]
@@ -61,7 +61,6 @@ func realMain() int {
 	dratio := flag.Int("dratio", 1, "AGG P:D ratio denominator (1, 2 or 4)")
 	dnodes := flag.Int("dnodes", 0, "explicit AGG D-node count (overrides -dratio)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
-	shards := flag.Int("shards", 1, "partitioned-engine shard count (recorded; coherence path is serial, see DESIGN.md)")
 	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to file")
 	traceBin := flag.String("trace-bin", "", "write compact binary trace to file")
 	traceBuf := flag.Int("trace-buf", 1<<20, "trace ring capacity in events (rounded to a power of two)")
@@ -91,7 +90,6 @@ func realMain() int {
 		Pressure: *pressure,
 		DRatio:   *dratio,
 		DNodes:   *dnodes,
-		Shards:   *shards,
 	}
 	var tr *pimdsm.Trace
 	if *tracePath != "" || *traceBin != "" {

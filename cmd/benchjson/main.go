@@ -3,19 +3,13 @@
 // emits one JSON document to stdout. `make bench-json` redirects it into
 // BENCH_<date>.json; committing those snapshots over time builds the
 // performance trajectory of the simulator itself. Throughput is
-// host-dependent, so the date, Go version, CPU count, GOMAXPROCS and the
-// requested shard count are recorded alongside every snapshot, and each run
-// carries its own shards/gomaxprocs pair so later analysis never has to
-// guess a row's provenance.
+// host-dependent, so the date, Go version, CPU count and GOMAXPROCS are
+// recorded alongside every snapshot, and each run carries its own gomaxprocs
+// so later analysis never has to guess a row's provenance.
 //
 // Usage:
 //
-//	benchjson [-scale 1.0] [-threads 32] [-repeat 2] [-shards 1]
-//
-// The machines' coherence path executes serially at any -shards value (see
-// DESIGN.md, "Conservative-window PDES"): the flag exists so snapshots taken
-// while the partitioned engine spreads to more subsystems stay comparable,
-// not because it changes these numbers today.
+//	benchjson [-scale 1.0] [-threads 32] [-repeat 2]
 package main
 
 import (
@@ -52,7 +46,6 @@ func gitCommit() string {
 type benchRun struct {
 	Arch         string  `json:"arch"`
 	App          string  `json:"app"`
-	Shards       int     `json:"shards"`
 	GoMaxProcs   int     `json:"gomaxprocs"`
 	WallMs       float64 `json:"wall_ms"`
 	ExecCycles   uint64  `json:"exec_cycles"`
@@ -69,7 +62,6 @@ type benchDoc struct {
 	GoMaxProcs int        `json:"gomaxprocs"`
 	Scale      float64    `json:"scale"`
 	Threads    int        `json:"threads"`
-	Shards     int        `json:"shards"`
 	Repeat     int        `json:"repeat"`
 	Runs       []benchRun `json:"runs"`
 }
@@ -82,7 +74,6 @@ func realMain() int {
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	threads := flag.Int("threads", 32, "application threads")
 	repeat := flag.Int("repeat", 2, "runs per configuration (best wall time wins)")
-	shards := flag.Int("shards", 1, "partitioned-engine shard count recorded per run")
 	flag.Parse()
 
 	doc := benchDoc{
@@ -93,7 +84,6 @@ func realMain() int {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Scale:      *scale,
 		Threads:    *threads,
-		Shards:     *shards,
 		Repeat:     *repeat,
 	}
 	for _, app := range pimdsm.Apps() {
@@ -101,7 +91,6 @@ func realMain() int {
 			cfg := pimdsm.Config{
 				Arch: arch, App: pimdsm.App(app, *scale),
 				Threads: *threads, Pressure: 0.75, DRatio: 1,
-				Shards: *shards,
 			}
 			var res *pimdsm.Result
 			best := time.Duration(1<<63 - 1)
@@ -120,7 +109,7 @@ func realMain() int {
 			exec := uint64(res.Breakdown.Exec)
 			doc.Runs = append(doc.Runs, benchRun{
 				Arch: string(arch), App: app,
-				Shards: res.Shards, GoMaxProcs: runtime.GOMAXPROCS(0),
+				GoMaxProcs:   runtime.GOMAXPROCS(0),
 				WallMs:       float64(best.Microseconds()) / 1000,
 				ExecCycles:   exec,
 				CyclesPerSec: float64(exec) / best.Seconds(),

@@ -3,17 +3,14 @@
 //
 // Usage:
 //
-//	figures [-exp all|table1|table2|table3|fig6|fig7|fig8|fig9|fig10a|fig10b|decompose|bottleneck|meshscale|timeline]
-//	        [-scale f] [-threads n] [-apps fft,radix,...] [-quick] [-shards n]
+//	figures [-exp all|table1|table2|table3|fig6|fig7|fig8|fig9|fig10a|fig10b|decompose|bottleneck|timeline]
+//	        [-scale f] [-threads n] [-apps fft,radix,...] [-quick]
 //	        [-parallel n] [-progress] [-http addr]
 //	        [-trace f.json] [-trace-buf n]
 //	        [-metrics-out f.json] [-cpuprofile f] [-memprofile f]
 //
 // -quick shrinks problem sizes and the Figure 9 grid for a fast smoke pass.
 // -parallel bounds the simulations in flight (default: one per CPU).
-// -shards selects the partitioned-engine shard count: the machine figures
-// record it in their results (their coherence path is serial; see DESIGN.md),
-// and -exp meshscale sweeps the event-driven mesh over shard counts up to it.
 // -progress renders a live per-batch status line on stderr.
 // -http serves a live dashboard (batch progress, expvar, pprof) on the given
 // address (e.g. localhost:8080) while the figures regenerate.
@@ -44,12 +41,11 @@ func main() {
 }
 
 func realMain() int {
-	exp := flag.String("exp", "all", "experiment to regenerate (all, table1-3, fig6-10b, decompose, bottleneck, meshscale, timeline)")
+	exp := flag.String("exp", "all", "experiment to regenerate (all, table1-3, fig6-10b, decompose, bottleneck, timeline)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	threads := flag.Int("threads", 32, "application threads")
 	apps := flag.String("apps", "", "comma-separated app subset")
 	quick := flag.Bool("quick", false, "small scale and coarse grids")
-	shards := flag.Int("shards", 1, "partitioned-engine shard count (meshscale sweeps 1..n)")
 	parallel := flag.Int("parallel", 0, "max simulations in flight (0 = one per CPU)")
 	progress := flag.Bool("progress", false, "render a live status line per batch on stderr")
 	httpAddr := flag.String("http", "", "serve a live dashboard on this address while running")
@@ -67,7 +63,7 @@ func realMain() int {
 	}
 	defer stop()
 
-	opt := pimdsm.Options{Scale: *scale, Threads: *threads, Parallel: *parallel, Shards: *shards}
+	opt := pimdsm.Options{Scale: *scale, Threads: *threads, Parallel: *parallel}
 	if *apps != "" {
 		opt.Apps = strings.Split(*apps, ",")
 	}
@@ -186,26 +182,6 @@ func realMain() int {
 		}
 		fmt.Print(pimdsm.FormatDecompose(rows))
 		fmt.Printf("[decompose regenerated in %v]\n\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	// Opt-in only (-exp meshscale): runs the partitioned event-driven mesh at
-	// 256- and 1024-node scales across shard counts, cross-checking each
-	// against its K=1 oracle and measuring wall time and event throughput.
-	if code == 0 && *exp == "meshscale" {
-		start := time.Now()
-		sizes := []int{16, 32}
-		horizon := pimdsm.Time(20_000)
-		if *quick {
-			sizes, horizon = []int{16}, 5_000
-		}
-		pts, err := pimdsm.MeshScale(sizes, *shards, horizon)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "meshscale:", err)
-			return 1
-		}
-		fmt.Print(pimdsm.FormatMeshScale(pts))
-		fmt.Printf("[GOMAXPROCS=%d]\n", runtime.GOMAXPROCS(0))
-		fmt.Printf("[meshscale regenerated in %v]\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	// Opt-in only (-exp bottleneck): re-runs the Figure 6 batch with the

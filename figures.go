@@ -24,11 +24,6 @@ type Options struct {
 	// one per CPU). Parallelism never changes results: each run is
 	// deterministic given its Config.
 	Parallel int
-	// Shards is stamped into every run's Config.Shards (0 leaves it alone).
-	// The machines' coherence path runs serially at any value — results are
-	// bit-identical — so this is provenance recorded in each Result; the
-	// partitioned engine parallelizes the event-driven mesh path (MeshScale).
-	Shards int
 
 	// Trace, when non-nil, receives every run's protocol events. Metrics,
 	// when non-nil, accumulates every run's counters. Both observers are
@@ -50,18 +45,12 @@ func (o Options) sweep() Sweep {
 	return Sweep{Workers: workers, Progress: o.Progress}
 }
 
-// runMany stamps the options' observers and shard count into each config and
-// runs the batch.
+// runMany stamps the options' observers into each config and runs the batch.
 func (o Options) runMany(cfgs []Config) ([]*Result, error) {
 	if o.Trace != nil || o.Metrics != nil {
 		for i := range cfgs {
 			cfgs[i].Trace = o.Trace
 			cfgs[i].Metrics = o.Metrics
-		}
-	}
-	if o.Shards != 0 {
-		for i := range cfgs {
-			cfgs[i].Shards = o.Shards
 		}
 	}
 	return o.sweep().RunMany(cfgs)

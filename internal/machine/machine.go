@@ -45,18 +45,6 @@ type Config struct {
 	// DNodes overrides DRatio with an explicit D-node count (Figure 9/10).
 	DNodes int
 
-	// Shards selects the partitioned-engine shard count requested for this
-	// run (0 means 1; negative is rejected). The coherence path of all three
-	// machines is synchronous-state — a transaction mutates remote directory
-	// and cache state at call time, serialized by the global (clock, id)
-	// scheduler order, so its protocol lookahead is zero — and therefore
-	// always executes serially regardless of Shards; results are
-	// bit-identical for every value. The setting is validated, recorded in
-	// Result.Shards alongside GOMAXPROCS for benchmark provenance, and the
-	// partitioned engine itself parallelizes the event-driven mesh path
-	// (mesh.Events; see DESIGN.md, "Conservative-window PDES").
-	Shards int
-
 	// PMemBytesOverride fixes the per-P-node memory instead of deriving it
 	// from Pressure (Figure 9 keeps per-node memory constant as nodes are
 	// added).
@@ -68,7 +56,8 @@ type Config struct {
 	// on-chip share of AGG P-node memory (§3 tunes it per application and
 	// argues the impact is modest); SharedMinFrac sets the SharedList
 	// reuse threshold (§2.2.2); HandlerScale scales the AGG software
-	// handler costs (1.0 = Table 2; 0.7 = the paper's hardware estimate).
+	// handler costs (1.0 = Table 2; 0.7 = the paper's hardware estimate)
+	// and must lie in [0, MaxHandlerScale].
 	OnChipFraction float64
 	SharedMinFrac  float64
 	HandlerScale   float64
@@ -113,10 +102,6 @@ type Result struct {
 	Threads int
 	PNodes  int
 	DNodes  int
-	// Shards echoes the validated Config.Shards. The coherence path runs
-	// serially at any value (see Config.Shards), so this is provenance, not
-	// a parallelism knob for this Result.
-	Shards int
 
 	Breakdown stats.Breakdown
 	PerThread []stats.Thread
@@ -197,6 +182,20 @@ type Sizing struct {
 	DNodes    int
 }
 
+// MaxHandlerScale bounds Config.HandlerScale. Scaled handler costs are
+// converted to sim.Time, so an unbounded factor wraps the simulated clock
+// (an AGG fft run breaks somewhere between 1e12 and 1e15); 1000 is far
+// beyond any experiment (the paper's hardware estimate is 0.7).
+const MaxHandlerScale = 1000
+
+// MaxOverrideFootprints bounds the memory overrides as a multiple of the
+// application footprint fp: PMemBytesOverride and DMemTotalOverride may each
+// be at most MaxOverrideFootprints*fp. The Figure 9/10 baseline sizing gives
+// at most about 0.67*fp at the paper's 75% pressure; an override past the
+// bound models no experiment and would only size the memories' backing
+// arrays beyond what the host can allocate.
+const MaxOverrideFootprints = 16
+
 // Size computes the memory layout for cfg and app.
 func Size(cfg Config, fp uint64) (Sizing, error) {
 	if cfg.Threads <= 0 {
@@ -204,6 +203,10 @@ func Size(cfg Config, fp uint64) (Sizing, error) {
 	}
 	if cfg.Pressure <= 0 || cfg.Pressure > 1 {
 		return Sizing{}, fmt.Errorf("machine: pressure %v outside (0,1]", cfg.Pressure)
+	}
+	if limit := MaxOverrideFootprints * fp; cfg.PMemBytesOverride > limit || cfg.DMemTotalOverride > limit {
+		return Sizing{}, fmt.Errorf("machine: memory override (pmem %d, dmem total %d bytes) exceeds %d x the %d-byte footprint",
+			cfg.PMemBytesOverride, cfg.DMemTotalOverride, MaxOverrideFootprints, fp)
 	}
 	total := uint64(float64(fp) / cfg.Pressure)
 	s := Sizing{TotalDRAM: total, PNodes: cfg.Threads}
@@ -250,11 +253,8 @@ func Run(cfg Config) (*Result, error) { return run(cfg, true) }
 // below the scheduler floor (results are identical either way — the
 // identity test runs both).
 func run(cfg Config, floor bool) (*Result, error) {
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("machine: negative shard count %d", cfg.Shards)
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+	if !(cfg.HandlerScale >= 0 && cfg.HandlerScale <= MaxHandlerScale) {
+		return nil, fmt.Errorf("machine: handler scale %v outside [0,%d]", cfg.HandlerScale, MaxHandlerScale)
 	}
 	app, err := workload.New(cfg.App)
 	if err != nil {
@@ -333,7 +333,6 @@ func run(cfg Config, floor bool) (*Result, error) {
 		Threads:     cfg.Threads,
 		PNodes:      sz.PNodes,
 		DNodes:      sz.DNodes,
-		Shards:      cfg.Shards,
 		PhaseEnd:    make(map[int]sim.Time),
 		TotalDRAM:   sz.TotalDRAM,
 		PMemBytes:   sz.PMemBytes,

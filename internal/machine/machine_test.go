@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"reflect"
+	"math"
 	"testing"
 
 	"pimdsm/internal/proto"
@@ -162,39 +162,37 @@ func TestLatencyClassesPopulated(t *testing.T) {
 	}
 }
 
-// TestShardsSerialEquivalence pins the Config.Shards contract: the coherence
-// path has zero protocol lookahead, so the machine core runs serially at any
-// shard count and results must be bit-identical across all of them — Shards
-// is recorded provenance, never a result-changing knob.
-func TestShardsSerialEquivalence(t *testing.T) {
-	for _, arch := range []Arch{AGG, NUMA, COMA} {
-		base := smallCfg(arch, "fft")
-		ref, err := Run(base)
-		if err != nil {
-			t.Fatalf("%s: %v", arch, err)
-		}
-		if ref.Shards != 1 {
-			t.Fatalf("%s: zero Shards not normalized to 1: %d", arch, ref.Shards)
-		}
-		for _, k := range []int{2, 8} {
-			cfg := base
-			cfg.Shards = k
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", arch, k, err)
-			}
-			if res.Shards != k {
-				t.Fatalf("%s: Shards=%d not recorded: %d", arch, k, res.Shards)
-			}
-			res.Shards = ref.Shards
-			if !reflect.DeepEqual(res, ref) {
-				t.Errorf("%s: shards=%d changed results:\n%+v\nvs\n%+v", arch, k, res, ref)
-			}
+// TestRunRejectsBadSpecs: out-of-range handler scales and memory overrides
+// are errors from Run, never a panic in the engine or in an allocation.
+func TestRunRejectsBadSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"handler scale -1", func(c *Config) { c.HandlerScale = -1 }},
+		{"handler scale 1e30", func(c *Config) { c.HandlerScale = 1e30 }},
+		{"handler scale NaN", func(c *Config) { c.HandlerScale = math.NaN() }},
+		{"handler scale past bound", func(c *Config) { c.HandlerScale = MaxHandlerScale + 1 }},
+		{"pmem 1<<62", func(c *Config) { c.PMemBytesOverride = 1 << 62 }},
+		{"dmem total 1<<62", func(c *Config) { c.DMemTotalOverride = 1 << 62 }},
+	} {
+		cfg := smallCfg(AGG, "fft")
+		tc.mod(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	bad := smallCfg(AGG, "fft")
-	bad.Shards = -1
-	if _, err := Run(bad); err == nil {
-		t.Error("negative shard count accepted")
+	// The paper's scales and the Figure 9/10 baseline sizing stay valid.
+	perNode, dTotal, err := BaselineSizing(smallCfg(AGG, "fft").App, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{0, proto.HardwareScale, 1, MaxHandlerScale} {
+		cfg := smallCfg(AGG, "fft")
+		cfg.HandlerScale = scale
+		cfg.PMemBytesOverride, cfg.DMemTotalOverride = perNode, dTotal
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("handler scale %v with baseline sizing: %v", scale, err)
+		}
 	}
 }

@@ -450,12 +450,11 @@ func (r *CompareReport) WriteText(w io.Writer) {
 
 // --- BENCH_*.json trajectory ---
 
-// BenchRun mirrors one cmd/benchjson measurement row. Shards and GoMaxProcs
-// are optional provenance (absent in snapshots before 2026-08-08).
+// BenchRun mirrors one cmd/benchjson measurement row. GoMaxProcs is optional
+// provenance (absent in snapshots before 2026-08-08).
 type BenchRun struct {
 	Arch         string  `json:"arch"`
 	App          string  `json:"app"`
-	Shards       int     `json:"shards,omitempty"`
 	GoMaxProcs   int     `json:"gomaxprocs,omitempty"`
 	WallMs       float64 `json:"wall_ms"`
 	ExecCycles   uint64  `json:"exec_cycles"`
@@ -463,8 +462,8 @@ type BenchRun struct {
 }
 
 // BenchDoc mirrors one committed BENCH_<date>.json snapshot. Header fields
-// added over time (gomaxprocs, shards, repeat) are optional so the earliest
-// snapshots still parse.
+// added over time (gomaxprocs, repeat) are optional so the earliest
+// snapshots still parse; members no longer written (shards) are ignored.
 type BenchDoc struct {
 	Date       string     `json:"date"`
 	Commit     string     `json:"commit,omitempty"`
@@ -473,7 +472,6 @@ type BenchDoc struct {
 	GoMaxProcs int        `json:"gomaxprocs,omitempty"`
 	Scale      float64    `json:"scale"`
 	Threads    int        `json:"threads"`
-	Shards     int        `json:"shards,omitempty"`
 	Repeat     int        `json:"repeat,omitempty"`
 	Runs       []BenchRun `json:"runs"`
 }

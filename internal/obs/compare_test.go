@@ -262,7 +262,7 @@ func TestParseBenchDoc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old-schema snapshot rejected: %v", err)
 	}
-	if doc.Runs[0].Shards != 0 || doc.GoMaxProcs != 0 {
+	if doc.Runs[0].GoMaxProcs != 0 || doc.GoMaxProcs != 0 {
 		t.Fatalf("optional fields should default to zero: %+v", doc)
 	}
 	for _, bad := range []string{

@@ -79,7 +79,6 @@ func Pow2Bounds(n int) []sim.Time {
 type Registry struct {
 	order []string
 	byN   map[string]any
-	ser   Series
 }
 
 // NewRegistry returns an empty registry.
@@ -139,69 +138,6 @@ func (r *Registry) register(name string, m any) {
 // Names returns the metric names in registration order.
 func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
 
-// Series is a sampled time-series of scalar metric values: one row per
-// Sample call, one column per counter/gauge (histograms contribute their
-// observation count).
-type Series struct {
-	Cols  []string
-	Times []sim.Time
-	Rows  [][]float64
-}
-
-// Sample appends the current scalar value of every registered metric to the
-// registry's time-series, stamped at sim time t. Metrics should be
-// registered before the first sample so every row has the same columns.
-func (r *Registry) Sample(t sim.Time) {
-	if len(r.ser.Cols) < len(r.order) {
-		r.ser.Cols = r.Names()
-	}
-	row := make([]float64, 0, len(r.order))
-	for _, name := range r.order {
-		row = append(row, r.scalar(name))
-	}
-	r.ser.Times = append(r.ser.Times, t)
-	r.ser.Rows = append(r.ser.Rows, row)
-}
-
-func (r *Registry) scalar(name string) float64 {
-	switch m := r.byN[name].(type) {
-	case *Counter:
-		return float64(m.v)
-	case *Gauge:
-		return m.v
-	case *Histogram:
-		return float64(m.n)
-	}
-	return 0
-}
-
-// Series returns the sampled time-series (live; do not mutate).
-func (r *Registry) Series() *Series { return &r.ser }
-
-// SampleEvery schedules periodic Sample calls on the engine, starting at
-// first and repeating every period cycles, until the returned record is
-// stopped. The samples land in the registry's Series with the engine's
-// current time.
-func (r *Registry) SampleEvery(e *sim.Engine, first, period sim.Time) *sim.Recurring {
-	return e.EveryNamed(first, period, "obs.sample", func() { r.Sample(e.Now()) })
-}
-
-// WatchEngine registers engine-introspection gauges (pending events,
-// dispatched events) and samples them — plus every other metric in the
-// registry — every period cycles.
-func WatchEngine(e *sim.Engine, r *Registry, first, period sim.Time) *sim.Recurring {
-	pending := r.Gauge("engine.pending")
-	maxPending := r.Gauge("engine.max_pending")
-	dispatched := r.Gauge("engine.dispatched")
-	return e.EveryNamed(first, period, "obs.watch", func() {
-		s := e.Stats()
-		pending.Set(float64(s.Pending))
-		maxPending.Set(float64(s.MaxPending))
-		dispatched.Set(float64(s.Dispatched))
-		r.Sample(e.Now())
-	})
-}
-
 // CollectMachine folds a run's measured stats.Machine into the registry:
 // per-class read/write counts and latency sums, the protocol event
 // counters, and the read/write latency histograms. Adding is cumulative, so
@@ -246,8 +182,7 @@ func collectHist(h *Histogram, lh *stats.LatHist) {
 	h.n += lh.Total()
 }
 
-// WriteJSON renders every metric (and the sampled series, if any) as a
-// deterministic JSON document.
+// WriteJSON renders every metric as a deterministic JSON document.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "{\"metrics\":{")
@@ -273,30 +208,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		}
 	}
 	fmt.Fprint(bw, "}")
-	if len(r.ser.Times) > 0 {
-		fmt.Fprint(bw, ",\"series\":{\"cols\":[")
-		for i, c := range r.ser.Cols {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "%q", c)
-		}
-		fmt.Fprint(bw, "],\"samples\":[")
-		for i, t := range r.ser.Times {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "{\"t\":%d,\"v\":[", t)
-			for j, v := range r.ser.Rows[i] {
-				if j > 0 {
-					bw.WriteByte(',')
-				}
-				fmt.Fprintf(bw, "%g", v)
-			}
-			fmt.Fprint(bw, "]}")
-		}
-		fmt.Fprint(bw, "]}")
-	}
 	fmt.Fprint(bw, "}\n")
 	return bw.Flush()
 }

@@ -58,62 +58,6 @@ func TestPow2Bounds(t *testing.T) {
 	}
 }
 
-func TestSeriesSampling(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events")
-	r.Sample(10)
-	c.Add(7)
-	r.Sample(20)
-	s := r.Series()
-	if !reflect.DeepEqual(s.Times, []sim.Time{10, 20}) {
-		t.Fatalf("Times = %v", s.Times)
-	}
-	if s.Rows[0][0] != 0 || s.Rows[1][0] != 7 {
-		t.Fatalf("Rows = %v", s.Rows)
-	}
-}
-
-func TestSampleEveryOnEngine(t *testing.T) {
-	var e sim.Engine
-	r := NewRegistry()
-	c := r.Counter("ticks")
-	e.Every(0, 100, func() { c.Inc() })
-	rec := r.SampleEvery(&e, 50, 100)
-	e.RunUntil(450)
-	e.Stop(rec)
-	s := r.Series()
-	// Samples at 50, 150, 250, 350, 450 see 1, 2, 3, 4, 5 ticks.
-	if len(s.Times) != 5 {
-		t.Fatalf("samples = %d, want 5", len(s.Times))
-	}
-	for i, row := range s.Rows {
-		if row[0] != float64(i+1) {
-			t.Fatalf("sample %d = %v, want %d", i, row[0], i+1)
-		}
-	}
-}
-
-func TestWatchEngine(t *testing.T) {
-	var e sim.Engine
-	r := NewRegistry()
-	for i := 0; i < 10; i++ {
-		e.At(sim.Time(i*10), func() {})
-	}
-	rec := WatchEngine(&e, r, 5, 50)
-	e.RunUntil(100)
-	e.Stop(rec)
-	s := r.Series()
-	if len(s.Times) == 0 {
-		t.Fatal("no samples")
-	}
-	if r.Gauge("engine.dispatched").Value() == 0 {
-		t.Fatal("dispatched gauge never set")
-	}
-	if r.Gauge("engine.max_pending").Value() < 10 {
-		t.Fatalf("max_pending = %v, want >= 10", r.Gauge("engine.max_pending").Value())
-	}
-}
-
 func TestCollectMachine(t *testing.T) {
 	var m stats.Machine
 	m.Read(proto.LatMem, 57)
@@ -149,7 +93,6 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		r.Counter("a").Add(1)
 		r.Gauge("b").Set(2.5)
 		r.Histogram("c", Pow2Bounds(3)).Observe(3)
-		r.Sample(100)
 		var buf bytes.Buffer
 		if err := r.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -166,8 +109,5 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	}
 	if _, ok := doc["metrics"]; !ok {
 		t.Fatal("no metrics key")
-	}
-	if _, ok := doc["series"]; !ok {
-		t.Fatal("no series key despite sampling")
 	}
 }

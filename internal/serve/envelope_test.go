@@ -194,20 +194,31 @@ func TestIngestCanonicalizes(t *testing.T) {
 		}
 	}
 
-	t.Run("index", func(t *testing.T) {
-		path := t.TempDir() + "/cache.json"
-		// Marshal compacts a RawMessage, so splice the padded form in after.
-		idx, _ := json.Marshal(index{Version: KeyVersion,
-			Entries: []indexEntry{{Key: keyHex(key), Spec: cs.canonical(), Result: want}}})
-		if err := os.WriteFile(path, bytes.Replace(idx, want, padded, 1), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, c := startAPI(t, Options{Workers: 1, CachePath: path, Run: never})
-		if s.Cache().Len() != 1 {
-			t.Fatalf("restored %d entries, want 1", s.Cache().Len())
-		}
-		serves("index", s, c)
-	})
+	// Results persisted before Result.Shards was removed still carry it;
+	// they load under the same KeyVersion and serve without the member.
+	legacy := bytes.Replace(want, []byte(`"Breakdown":`), []byte(`"Shards":1,"Breakdown":`), 1)
+	if bytes.Equal(legacy, want) {
+		t.Fatal("no Breakdown member to splice the legacy field before")
+	}
+	for _, in := range []struct {
+		name   string
+		result []byte
+	}{{"index", padded}, {"index-legacy", legacy}} {
+		t.Run(in.name, func(t *testing.T) {
+			path := t.TempDir() + "/cache.json"
+			// Marshal compacts a RawMessage, so splice the stored form in after.
+			idx, _ := json.Marshal(index{Version: KeyVersion,
+				Entries: []indexEntry{{Key: keyHex(key), Spec: cs.canonical(), Result: want}}})
+			if err := os.WriteFile(path, bytes.Replace(idx, want, in.result, 1), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, c := startAPI(t, Options{Workers: 1, CachePath: path, Run: never})
+			if s.Cache().Len() != 1 {
+				t.Fatalf("restored %d entries, want 1", s.Cache().Len())
+			}
+			serves(in.name, s, c)
+		})
+	}
 
 	t.Run("replica", func(t *testing.T) {
 		s, c := startAPI(t, Options{Workers: 1, Run: never})

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pimdsm/internal/machine"
 	"pimdsm/internal/obs/svclog"
 )
 
@@ -508,5 +509,52 @@ func TestHTTPMetricsPromParses(t *testing.T) {
 	}
 	if fams["aggsimd_jobs_submitted_total"].Samples[0].Value < 1 {
 		t.Fatalf("submitted counter did not move: %+v", fams["aggsimd_jobs_submitted_total"])
+	}
+}
+
+// TestHTTPBadSpecFailsJob: a spec the machine rejects ends its job in the
+// failed state carrying the machine's error, and the same daemon then serves
+// a valid job (a panic in the worker would have taken the process down).
+func TestHTTPBadSpecFailsJob(t *testing.T) {
+	s, c := startAPI(t, Options{Workers: 1})
+	good := ConfigSpec{Arch: "agg", App: "fft", Scale: 0.02, Threads: 8, Pressure: 0.75, DRatio: 1}
+	for _, tc := range []struct {
+		name string
+		mod  func(*ConfigSpec)
+	}{
+		{"handler_scale -1", func(cs *ConfigSpec) { cs.HandlerScale = -1 }},
+		{"handler_scale 1e30", func(cs *ConfigSpec) { cs.HandlerScale = 1e30 }},
+		{"pmem_bytes 1<<62", func(cs *ConfigSpec) { cs.PMemBytes = 1 << 62 }},
+		{"dmem_total 1<<62", func(cs *ConfigSpec) { cs.DMemTotal = 1 << 62 }},
+	} {
+		bad := good
+		tc.mod(&bad)
+		_, wantErr := machine.Run(bad.Config())
+		if wantErr == nil {
+			t.Fatalf("%s: machine.Run accepted the spec", tc.name)
+		}
+		st, err := c.Submit(JobSpec{Configs: []ConfigSpec{bad}})
+		if err != nil {
+			t.Fatalf("%s: submit: %v", tc.name, err)
+		}
+		fin := waitJob(t, s, st.ID)
+		if fin.State != JobFailed || !strings.Contains(fin.Error, wantErr.Error()) {
+			t.Errorf("%s: job ended %s with error %q, want failed with %q", tc.name, fin.State, fin.Error, wantErr)
+		}
+	}
+	res, err := machine.Run(good.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(res)
+	st, err := c.Submit(JobSpec{Configs: []ConfigSpec{good}})
+	if err != nil {
+		t.Fatalf("valid submit after failures: %v", err)
+	}
+	if fin := waitJob(t, s, st.ID); fin.State != JobDone {
+		t.Fatalf("valid job after failures: %+v", fin)
+	}
+	if _, raw, err := c.Result(st.ID); err != nil || len(raw) != 1 || !bytes.Equal(raw[0], want) {
+		t.Fatalf("valid job result (%v): %.200s", err, raw)
 	}
 }

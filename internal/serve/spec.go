@@ -27,10 +27,7 @@ const KeyVersion = 1
 // result-determining fields of machine.Config, none of the observer
 // attachments (Trace, Metrics, Spans, Profile, Audit, PhaseProgress — all
 // record-only, so two configs differing only there produce byte-identical
-// results and deliberately share a cache key). Config.Shards is dropped for
-// the same reason: the machines' coherence path executes serially at every
-// shard count (zero protocol lookahead — see machine.Config.Shards), so the
-// value never changes a result and is provenance only.
+// results and deliberately share a cache key).
 type ConfigSpec struct {
 	Arch     string  `json:"arch"`
 	App      string  `json:"app"`

@@ -2,47 +2,6 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineEventChurn exercises the engine's schedule/fire/reschedule
-// hot path in isolation: a fixed population of self-rescheduling events churns
-// through the 4-ary heap. Steady state must report 0 allocs/op — the event
-// heap stores events by value in a reused slice, and the single closure is
-// created once outside the loop.
-func BenchmarkEngineEventChurn(b *testing.B) {
-	b.ReportAllocs()
-	var e Engine
-	var fn func()
-	fn = func() { e.After(16, fn) }
-	for i := 0; i < 64; i++ {
-		e.At(Time(i), fn)
-	}
-	// Warm the heap slice to steady-state capacity.
-	for i := 0; i < 256; i++ {
-		e.Step()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-// BenchmarkEngineRecurring measures the periodic-event path: the Recurring
-// record travels through the queue, so firing allocates nothing.
-func BenchmarkEngineRecurring(b *testing.B) {
-	b.ReportAllocs()
-	var e Engine
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.Every(Time(i), 16, fn)
-	}
-	for i := 0; i < 256; i++ {
-		e.Step()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
 // benchThread is a minimal self-clocking thread for scheduler benchmarks.
 type benchThread struct {
 	id    int
