@@ -27,11 +27,12 @@ bench:
 
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
-# record paths and the floor-attached Resource calendar at zero allocations
-# (the alloc-regression gate).
+# record paths, the floor-attached Resource calendar, hashmap lookups and
+# overwrites, and cache and local-memory accesses and fills at zero
+# allocations (the alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/hashmap ./internal/cache
 
 ci: build vet test race-hot
 
@@ -121,13 +122,15 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the two differential fuzz targets for a short fixed time
+# fuzz-smoke runs the three differential fuzz targets for a short fixed time
 # each on top of their checked-in seed corpora: the result-envelope decoder
-# (one-pass decoder vs json.Unmarshal) and the floor-pruned Resource calendar
-# (vs the unpruned calendar).
+# (one-pass decoder vs json.Unmarshal), the floor-pruned Resource calendar
+# (vs the unpruned calendar) and the packed hashmap.Map (vs the builtin map
+# and the three-array layout it replaced).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceFloor$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/hashmap
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'

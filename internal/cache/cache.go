@@ -60,11 +60,32 @@ type Victim struct {
 // Valid reports whether a real line was displaced.
 func (v Victim) Valid() bool { return v.State != Invalid }
 
+// A frame is one line slot of a SetAssoc or a LocalMemory. Its tag word packs
+// the line-aligned address with the frame's flags in the low bits the
+// alignment leaves free (New and NewLocal reject lines under 8 bytes): the
+// coherence state in bits 0-1 and, in local memory, the on-chip placement in
+// bit 2. A frame is then 16 bytes and a 4-way set one 64-byte host cache line.
+const (
+	stateMask = 3
+	onChipBit = 4
+	flagMask  = stateMask | onChipBit
+)
+
 type frame struct {
-	tag   uint64 // line-aligned address
-	state State
-	lru   uint64 // global LRU stamp; larger = more recent
+	tagbits uint64 // line-aligned address | flags
+	lru     uint64 // global LRU stamp; larger = more recent
 }
+
+func (f *frame) tag() uint64      { return f.tagbits &^ flagMask }
+func (f *frame) state() State     { return State(f.tagbits & stateMask) }
+func (f *frame) setState(s State) { f.tagbits = f.tagbits&^stateMask | uint64(s) }
+func (f *frame) valid() bool      { return f.tagbits&stateMask != 0 }
+func (f *frame) onChip() bool     { return f.tagbits&onChipBit != 0 }
+
+// holds reports whether f holds a valid copy of the line tagged tag: with
+// the placement bit masked off, the XOR leaves exactly the state, which must
+// be nonzero.
+func (f *frame) holds(tag uint64) bool { return ((f.tagbits^tag)&^onChipBit)-1 < stateMask }
 
 // SetAssoc is a set-associative tag/state array with true-LRU replacement.
 type SetAssoc struct {
@@ -84,8 +105,8 @@ func New(totalBytes, lineBytes uint64, assoc int) (*SetAssoc, error) {
 	if assoc <= 0 {
 		return nil, fmt.Errorf("cache: associativity %d must be positive", assoc)
 	}
-	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: line size %d must be a power of two", lineBytes)
+	if err := checkLine(lineBytes); err != nil {
+		return nil, err
 	}
 	lines := totalBytes / lineBytes
 	if lines == 0 || lines%uint64(assoc) != 0 {
@@ -103,6 +124,15 @@ func New(totalBytes, lineBytes uint64, assoc int) (*SetAssoc, error) {
 		assoc:     assoc,
 		frames:    make([]frame, lines),
 	}, nil
+}
+
+// checkLine validates a line size: a power of two of at least 8 bytes, so a
+// line-aligned tag leaves the low bits the frames pack their flags into.
+func checkLine(lineBytes uint64) error {
+	if lineBytes < 8 || lineBytes&(lineBytes-1) != 0 {
+		return fmt.Errorf("cache: line size %d must be a power of two of at least 8 bytes", lineBytes)
+	}
+	return nil
 }
 
 // MustNew is New, panicking on error. For configurations known at compile time.
@@ -135,7 +165,7 @@ func (c *SetAssoc) find(addr uint64) *frame {
 	tag := c.Align(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
+		if set[i].holds(tag) {
 			return &set[i]
 		}
 	}
@@ -145,7 +175,7 @@ func (c *SetAssoc) find(addr uint64) *frame {
 // Lookup returns the state of the line containing addr without updating LRU.
 func (c *SetAssoc) Lookup(addr uint64) (State, bool) {
 	if f := c.find(addr); f != nil {
-		return f.state, true
+		return f.state(), true
 	}
 	return Invalid, false
 }
@@ -156,7 +186,7 @@ func (c *SetAssoc) Access(addr uint64) (State, bool) {
 	if f := c.find(addr); f != nil {
 		c.stamp++
 		f.lru = c.stamp
-		return f.state, true
+		return f.state(), true
 	}
 	return Invalid, false
 }
@@ -168,7 +198,7 @@ func (c *SetAssoc) SetState(addr uint64, s State) bool {
 	if f == nil {
 		return false
 	}
-	f.state = s
+	f.setState(s)
 	return true
 }
 
@@ -178,8 +208,8 @@ func (c *SetAssoc) Invalidate(addr uint64) State {
 	if f == nil {
 		return Invalid
 	}
-	s := f.state
-	f.state = Invalid
+	s := f.state()
+	f.setState(Invalid)
 	return s
 }
 
@@ -195,13 +225,13 @@ func (c *SetAssoc) Insert(addr uint64, s State, rank func(State) int) Victim {
 	if f := c.find(addr); f != nil {
 		c.stamp++
 		f.lru = c.stamp
-		f.state = s
+		f.setState(s)
 		return Victim{}
 	}
 	set := c.set(addr)
 	best := -1
 	for i := range set {
-		if set[i].state == Invalid {
+		if !set[i].valid() {
 			best = i
 			break
 		}
@@ -210,7 +240,7 @@ func (c *SetAssoc) Insert(addr uint64, s State, rank func(State) int) Victim {
 			continue
 		}
 		if rank != nil {
-			ri, rb := rank(set[i].state), rank(set[best].state)
+			ri, rb := rank(set[i].state()), rank(set[best].state())
 			if ri != rb {
 				if ri < rb {
 					best = i
@@ -223,11 +253,11 @@ func (c *SetAssoc) Insert(addr uint64, s State, rank func(State) int) Victim {
 		}
 	}
 	v := Victim{}
-	if set[best].state != Invalid {
-		v = Victim{Addr: set[best].tag, State: set[best].state}
+	if set[best].valid() {
+		v = Victim{Addr: set[best].tag(), State: set[best].state()}
 	}
 	c.stamp++
-	set[best] = frame{tag: c.Align(addr), state: s, lru: c.stamp}
+	set[best] = frame{tagbits: c.Align(addr) | uint64(s), lru: c.stamp}
 	return v
 }
 
@@ -235,8 +265,8 @@ func (c *SetAssoc) Insert(addr uint64, s State, rank func(State) int) Victim {
 // frame order (deterministic).
 func (c *SetAssoc) ForEach(fn func(addr uint64, s State)) {
 	for i := range c.frames {
-		if c.frames[i].state != Invalid {
-			fn(c.frames[i].tag, c.frames[i].state)
+		if f := &c.frames[i]; f.valid() {
+			fn(f.tag(), f.state())
 		}
 	}
 }
@@ -245,7 +275,7 @@ func (c *SetAssoc) ForEach(fn func(addr uint64, s State)) {
 func (c *SetAssoc) Count() int {
 	n := 0
 	for i := range c.frames {
-		if c.frames[i].state != Invalid {
+		if c.frames[i].valid() {
 			n++
 		}
 	}
@@ -255,11 +285,11 @@ func (c *SetAssoc) Count() int {
 // Flush removes all lines, invoking fn (if non-nil) for each valid one.
 func (c *SetAssoc) Flush(fn func(addr uint64, s State)) {
 	for i := range c.frames {
-		if c.frames[i].state != Invalid {
+		if f := &c.frames[i]; f.valid() {
 			if fn != nil {
-				fn(c.frames[i].tag, c.frames[i].state)
+				fn(f.tag(), f.state())
 			}
-			c.frames[i].state = Invalid
+			f.setState(Invalid)
 		}
 	}
 }

@@ -14,6 +14,7 @@ func TestNewValidation(t *testing.T) {
 		{0, 64, 1},       // zero capacity
 		{1024, 65, 1},    // non-power-of-two line
 		{1024, 0, 1},     // zero line
+		{1024, 4, 1},     // line too short for the packed flag bits
 		{1024, 64, 0},    // zero assoc
 		{1024, 64, -2},   // negative assoc
 		{64 * 3, 64, 1},  // non-power-of-two sets

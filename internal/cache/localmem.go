@@ -22,15 +22,8 @@ type LocalMemory struct {
 	sets      uint64
 	assoc     int
 	onWays    int // frames per set resident in on-chip DRAM
-	frames    []lframe
+	frames    []frame
 	stamp     uint64
-}
-
-type lframe struct {
-	tag    uint64
-	state  State
-	lru    uint64
-	onChip bool
 }
 
 // NewLocal builds a tagged local memory of totalBytes with the given line
@@ -40,8 +33,8 @@ func NewLocal(totalBytes, lineBytes uint64, assoc int, onFraction float64) (*Loc
 	if assoc <= 0 {
 		return nil, fmt.Errorf("cache: associativity %d must be positive", assoc)
 	}
-	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: line size %d must be a power of two", lineBytes)
+	if err := checkLine(lineBytes); err != nil {
+		return nil, err
 	}
 	if onFraction < 0 || onFraction > 1 {
 		return nil, fmt.Errorf("cache: on-chip fraction %v out of [0,1]", onFraction)
@@ -64,12 +57,12 @@ func NewLocal(totalBytes, lineBytes uint64, assoc int, onFraction float64) (*Loc
 		sets:      sets,
 		assoc:     assoc,
 		onWays:    onWays,
-		frames:    make([]lframe, lines),
+		frames:    make([]frame, lines),
 	}
 	// The first onWays frames of each set start as the on-chip frames.
 	for s := uint64(0); s < sets; s++ {
 		for w := 0; w < onWays; w++ {
-			m.frames[s*uint64(assoc)+uint64(w)].onChip = true
+			m.frames[s*uint64(assoc)+uint64(w)].tagbits = onChipBit
 		}
 	}
 	return m, nil
@@ -96,16 +89,16 @@ func (m *LocalMemory) OnChipLines() uint64 { return m.sets * uint64(m.onWays) }
 // Align returns addr rounded down to its line boundary.
 func (m *LocalMemory) Align(addr uint64) uint64 { return addr &^ (m.lineBytes - 1) }
 
-func (m *LocalMemory) set(addr uint64) []lframe {
+func (m *LocalMemory) set(addr uint64) []frame {
 	s := (addr >> m.lineShift) % m.sets
 	return m.frames[s*uint64(m.assoc) : (s+1)*uint64(m.assoc)]
 }
 
-func (m *LocalMemory) find(addr uint64) *lframe {
+func (m *LocalMemory) find(addr uint64) *frame {
 	tag := m.Align(addr)
 	set := m.set(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
+		if set[i].holds(tag) {
 			return &set[i]
 		}
 	}
@@ -114,21 +107,21 @@ func (m *LocalMemory) find(addr uint64) *lframe {
 
 // promote moves frame f of set to on-chip DRAM, displacing the LRU on-chip
 // frame of the same set off chip (an on/off swap at line grain).
-func (m *LocalMemory) promote(set []lframe, f *lframe) {
-	if f.onChip || m.onWays == 0 {
+func (m *LocalMemory) promote(set []frame, f *frame) {
+	if f.onChip() || m.onWays == 0 {
 		return
 	}
-	var lruOn *lframe
+	var lruOn *frame
 	for i := range set {
-		if set[i].onChip && (lruOn == nil || set[i].lru < lruOn.lru) {
+		if set[i].onChip() && (lruOn == nil || set[i].lru < lruOn.lru) {
 			lruOn = &set[i]
 		}
 	}
 	if lruOn == nil { // no on-chip frame in this set (onWays per-set exhausted elsewhere)
 		return
 	}
-	lruOn.onChip = false
-	f.onChip = true
+	lruOn.tagbits &^= onChipBit
+	f.tagbits |= onChipBit
 }
 
 // Access looks up addr. On a hit it marks the line most recently used,
@@ -141,17 +134,17 @@ func (m *LocalMemory) Access(addr uint64) (st State, hit bool, onChip bool) {
 	}
 	m.stamp++
 	f.lru = m.stamp
-	served := f.onChip
+	served := f.onChip()
 	if !served {
 		m.promote(m.set(addr), f)
 	}
-	return f.state, true, served
+	return f.state(), true, served
 }
 
 // Lookup returns the state and placement of a line without side effects.
 func (m *LocalMemory) Lookup(addr uint64) (st State, hit bool, onChip bool) {
 	if f := m.find(addr); f != nil {
-		return f.state, true, f.onChip
+		return f.state(), true, f.onChip()
 	}
 	return Invalid, false, false
 }
@@ -162,7 +155,7 @@ func (m *LocalMemory) SetState(addr uint64, s State) bool {
 	if f == nil {
 		return false
 	}
-	f.state = s
+	f.setState(s)
 	return true
 }
 
@@ -172,8 +165,8 @@ func (m *LocalMemory) Invalidate(addr uint64) State {
 	if f == nil {
 		return Invalid
 	}
-	s := f.state
-	f.state = Invalid
+	s := f.state()
+	f.setState(Invalid)
 	return s
 }
 
@@ -189,15 +182,15 @@ func (m *LocalMemory) Insert(addr uint64, s State, rank func(State) int) Victim 
 	if f := m.find(addr); f != nil {
 		m.stamp++
 		f.lru = m.stamp
-		f.state = s
-		if !f.onChip {
+		f.setState(s)
+		if !f.onChip() {
 			m.promote(set, f)
 		}
 		return Victim{}
 	}
 	best := -1
 	for i := range set {
-		if set[i].state == Invalid {
+		if !set[i].valid() {
 			best = i
 			break
 		}
@@ -206,7 +199,7 @@ func (m *LocalMemory) Insert(addr uint64, s State, rank func(State) int) Victim 
 			continue
 		}
 		if rank != nil {
-			ri, rb := rank(set[i].state), rank(set[best].state)
+			ri, rb := rank(set[i].state()), rank(set[best].state())
 			if ri != rb {
 				if ri < rb {
 					best = i
@@ -219,13 +212,13 @@ func (m *LocalMemory) Insert(addr uint64, s State, rank func(State) int) Victim 
 		}
 	}
 	v := Victim{}
-	if set[best].state != Invalid {
-		v = Victim{Addr: set[best].tag, State: set[best].state}
+	if set[best].valid() {
+		v = Victim{Addr: set[best].tag(), State: set[best].state()}
 	}
 	m.stamp++
-	wasOn := set[best].onChip
-	set[best] = lframe{tag: m.Align(addr), state: s, lru: m.stamp, onChip: wasOn}
-	if !wasOn {
+	wasOn := set[best].tagbits & onChipBit
+	set[best] = frame{tagbits: m.Align(addr) | uint64(s) | wasOn, lru: m.stamp}
+	if wasOn == 0 {
 		m.promote(set, &set[best])
 	}
 	return v
@@ -242,7 +235,7 @@ func (m *LocalMemory) ProbeVictim(addr uint64, rank func(State) int) Victim {
 	set := m.set(addr)
 	best := -1
 	for i := range set {
-		if set[i].state == Invalid {
+		if !set[i].valid() {
 			return Victim{}
 		}
 		if best == -1 {
@@ -250,7 +243,7 @@ func (m *LocalMemory) ProbeVictim(addr uint64, rank func(State) int) Victim {
 			continue
 		}
 		if rank != nil {
-			ri, rb := rank(set[i].state), rank(set[best].state)
+			ri, rb := rank(set[i].state()), rank(set[best].state())
 			if ri != rb {
 				if ri < rb {
 					best = i
@@ -262,14 +255,14 @@ func (m *LocalMemory) ProbeVictim(addr uint64, rank func(State) int) Victim {
 			best = i
 		}
 	}
-	return Victim{Addr: set[best].tag, State: set[best].state}
+	return Victim{Addr: set[best].tag(), State: set[best].state()}
 }
 
 // ForEach calls fn for every valid line in deterministic frame order.
 func (m *LocalMemory) ForEach(fn func(addr uint64, s State, onChip bool)) {
 	for i := range m.frames {
-		if m.frames[i].state != Invalid {
-			fn(m.frames[i].tag, m.frames[i].state, m.frames[i].onChip)
+		if f := &m.frames[i]; f.valid() {
+			fn(f.tag(), f.state(), f.onChip())
 		}
 	}
 }
@@ -278,7 +271,7 @@ func (m *LocalMemory) ForEach(fn func(addr uint64, s State, onChip bool)) {
 func (m *LocalMemory) Count() int {
 	n := 0
 	for i := range m.frames {
-		if m.frames[i].state != Invalid {
+		if m.frames[i].valid() {
 			n++
 		}
 	}
@@ -290,11 +283,11 @@ func (m *LocalMemory) Count() int {
 // lines are written back to their homes).
 func (m *LocalMemory) Flush(fn func(addr uint64, s State)) {
 	for i := range m.frames {
-		if m.frames[i].state != Invalid {
+		if f := &m.frames[i]; f.valid() {
 			if fn != nil {
-				fn(m.frames[i].tag, m.frames[i].state)
+				fn(f.tag(), f.state())
 			}
-			m.frames[i].state = Invalid
+			f.setState(Invalid)
 		}
 	}
 }

@@ -13,6 +13,15 @@ func TestLocalNewValidation(t *testing.T) {
 	if _, err := NewLocal(1024, 64, 4, 1.5); err == nil {
 		t.Error("on-chip fraction > 1 accepted")
 	}
+	// A line leaves its low three bits for the packed state and placement.
+	for _, line := range []uint64{1, 2, 4} {
+		if _, err := NewLocal(1024, line, 1, 0.5); err == nil {
+			t.Errorf("%d-byte lines accepted", line)
+		}
+	}
+	if _, err := NewLocal(1024, 8, 1, 0.5); err != nil {
+		t.Errorf("8-byte lines rejected: %v", err)
+	}
 	// Non-power-of-two set counts are allowed (DRAM tag arrays index by
 	// modulo): memory-pressure sizing relies on it.
 	if m, err := NewLocal(64*3, 64, 1, 0.5); err != nil || m.Lines() != 3 {

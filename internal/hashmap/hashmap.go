@@ -5,7 +5,7 @@
 // interface-free but still hash-function-heavy runtime call plus pointer
 // chasing. Map is a uint64-keyed linear-probing table with Fibonacci hashing
 // and backward-shift deletion (no tombstones), so a lookup is a multiply, a
-// shift and a short linear scan over two flat arrays.
+// shift and a short linear scan over one flat array of {key, value} slots.
 //
 // The companion Pool is a chunked slab allocator with a free list: directory
 // entries are recycled across page map/unmap cycles instead of churning the
@@ -31,13 +31,27 @@ const (
 // Map is an open-addressed hash table from uint64 keys to values of type V.
 // The zero value is an empty map ready for use. It is not safe for concurrent
 // use, matching the simulator's single-threaded-per-run discipline.
+//
+// The table is one array of {key, val} slots, so a probe touches one slot.
+// Key 0 doubles as the empty-slot marker and zeroAt remembers the one slot
+// that really holds key 0, so every uint64 is a valid key. Each key sits
+// where a table with a separate used flag per slot would put it: slot
+// indices, probe runs and Range order depend only on the operation history,
+// and simulation results depend on that order (core.DMem ranges over its
+// directory mid-run).
 type Map[V any] struct {
-	keys []uint64
-	vals []V
-	used []bool
-	n    int
+	slots []slot[V]
+	n     int
 	// shift turns the 64-bit hash into a table index: idx = hash >> shift.
 	shift uint
+	// zeroAt is 1 + the index of the slot holding key 0, or 0 when key 0 is
+	// absent.
+	zeroAt uint64
+}
+
+type slot[V any] struct {
+	key uint64
+	val V
 }
 
 // Len returns the number of stored entries.
@@ -45,43 +59,53 @@ func (m *Map[V]) Len() int { return m.n }
 
 func (m *Map[V]) home(k uint64) uint64 { return (k * fibMul) >> m.shift }
 
+// used reports whether slot i holds an entry.
+func (m *Map[V]) used(i uint64) bool { return m.slots[i].key != 0 || i+1 == m.zeroAt }
+
 // Get returns the value stored for k.
-func (m *Map[V]) Get(k uint64) (V, bool) {
+func (m *Map[V]) Get(k uint64) (v V, ok bool) {
 	if m.n == 0 {
-		var zero V
-		return zero, false
+		return v, false
 	}
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	for i := m.home(k); ; i = (i + 1) & mask {
-		if !m.used[i] {
-			var zero V
-			return zero, false
+		// The empty test is !m.used(i) written out: calling used would
+		// push Get over the compiler's inlining budget.
+		s := &m.slots[i]
+		if s.key == 0 && i+1 != m.zeroAt {
+			return v, false
 		}
-		if m.keys[i] == k {
-			return m.vals[i], true
+		if s.key == k {
+			return s.val, true
 		}
 	}
 }
 
 // Put stores v for k, replacing any previous value.
 func (m *Map[V]) Put(k uint64, v V) {
-	if (m.n+1)*maxLoadDen > len(m.keys)*maxLoadNum {
+	if (m.n+1)*maxLoadDen > len(m.slots)*maxLoadNum {
 		m.grow()
 	}
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	for i := m.home(k); ; i = (i + 1) & mask {
-		if !m.used[i] {
-			m.used[i] = true
-			m.keys[i] = k
-			m.vals[i] = v
-			m.n++
+		if !m.used(i) {
+			m.fill(i, k, v)
 			return
 		}
-		if m.keys[i] == k {
-			m.vals[i] = v
+		if m.slots[i].key == k {
+			m.slots[i].val = v
 			return
 		}
 	}
+}
+
+// fill stores a new entry in the empty slot i.
+func (m *Map[V]) fill(i, k uint64, v V) {
+	m.slots[i] = slot[V]{key: k, val: v}
+	if k == 0 {
+		m.zeroAt = i + 1
+	}
+	m.n++
 }
 
 // Delete removes k and reports whether it was present. Deletion shifts the
@@ -91,36 +115,38 @@ func (m *Map[V]) Delete(k uint64) bool {
 	if m.n == 0 {
 		return false
 	}
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	i := m.home(k)
 	for {
-		if !m.used[i] {
+		if !m.used(i) {
 			return false
 		}
-		if m.keys[i] == k {
+		if m.slots[i].key == k {
 			break
 		}
 		i = (i + 1) & mask
+	}
+	if k == 0 {
+		m.zeroAt = 0
 	}
 	// Backward-shift: any entry later in the probe run that would still be
 	// reachable from its home position after moving into the hole does move.
 	j := i
 	for {
 		j = (j + 1) & mask
-		if !m.used[j] {
+		if !m.used(j) {
 			break
 		}
-		h := m.home(m.keys[j])
+		h := m.home(m.slots[j].key)
 		if ((j - h) & mask) >= ((j - i) & mask) {
-			m.keys[i] = m.keys[j]
-			m.vals[i] = m.vals[j]
+			m.slots[i] = m.slots[j]
+			if j+1 == m.zeroAt {
+				m.zeroAt = i + 1
+			}
 			i = j
 		}
 	}
-	var zero V
-	m.used[i] = false
-	m.keys[i] = 0
-	m.vals[i] = zero
+	m.slots[i] = slot[V]{}
 	m.n--
 	return true
 }
@@ -129,8 +155,8 @@ func (m *Map[V]) Delete(k uint64) bool {
 // is the table's probe order: deterministic for a deterministic operation
 // history, but otherwise unspecified. fn must not add or delete entries.
 func (m *Map[V]) Range(fn func(k uint64, v V) bool) {
-	for i := range m.keys {
-		if m.used[i] && !fn(m.keys[i], m.vals[i]) {
+	for i := range m.slots {
+		if m.used(uint64(i)) && !fn(m.slots[i].key, m.slots[i].val) {
 			return
 		}
 	}
@@ -138,49 +164,35 @@ func (m *Map[V]) Range(fn func(k uint64, v V) bool) {
 
 // Reset drops every entry but keeps the allocated table for reuse.
 func (m *Map[V]) Reset() {
-	var zero V
-	for i := range m.keys {
-		if m.used[i] {
-			m.used[i] = false
-			m.keys[i] = 0
-			m.vals[i] = zero
-		}
-	}
+	clear(m.slots)
 	m.n = 0
+	m.zeroAt = 0
 }
 
 func (m *Map[V]) grow() {
 	newCap := minCap
-	if len(m.keys) > 0 {
-		newCap = len(m.keys) * 2
+	if len(m.slots) > 0 {
+		newCap = len(m.slots) * 2
 	}
-	oldKeys, oldVals, oldUsed := m.keys, m.vals, m.used
-	m.keys = make([]uint64, newCap)
-	m.vals = make([]V, newCap)
-	m.used = make([]bool, newCap)
+	old, oldZeroAt := m.slots, m.zeroAt
+	m.slots = make([]slot[V], newCap)
 	m.n = 0
+	m.zeroAt = 0
 	m.shift = 64
 	for c := newCap; c > 1; c >>= 1 {
 		m.shift--
 	}
-	for i := range oldKeys {
-		if oldUsed[i] {
-			m.reinsert(oldKeys[i], oldVals[i])
+	mask := uint64(newCap - 1)
+	for i, s := range old {
+		if s.key == 0 && uint64(i)+1 != oldZeroAt {
+			continue
 		}
-	}
-}
-
-// reinsert is Put without the growth check, for rehashing.
-func (m *Map[V]) reinsert(k uint64, v V) {
-	mask := uint64(len(m.keys) - 1)
-	for i := m.home(k); ; i = (i + 1) & mask {
-		if !m.used[i] {
-			m.used[i] = true
-			m.keys[i] = k
-			m.vals[i] = v
-			m.n++
-			return
+		// Put without the growth check or the duplicate test.
+		j := m.home(s.key)
+		for m.used(j) {
+			j = (j + 1) & mask
 		}
+		m.fill(j, s.key, s.val)
 	}
 }
 

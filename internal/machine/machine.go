@@ -196,13 +196,26 @@ const MaxHandlerScale = 1000
 // arrays beyond what the host can allocate.
 const MaxOverrideFootprints = 16
 
+// MaxDRAMBytes bounds the machine DRAM a run sizes from its footprint,
+// footprint/Pressure. Every memory's tag array is allocated up front in
+// proportion to it, so a tiny pressure or a huge footprint would otherwise
+// ask the host for an array it cannot make (an out-of-range makeslice, or an
+// out-of-memory abort no recover can catch). The largest paper
+// configuration, dbase at scale 1 and 25% pressure, sizes 64 MB; the bound
+// is 16 times that.
+const MaxDRAMBytes = 1 << 30
+
 // Size computes the memory layout for cfg and app.
 func Size(cfg Config, fp uint64) (Sizing, error) {
 	if cfg.Threads <= 0 {
 		return Sizing{}, fmt.Errorf("machine: need threads > 0")
 	}
-	if cfg.Pressure <= 0 || cfg.Pressure > 1 {
+	if !(cfg.Pressure > 0 && cfg.Pressure <= 1) {
 		return Sizing{}, fmt.Errorf("machine: pressure %v outside (0,1]", cfg.Pressure)
+	}
+	if dram := float64(fp) / cfg.Pressure; dram > MaxDRAMBytes {
+		return Sizing{}, fmt.Errorf("machine: the %d-byte footprint at pressure %v sizes %.3g bytes of DRAM, over the %d-byte bound",
+			fp, cfg.Pressure, dram, MaxDRAMBytes)
 	}
 	if limit := MaxOverrideFootprints * fp; cfg.PMemBytesOverride > limit || cfg.DMemTotalOverride > limit {
 		return Sizing{}, fmt.Errorf("machine: memory override (pmem %d, dmem total %d bytes) exceeds %d x the %d-byte footprint",

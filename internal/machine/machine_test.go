@@ -162,8 +162,9 @@ func TestLatencyClassesPopulated(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadSpecs: out-of-range handler scales and memory overrides
-// are errors from Run, never a panic in the engine or in an allocation.
+// TestRunRejectsBadSpecs: out-of-range handler scales, memory overrides,
+// pressures and application scales are errors from Run, never a panic in
+// the engine or in an allocation.
 func TestRunRejectsBadSpecs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -175,6 +176,20 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"handler scale past bound", func(c *Config) { c.HandlerScale = MaxHandlerScale + 1 }},
 		{"pmem 1<<62", func(c *Config) { c.PMemBytesOverride = 1 << 62 }},
 		{"dmem total 1<<62", func(c *Config) { c.DMemTotalOverride = 1 << 62 }},
+		// The next two crashed the process inside Run before MaxDRAMBytes and
+		// workload.MaxScale: a makeslice panic, and an out-of-memory abort no
+		// recover can catch.
+		{"1/1AGG swim pressure 1e-12", func(c *Config) {
+			c.App, c.Threads, c.Pressure = workload.Spec{Name: "swim", Scale: 0.05}, 32, 1e-12
+		}},
+		{"NUMA radix scale 1e9", func(c *Config) {
+			c.Arch, c.App, c.Threads = NUMA, workload.Spec{Name: "radix", Scale: 1e9}, 32
+		}},
+		{"COMA pressure 1e-300", func(c *Config) { c.Arch, c.Pressure = COMA, 1e-300 }},
+		{"pressure NaN", func(c *Config) { c.Pressure = math.NaN() }},
+		{"scale NaN", func(c *Config) { c.App.Scale = math.NaN() }},
+		{"scale +Inf", func(c *Config) { c.App.Scale = math.Inf(1) }},
+		{"scale past bound", func(c *Config) { c.App.Scale = workload.MaxScale * 2 }},
 	} {
 		cfg := smallCfg(AGG, "fft")
 		tc.mod(&cfg)
@@ -193,6 +208,59 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		cfg.PMemBytesOverride, cfg.DMemTotalOverride = perNode, dTotal
 		if _, err := Run(cfg); err != nil {
 			t.Errorf("handler scale %v with baseline sizing: %v", scale, err)
+		}
+	}
+	// The DRAM bound itself: a footprint of MaxDRAMBytes fits at pressure 1
+	// only.
+	cfg := Config{Arch: AGG, Threads: 32, Pressure: 1, DRatio: 1}
+	if _, err := Size(cfg, MaxDRAMBytes); err != nil {
+		t.Errorf("footprint of MaxDRAMBytes at pressure 1: %v", err)
+	}
+	cfg.Pressure = 0.75
+	if _, err := Size(cfg, MaxDRAMBytes); err == nil {
+		t.Error("footprint of MaxDRAMBytes at pressure 0.75: accepted")
+	}
+}
+
+// TestPaperSizingsAccepted: every configuration the paper's experiments size
+// (Figures 6-10, OptimalSplit, reconfiguration, the benchmark's) passes the
+// bounds at scale 1, the largest any of them runs at.
+func TestPaperSizingsAccepted(t *testing.T) {
+	check := func(cfg Config) {
+		t.Helper()
+		app, err := workload.New(cfg.App)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if _, err := Size(cfg, app.Footprint()); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+	names := append(workload.Names(), "dbase-opt")
+	for _, scale := range []float64{0.05, 1} {
+		for _, name := range names {
+			spec := workload.Spec{Name: name, Scale: scale}
+			// Figures 6-8 and the benchmark: 32 threads, 25-75% pressure.
+			for _, pr := range []float64{0.25, 0.5, 0.75} {
+				for _, arch := range []Arch{NUMA, COMA} {
+					check(Config{Arch: arch, App: spec, Threads: 32, Pressure: pr})
+				}
+				for _, r := range []int{1, 2, 4} {
+					check(Config{Arch: AGG, App: spec, Threads: 32, Pressure: pr, DRatio: r})
+				}
+			}
+			// Figures 9 and 10, OptimalSplit and reconfiguration: nodes
+			// added at the frozen 2P&2D baseline sizing.
+			perNode, dTotal, err := BaselineSizing(spec, 0.75)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []int{2, 4, 8, 16, 28, 32} {
+				for _, d := range []int{2, 4, 8, 16, 32} {
+					check(Config{Arch: AGG, App: spec, Threads: p, Pressure: 0.75, DNodes: d,
+						PMemBytesOverride: perNode, DMemTotalOverride: dTotal})
+				}
+			}
 		}
 	}
 }

@@ -526,6 +526,14 @@ func TestHTTPBadSpecFailsJob(t *testing.T) {
 		{"handler_scale 1e30", func(cs *ConfigSpec) { cs.HandlerScale = 1e30 }},
 		{"pmem_bytes 1<<62", func(cs *ConfigSpec) { cs.PMemBytes = 1 << 62 }},
 		{"dmem_total 1<<62", func(cs *ConfigSpec) { cs.DMemTotal = 1 << 62 }},
+		// These two crashed the daemon inside machine.Run before the sizing
+		// bounds: a makeslice panic and an unrecoverable out-of-memory abort.
+		{"1/1AGG swim pressure 1e-12", func(cs *ConfigSpec) {
+			cs.App, cs.Scale, cs.Threads, cs.Pressure = "swim", 0.05, 32, 1e-12
+		}},
+		{"NUMA radix scale 1e9", func(cs *ConfigSpec) {
+			cs.Arch, cs.App, cs.Scale, cs.Threads, cs.DRatio = "numa", "radix", 1e9, 32, 0
+		}},
 	} {
 		bad := good
 		tc.mod(&bad)

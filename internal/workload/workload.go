@@ -55,14 +55,22 @@ type Spec struct {
 	Scale float64
 }
 
+// MaxScale bounds Spec.Scale. The figures run at scale 1 or below, and swim
+// and tomcatv stop growing at 4. The bound keeps every scaled element count
+// far inside the uint64 range: at huge scales the float-to-integer
+// conversions overflow, and a footprint would wrap to a small number while
+// the streams still walk the unwrapped sizes. What a legal scale may size is
+// bounded by machine.MaxDRAMBytes.
+const MaxScale = 64
+
 // New builds the named application. Valid names are in Names.
 func New(spec Spec) (App, error) {
 	s := spec.Scale
 	if s == 0 {
 		s = 1.0
 	}
-	if s < 0 {
-		return nil, fmt.Errorf("workload: negative scale %v", s)
+	if !(s > 0 && s <= MaxScale) {
+		return nil, fmt.Errorf("workload: scale %v outside (0,%d]", s, MaxScale)
 	}
 	switch spec.Name {
 	case "fft":

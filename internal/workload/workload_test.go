@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"pimdsm/internal/cpu"
@@ -42,8 +43,15 @@ func TestUnknownAppRejected(t *testing.T) {
 	if _, err := New(Spec{Name: "doom"}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if _, err := New(Spec{Name: "fft", Scale: -1}); err == nil {
-		t.Fatal("negative scale accepted")
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), MaxScale * 1.01, 1e9} {
+		if _, err := New(Spec{Name: "radix", Scale: scale}); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+	}
+	for _, scale := range []float64{0, 0.01, 1, MaxScale} {
+		if _, err := New(Spec{Name: "radix", Scale: scale}); err != nil {
+			t.Errorf("scale %v rejected: %v", scale, err)
+		}
 	}
 }
 
