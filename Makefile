@@ -122,13 +122,15 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the three differential fuzz targets for a short fixed time
+# fuzz-smoke runs the four differential fuzz targets for a short fixed time
 # each on top of their checked-in seed corpora: the result-envelope decoder
-# (one-pass decoder vs json.Unmarshal), the floor-pruned Resource calendar
-# (vs the unpruned calendar) and the packed hashmap.Map (vs the builtin map
-# and the three-array layout it replaced).
+# (one-pass decoder vs json.Unmarshal), the client's JSON scanner (vs
+# json.Valid), the floor-pruned Resource calendar (vs the unpruned calendar)
+# and the packed hashmap.Map (vs the builtin map and the three-array layout
+# it replaced).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceFloor$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/hashmap
 

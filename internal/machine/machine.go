@@ -205,10 +205,18 @@ const MaxOverrideFootprints = 16
 // is 16 times that.
 const MaxDRAMBytes = 1 << 30
 
+// MaxThreads bounds Config.Threads, and an AGG machine's D-node count the
+// same way. Every node gets its own cache tag arrays, memory and mesh port, and
+// every thread its own reference stream, all allocated up front, so an
+// unbounded count asks the host for an arbitrary amount of memory. The
+// paper's machine and every experiment here have at most 32 nodes of each
+// kind; the bound is 8 times that.
+const MaxThreads = 256
+
 // Size computes the memory layout for cfg and app.
 func Size(cfg Config, fp uint64) (Sizing, error) {
-	if cfg.Threads <= 0 {
-		return Sizing{}, fmt.Errorf("machine: need threads > 0")
+	if cfg.Threads <= 0 || cfg.Threads > MaxThreads {
+		return Sizing{}, fmt.Errorf("machine: threads %d outside [1,%d]", cfg.Threads, MaxThreads)
 	}
 	if !(cfg.Pressure > 0 && cfg.Pressure <= 1) {
 		return Sizing{}, fmt.Errorf("machine: pressure %v outside (0,1]", cfg.Pressure)
@@ -237,6 +245,9 @@ func Size(cfg Config, fp uint64) (Sizing, error) {
 		}
 		if d <= 0 {
 			return Sizing{}, fmt.Errorf("machine: AGG needs at least one D-node")
+		}
+		if d > MaxThreads {
+			return Sizing{}, fmt.Errorf("machine: %d D-nodes over the bound of %d", d, MaxThreads)
 		}
 		s.DNodes = d
 		pPer := total / 2 / uint64(cfg.Threads)

@@ -190,6 +190,14 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"scale NaN", func(c *Config) { c.App.Scale = math.NaN() }},
 		{"scale +Inf", func(c *Config) { c.App.Scale = math.Inf(1) }},
 		{"scale past bound", func(c *Config) { c.App.Scale = workload.MaxScale * 2 }},
+		// Per-node tag arrays, memories and streams are allocated once per
+		// node: about 0.4 MB each for COMA fft at scale 0.05, so 1<<20
+		// threads would ask for hundreds of GB and math.MaxInt cannot be
+		// made at all.
+		{"threads 1<<20", func(c *Config) { c.Threads = 1 << 20 }},
+		{"threads MaxInt", func(c *Config) { c.Threads = math.MaxInt }},
+		{"dnodes 1<<20", func(c *Config) { c.DNodes = 1 << 20 }},
+		{"dnodes MaxInt", func(c *Config) { c.DNodes = math.MaxInt }},
 	} {
 		cfg := smallCfg(AGG, "fft")
 		tc.mod(&cfg)
@@ -219,6 +227,22 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	cfg.Pressure = 0.75
 	if _, err := Size(cfg, MaxDRAMBytes); err == nil {
 		t.Error("footprint of MaxDRAMBytes at pressure 0.75: accepted")
+	}
+	// The node bound itself: MaxThreads P-nodes and D-nodes fit, one more
+	// of either does not.
+	cfg = Config{Arch: AGG, Threads: MaxThreads, Pressure: 0.75, DNodes: MaxThreads}
+	if _, err := Size(cfg, 1<<20); err != nil {
+		t.Errorf("MaxThreads P-nodes and D-nodes: %v", err)
+	}
+	for _, mod := range []func(*Config){
+		func(c *Config) { c.Threads++ },
+		func(c *Config) { c.DNodes++ },
+	} {
+		bad := cfg
+		mod(&bad)
+		if _, err := Size(bad, 1<<20); err == nil {
+			t.Errorf("%d threads, %d D-nodes: accepted", bad.Threads, bad.DNodes)
+		}
 	}
 }
 

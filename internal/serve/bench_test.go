@@ -6,9 +6,26 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"pimdsm/internal/machine"
 )
+
+// fig6Results is one svc-hit request's batch, the 7-config Figure-6 fft
+// batch at 32 threads and scale 0.02, with each config's canonical result
+// JSON from a direct run.
+func fig6Results(tb testing.TB) (JobSpec, [][]byte) {
+	spec := JobSpec{Configs: fig6Batch("fft", 32, 0.02)}
+	want := make([][]byte, len(spec.Configs))
+	for i, cs := range spec.Configs {
+		res, err := machine.Run(cs.canonical().Config())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		want[i], _ = json.Marshal(res)
+	}
+	return spec, want
+}
 
 // BenchmarkResultHit times one cache-hit request end to end against an
 // httptest daemon: submit a 7-config Figure-6 batch that is already cached,
@@ -28,15 +45,7 @@ func BenchmarkResultHit(b *testing.B) {
 	c := NewClient(hs.URL)
 	c.HTTP = hs.Client()
 
-	spec := JobSpec{Configs: fig6Batch("fft", 32, 0.02)}
-	want := make([][]byte, len(spec.Configs))
-	for i, cs := range spec.Configs {
-		res, err := machine.Run(cs.canonical().Config())
-		if err != nil {
-			b.Fatal(err)
-		}
-		want[i], _ = json.Marshal(res)
-	}
+	spec, want := fig6Results(b)
 	hit := func() (JobStatus, []json.RawMessage) {
 		st, err := c.Submit(spec)
 		if err != nil {
@@ -66,5 +75,34 @@ func BenchmarkResultHit(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		hit()
+	}
+}
+
+// BenchmarkDecodeResultEnvelope times the client's half of a cache hit in
+// isolation: decoding the GET .../result body of one Figure-6 batch (about
+// 30 KB) into its job status and result sub-slices.
+func BenchmarkDecodeResultEnvelope(b *testing.B) {
+	_, results := fig6Results(b)
+	at := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	st := JobStatus{ID: "j1", State: JobDone, Total: 7, Done: 7, CacheHits: 7,
+		SubmittedAt: at, StartedAt: &at, FinishedAt: &at}
+	bufs, err := resultEnvelopeBody(st, results)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body bytes.Buffer
+	bufs.WriteTo(&body)
+	env, err := decodeResultEnvelope(body.Bytes())
+	if err != nil || len(env.Results) != len(results) {
+		b.Fatalf("decoded %d results (%v), want %d", len(env.Results), err, len(results))
+	}
+
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := decodeResultEnvelope(body.Bytes()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -299,135 +299,293 @@ func (c *Client) Result(id string) (JobStatus, []json.RawMessage, error) {
 	return env.Job, env.Results, nil
 }
 
-// decodeResultEnvelope decodes a GET .../result body in one validating
-// pass: json.Valid checks the whole body, splitResultEnvelope walks the
-// now-valid bytes to find the two members, the results become sub-slices of
-// body, and only the small job object goes through json.Unmarshal. Any
-// shape other than the one the server writes — another, repeated or
-// escaped key, a results that is not an array — falls back to
-// json.Unmarshal, so the outcome always equals json.Unmarshal(body, &env).
+// decodeResultEnvelope decodes a GET .../result body in one pass:
+// scanResultEnvelope checks the whole body and finds the two members in the
+// same walk, the results become sub-slices of body, and only the small job
+// object goes through json.Unmarshal. Invalid JSON, or any shape other than
+// the one the server writes — another, repeated or escaped key, a results
+// that is not an array — falls back to json.Unmarshal, so the outcome always
+// equals json.Unmarshal(body, &env).
 func decodeResultEnvelope(body []byte) (resultEnvelope, error) {
 	var env resultEnvelope
-	if json.Valid(body) {
-		if job, results, ok := splitResultEnvelope(body); ok {
-			if job == nil || json.Unmarshal(job, &env.Job) == nil {
-				env.Results = results
-				return env, nil
-			}
-			env = resultEnvelope{} // a job type mismatch: let Unmarshal report it
+	if job, results, ok := scanResultEnvelope(body); ok {
+		if job == nil || json.Unmarshal(job, &env.Job) == nil {
+			env.Results = results
+			return env, nil
 		}
+		env = resultEnvelope{} // a job type mismatch: let Unmarshal report it
 	}
 	err := json.Unmarshal(body, &env)
 	return env, err
 }
 
-// splitResultEnvelope finds the "job" and "results" members of a valid JSON
-// object. It tracks only strings, escapes and nesting depth, which is all a
-// valid document needs; ok is false for anything but an object whose keys
-// are exactly "job" and "results", each at most once, with an array for
-// results. A missing member comes back nil, as json.Unmarshal leaves it.
-func splitResultEnvelope(b []byte) (job []byte, results []json.RawMessage, ok bool) {
+// maxScanDepth is encoding/json's nesting limit: json.Valid accepts 10000
+// nested arrays and objects and rejects 10001.
+const maxScanDepth = 10000
+
+// scanResultEnvelope checks that b is one valid JSON document and finds the
+// "job" and "results" members of its top-level object in the same walk. ok
+// is false for invalid JSON and for anything but an object whose keys are
+// exactly "job" and "results", each at most once, with an array for
+// results; ok implies json.Valid(b). The results are capacity-capped
+// sub-slices of b. A missing member comes back nil, as json.Unmarshal
+// leaves it; an empty results array is a non-nil empty slice, as
+// json.Unmarshal makes it.
+func scanResultEnvelope(b []byte) (job []byte, results []json.RawMessage, ok bool) {
 	i := skipSpace(b, 0)
-	if b[i] != '{' {
+	if i == len(b) || b[i] != '{' {
 		return nil, nil, false
 	}
 	i = skipSpace(b, i+1)
-	if b[i] == '}' {
-		return nil, nil, true
+	if i < len(b) && b[i] == '}' {
+		return nil, nil, skipSpace(b, i+1) == len(b)
 	}
 	var seenJob, seenResults bool
 	for {
-		end := skipString(b, i)
+		if i == len(b) || b[i] != '"' {
+			return nil, nil, false
+		}
+		end := scanString(b, i)
+		if end < 0 {
+			return nil, nil, false
+		}
 		key := b[i+1 : end-1]
-		i = skipSpace(b, skipSpace(b, end)+1) // past the ':'
+		if i = skipSpace(b, end); i == len(b) || b[i] != ':' {
+			return nil, nil, false
+		}
+		i = skipSpace(b, i+1)
 		switch string(key) {
 		case "job":
 			if seenJob {
 				return nil, nil, false
 			}
 			seenJob = true
-			end = skipValue(b, i)
-			job = b[i:end]
+			if end = scanValue(b, i, 1); end >= 0 {
+				job = b[i:end]
+			}
 		case "results":
-			if seenResults || b[i] != '[' {
+			if seenResults || i == len(b) || b[i] != '[' {
 				return nil, nil, false
 			}
 			seenResults = true
-			results, end = splitArray(b, i)
+			results = []json.RawMessage{}
+			end = scanArray(b, i, 2, &results)
 		default:
 			return nil, nil, false
 		}
-		i = skipSpace(b, end)
-		if b[i] == '}' {
-			return job, results, true
+		if end < 0 {
+			return nil, nil, false
 		}
-		i = skipSpace(b, i+1) // past the ','
+		if i = skipSpace(b, end); i == len(b) {
+			return nil, nil, false
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case '}':
+			if skipSpace(b, i+1) != len(b) {
+				return nil, nil, false
+			}
+			return job, results, true
+		default:
+			return nil, nil, false
+		}
 	}
 }
 
-// splitArray returns the elements of the valid array starting at b[i] as
-// capacity-capped sub-slices, and the index just past the array. An empty
-// array is a non-nil empty slice, as json.Unmarshal makes it.
-func splitArray(b []byte, i int) ([]json.RawMessage, int) {
-	out := []json.RawMessage{}
-	i = skipSpace(b, i+1)
-	if b[i] == ']' {
-		return out, i + 1
+// The scanners below accept exactly the language json.Valid does. Each
+// takes the index of a value's first byte and returns the index just past
+// it, or -1 when the bytes there are not a valid value. depth is the
+// nesting depth: the arrays and objects open around the value for
+// scanValue, and those plus the one being scanned for scanObject and
+// scanArray.
+
+// scanValue scans any JSON value at b[i] inside depth open containers.
+func scanValue(b []byte, i, depth int) int {
+	if i == len(b) {
+		return -1
+	}
+	switch c := b[i]; c {
+	case '"':
+		return scanString(b, i)
+	case '{':
+		return scanObject(b, i, depth+1)
+	case '[':
+		return scanArray(b, i, depth+1, nil)
+	case 't':
+		return scanLiteral(b, i, "true")
+	case 'f':
+		return scanLiteral(b, i, "false")
+	case 'n':
+		return scanLiteral(b, i, "null")
+	default:
+		if c == '-' || '0' <= c && c <= '9' {
+			return scanNumber(b, i)
+		}
+		return -1
+	}
+}
+
+// scanObject scans the object at b[i].
+func scanObject(b []byte, i, depth int) int {
+	if depth > maxScanDepth {
+		return -1
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
+		return i + 1
 	}
 	for {
-		end := skipValue(b, i)
-		out = append(out, b[i:end:end])
-		i = skipSpace(b, end)
-		if b[i] == ']' {
-			return out, i + 1
+		if i == len(b) || b[i] != '"' {
+			return -1
 		}
-		i = skipSpace(b, i+1) // past the ','
+		if i = scanString(b, i); i < 0 {
+			return -1
+		}
+		if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
+			return -1
+		}
+		if i = scanValue(b, skipSpace(b, i+1), depth); i < 0 {
+			return -1
+		}
+		if i = skipSpace(b, i); i == len(b) {
+			return -1
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case '}':
+			return i + 1
+		default:
+			return -1
+		}
 	}
 }
 
-// skipValue returns the index just past the valid JSON value at b[i].
-func skipValue(b []byte, i int) int {
-	switch b[i] {
-	case '"':
-		return skipString(b, i)
-	case '{', '[':
-		depth := 0
-		for ; i < len(b); i++ {
-			switch b[i] {
-			case '"':
-				i = skipString(b, i) - 1
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					return i + 1
-				}
+// scanArray scans the array at b[i]. A non-nil out collects the elements as
+// capacity-capped sub-slices of b.
+func scanArray(b []byte, i, depth int, out *[]json.RawMessage) int {
+	if depth > maxScanDepth {
+		return -1
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		return i + 1
+	}
+	for {
+		end := scanValue(b, i, depth)
+		if end < 0 {
+			return -1
+		}
+		if out != nil {
+			*out = append(*out, b[i:end:end])
+		}
+		if i = skipSpace(b, end); i == len(b) {
+			return -1
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case ']':
+			return i + 1
+		default:
+			return -1
+		}
+	}
+}
+
+// scanString scans the string at b[i]: no byte below 0x20 and only the
+// escapes \" \\ \/ \b \f \n \r \t and \uXXXX. Like json.Valid, it does
+// not check UTF-8.
+func scanString(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		for plainString[b[i]] {
+			if i++; i == len(b) {
+				return -1
 			}
 		}
-		return i
-	}
-	// A number or literal: it ends at the first delimiter.
-	for i < len(b) {
-		switch b[i] {
-		case ',', '}', ']', ' ', '\t', '\n', '\r':
-			return i
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c == '\\':
+			if i++; i == len(b) {
+				return -1
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(b)-i <= 4 || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
+					return -1
+				}
+				i += 4
+			default:
+				return -1
+			}
+		case c < 0x20:
+			return -1
 		}
+	}
+	return -1
+}
+
+// plainString marks the bytes a string holds as they are: all but '"',
+// '\\' and the control bytes below 0x20.
+var plainString = func() (t [256]bool) {
+	for c := 0x20; c < 256; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// scanNumber scans the number at b[i]: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
+func scanNumber(b []byte, i int) int {
+	if b[i] == '-' {
+		if i++; i == len(b) {
+			return -1
+		}
+	}
+	switch c := b[i]; {
+	case c == '0':
+		i++
+	case '1' <= c && c <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = skipDigits(b, i+1); b[i-1] == '.' {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+// skipDigits returns the index of the first non-digit at or after b[i].
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
 	return i
 }
 
-// skipString returns the index just past the valid JSON string at b[i].
-func skipString(b []byte, i int) int {
-	for i++; i < len(b); i++ {
-		switch b[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
+// scanLiteral scans lit (true, false or null) at b[i].
+func scanLiteral(b []byte, i int, lit string) int {
+	if len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
+		return -1
 	}
-	return i
+	return i + len(lit)
 }
 
 // skipSpace returns the index of the first non-whitespace byte at or after

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,6 +280,95 @@ func FuzzDecodeResultEnvelope(f *testing.F) {
 			if !bytes.Equal(got.Results[i], want.Results[i]) {
 				t.Fatalf("result %d is %q, json.Unmarshal %q", i, got.Results[i], want.Results[i])
 			}
+		}
+	})
+}
+
+// validJSON is the scanner's verdict on a whole document: one value, then
+// nothing but whitespace.
+func validJSON(b []byte) bool {
+	i := scanValue(b, skipSpace(b, 0), 0)
+	return i >= 0 && skipSpace(b, i) == len(b)
+}
+
+// nested returns depth arrays, or depth objects, nested around an empty
+// one of the same kind.
+func nested(depth int, object bool) []byte {
+	open, inner, close := "[", "[]", "]"
+	if object {
+		open, inner, close = `{"a":`, "{}", "}"
+	}
+	return []byte(strings.Repeat(open, depth-1) + inner + strings.Repeat(close, depth-1))
+}
+
+// scanCases are the edges of json.Valid's language; the same inputs are
+// FuzzScanJSON's committed seeds.
+var scanCases = []struct {
+	name  string
+	in    []byte
+	valid bool
+}{
+	{"depth_10000_array", nested(10000, false), true},
+	{"depth_10001_array", nested(10001, false), false},
+	{"depth_10000_object", nested(10000, true), true},
+	{"depth_10001_object", nested(10001, true), false},
+	{"control_byte_in_string", []byte("\"a\x1fb\""), false},
+	{"del_in_string", []byte("\"a\x7fb\""), true},
+	{"every_escape", []byte(`"\" \\ \/ \b \f \n \r \t \u00e9 \uABcd"`), true},
+	{"bad_escape", []byte(`"\x"`), false},
+	{"bad_u_escape", []byte(`"\u12g4"`), false},
+	{"short_u_escape", []byte(`"\u12"`), false},
+	{"invalid_utf8", []byte("\"\xff\xfe\xc0\x80\""), true},
+	{"unterminated_string", []byte(`"abc`), false},
+	{"number_leading_zero", []byte(`01`), false},
+	{"number_bare_dot", []byte(`1.`), false},
+	{"number_bare_exponent", []byte(`1e`), false},
+	{"number_bare_minus", []byte(`-`), false},
+	{"number_minus_zero", []byte(`-0`), true},
+	{"number_signed_exponent", []byte(`1E+2`), true},
+	{"number_fraction_exponent", []byte(`-12.50e-003`), true},
+	{"number_plus", []byte(`+1`), false},
+	{"literals", []byte(`[true,false,null]`), true},
+	{"literal_prefix", []byte(`tru`), false},
+	{"literal_capital", []byte(`True`), false},
+	{"trailing_garbage", []byte(`{"job":null} x`), false},
+	{"trailing_value", []byte(`1 2`), false},
+	{"trailing_comma", []byte(`[1,]`), false},
+	{"missing_colon", []byte(`{"a" 1}`), false},
+	{"non_string_key", []byte(`{1:2}`), false},
+	{"empty", []byte{}, false},
+	{"whitespace_only", []byte(" \t\n\r "), false},
+	{"json_whitespace", []byte(" \t\n\r[ 1 , {\r\"a\"\t:\n2 } ]\n"), true},
+	{"form_feed_space", []byte("\f1"), false},
+	{"nbsp_space", []byte("\u00a01"), false},
+}
+
+// TestScanMatchesValid walks the scanner over the edges of json.Valid's
+// language: it must agree with json.Valid and with the expected verdict,
+// and an envelope split may only succeed on a valid body.
+func TestScanMatchesValid(t *testing.T) {
+	for _, tc := range scanCases {
+		if got, want := validJSON(tc.in), json.Valid(tc.in); got != want || got != tc.valid {
+			t.Errorf("%s: scanner %v, json.Valid %v, expected %v", tc.name, got, want, tc.valid)
+		}
+		// The same value as the job member of an envelope.
+		env := append(append([]byte(`{"job":`), tc.in...), `,"results":[]}`...)
+		if _, _, ok := scanResultEnvelope(env); ok != json.Valid(env) {
+			t.Errorf("%s: envelope split ok=%v, json.Valid %v", tc.name, ok, !ok)
+		}
+	}
+}
+
+// FuzzScanJSON holds the scanner to json.Valid on arbitrary bytes, and the
+// envelope split to succeed only on valid bodies.
+func FuzzScanJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		valid := json.Valid(body)
+		if got := validJSON(body); got != valid {
+			t.Fatalf("scanner %v, json.Valid %v", got, valid)
+		}
+		if _, _, ok := scanResultEnvelope(body); ok && !valid {
+			t.Fatal("envelope split succeeded on invalid JSON")
 		}
 	})
 }

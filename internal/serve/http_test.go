@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -534,6 +535,9 @@ func TestHTTPBadSpecFailsJob(t *testing.T) {
 		{"NUMA radix scale 1e9", func(cs *ConfigSpec) {
 			cs.Arch, cs.App, cs.Scale, cs.Threads, cs.DRatio = "numa", "radix", 1e9, 32, 0
 		}},
+		// Every node's caches, memory and stream are allocated up front.
+		{"threads 1<<20", func(cs *ConfigSpec) { cs.Threads = 1 << 20 }},
+		{"threads MaxInt", func(cs *ConfigSpec) { cs.Threads = math.MaxInt }},
 	} {
 		bad := good
 		tc.mod(&bad)
