@@ -18,18 +18,20 @@ race:
 	$(GO) test -race ./...
 
 # race-hot covers the packages with real concurrency (the sweep pool sits in
-# the root package; sim and hashmap are what the workers hammer).
+# the root package; sim and hashmap are what the workers hammer; obs holds
+# the metrics registry every service goroutine counts into while scrapes
+# render it).
 race-hot:
-	$(GO) test -race ./internal/sim ./internal/hashmap .
+	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/obs .
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
-# record paths, the floor-attached Resource calendar, hashmap lookups and
-# overwrites, and cache and local-memory accesses and fills at zero
-# allocations (the alloc-regression gate).
+# record paths, metrics-registry counting, the floor-attached Resource
+# calendar, hashmap lookups and overwrites, and cache and local-memory
+# accesses and fills at zero allocations (the alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/hashmap ./internal/cache
@@ -122,17 +124,19 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the four differential fuzz targets for a short fixed time
-# each on top of their checked-in seed corpora: the result-envelope decoder
-# (one-pass decoder vs json.Unmarshal), the client's JSON scanner (vs
-# json.Valid), the floor-pruned Resource calendar (vs the unpruned calendar)
-# and the packed hashmap.Map (vs the builtin map and the three-array layout
-# it replaced).
+# fuzz-smoke runs the five fuzz targets for a short fixed time each on top
+# of their checked-in seed corpora: the result-envelope decoder (one-pass
+# decoder vs json.Unmarshal), the client's JSON scanner (vs json.Valid),
+# the floor-pruned Resource calendar (vs the unpruned calendar), the packed
+# hashmap.Map (vs the builtin map and the three-array layout it replaced)
+# and the Prometheus round trip (obs.Registry.WritePrometheus read back by
+# the strict svclog.ParsePromText to the same labels and values).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceFloor$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/hashmap
+	$(GO) test -run '^$$' -fuzz '^FuzzPromRoundTrip$$' -fuzztime 10s ./internal/obs/svclog
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'

@@ -254,6 +254,7 @@ func TestTenantSmoke(t *testing.T) {
 		"aggsimd_tenant_jobs_submitted_total":   "aggsimd_jobs_submitted_total",
 		"aggsimd_tenant_jobs_done_total":        "aggsimd_jobs_done_total",
 		"aggsimd_tenant_jobs_failed_total":      "aggsimd_jobs_failed_total",
+		"aggsimd_tenant_jobs_aborted_total":     "aggsimd_jobs_aborted_total",
 		"aggsimd_tenant_rejected_total":         "aggsimd_jobs_rejected_total",
 		"aggsimd_tenant_cache_hits_total":       "aggsimd_cache_hits_total",
 		"aggsimd_tenant_cache_misses_total":     "aggsimd_cache_misses_total",

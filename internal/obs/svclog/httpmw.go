@@ -7,13 +7,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pimdsm/internal/sim"
-	"pimdsm/internal/stats"
 )
 
 // RequestIDHeader is the request-correlation header: an inbound value is
@@ -80,79 +76,6 @@ func newRequestID() string {
 	return fmt.Sprintf("r-%s-%06d", procToken, reqSeq.Add(1))
 }
 
-// EndpointStats accumulates one route's request counters: a power-of-two
-// latency histogram in microseconds (reusing stats.LatHist, the simulator's
-// bucket layout), the exact latency sum, and per-status-code counts.
-type EndpointStats struct {
-	Count  uint64
-	SumUS  uint64
-	Hist   stats.LatHist
-	Status map[int]uint64
-}
-
-// HTTPStats holds per-endpoint request statistics, keyed by the mux route
-// pattern ("GET /api/v1/jobs/{id}") so path parameters do not explode the
-// key space.
-type HTTPStats struct {
-	mu        sync.Mutex
-	endpoints map[string]*EndpointStats
-}
-
-// NewHTTPStats returns an empty per-endpoint statistics table.
-func NewHTTPStats() *HTTPStats {
-	return &HTTPStats{endpoints: make(map[string]*EndpointStats)}
-}
-
-// Observe records one completed request.
-func (h *HTTPStats) Observe(route string, status int, d time.Duration) {
-	us := uint64(d.Microseconds())
-	h.mu.Lock()
-	ep := h.endpoints[route]
-	if ep == nil {
-		ep = &EndpointStats{Status: make(map[int]uint64)}
-		h.endpoints[route] = ep
-	}
-	ep.Count++
-	ep.SumUS += us
-	ep.Hist.Observe(sim.Time(us))
-	ep.Status[status]++
-	h.mu.Unlock()
-}
-
-// EndpointSnapshot is one route's copied counters.
-type EndpointSnapshot struct {
-	Route  string
-	Count  uint64
-	SumUS  uint64
-	Hist   stats.LatHist
-	Status map[int]uint64
-}
-
-// P99US returns an upper bound on the route's 99th-percentile latency in
-// microseconds (the containing power-of-two bucket's upper edge).
-func (e *EndpointSnapshot) P99US() uint64 {
-	return uint64(e.Hist.Percentile(0.99))
-}
-
-// Snapshot copies every endpoint's counters, sorted by route for stable
-// exposition output.
-func (h *HTTPStats) Snapshot() []EndpointSnapshot {
-	h.mu.Lock()
-	out := make([]EndpointSnapshot, 0, len(h.endpoints))
-	for route, ep := range h.endpoints {
-		st := make(map[int]uint64, len(ep.Status))
-		for k, v := range ep.Status {
-			st[k] = v
-		}
-		out = append(out, EndpointSnapshot{
-			Route: route, Count: ep.Count, SumUS: ep.SumUS, Hist: ep.Hist, Status: st,
-		})
-	}
-	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Route < out[j].Route })
-	return out
-}
-
 // respWriter captures the status code and byte count without disturbing
 // streaming: Flush passes through so SSE and progress handlers keep working
 // behind the middleware.
@@ -186,11 +109,12 @@ func (w *respWriter) Flush() {
 
 // Middleware wraps next with the service-edge request observer: it stamps or
 // propagates X-Request-ID (echoed on the response and available via
-// RequestID(ctx)), logs one "http_request" line per request, and feeds the
-// per-endpoint histograms. log and hs may be nil (each facet individually
-// disabled); the request ID is stamped regardless so error bodies stay
-// correlatable.
-func Middleware(log *slog.Logger, hs *HTTPStats, next http.Handler) http.Handler {
+// RequestID(ctx)), logs one "http_request" line per request, and hands each
+// completed request's route pattern ("GET /api/v1/jobs/{id}", so path
+// parameters do not explode the key space), status and duration to observe.
+// log and observe may be nil (each facet individually disabled); the request
+// ID is stamped regardless so error bodies stay correlatable.
+func Middleware(log *slog.Logger, observe func(route string, status int, d time.Duration), next http.Handler) http.Handler {
 	if log == nil {
 		log = Nop()
 	}
@@ -218,8 +142,8 @@ func Middleware(log *slog.Logger, hs *HTTPStats, next http.Handler) http.Handler
 		if status == 0 {
 			status = http.StatusOK
 		}
-		if hs != nil {
-			hs.Observe(route, status, dur)
+		if observe != nil {
+			observe(route, status, dur)
 		}
 		level := slog.LevelInfo
 		switch {

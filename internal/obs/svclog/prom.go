@@ -1,148 +1,11 @@
 package svclog
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"sort"
+	"maps"
 	"strconv"
 	"strings"
-
-	"pimdsm/internal/stats"
 )
-
-// Prometheus text exposition (version 0.0.4), hand-rolled: the service must
-// not grow a client_golang dependency for what is a dozen lines of framing.
-// A PromWriter emits families (# HELP / # TYPE once) and samples; the
-// Histogram helper renders a stats.LatHist as a cumulative prometheus
-// histogram whose bucket edges are the LatHist power-of-two upper bounds.
-
-// Label is one name="value" pair.
-type Label struct{ K, V string }
-
-// PromWriter writes Prometheus text format. Errors are sticky: check Err
-// (or the Flush return) once at the end.
-type PromWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-// NewPromWriter wraps w.
-func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: bufio.NewWriter(w)}
-}
-
-func (p *PromWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-// Family declares a metric family; typ is "counter", "gauge" or "histogram".
-func (p *PromWriter) Family(name, typ, help string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
-}
-
-// Sample emits one sample line for the given (already declared) family.
-func (p *PromWriter) Sample(name string, labels []Label, v float64) {
-	p.printf("%s%s %s\n", name, renderLabels(labels), formatFloat(v))
-}
-
-// Histogram emits a family's cumulative _bucket/_sum/_count series from a
-// LatHist. Bucket edges are the LatHist upper bounds (2^i - 1); the overflow
-// bucket is folded into +Inf. sum is the exact value sum in the histogram's
-// unit (tracked beside the LatHist, which only holds counts).
-func (p *PromWriter) Histogram(name string, labels []Label, h *stats.LatHist, sum float64) {
-	var cum uint64
-	for i := 0; i < stats.NumLatBuckets-1; i++ {
-		cum += h[i]
-		le := Label{K: "le", V: strconv.FormatUint(uint64(1)<<uint(i)-1, 10)}
-		p.Sample(name+"_bucket", append(append([]Label(nil), labels...), le), float64(cum))
-	}
-	cum += h[stats.NumLatBuckets-1]
-	p.Sample(name+"_bucket", append(append([]Label(nil), labels...), Label{K: "le", V: "+Inf"}), float64(cum))
-	p.Sample(name+"_sum", labels, sum)
-	p.Sample(name+"_count", labels, float64(cum))
-}
-
-// Err returns the first write error.
-func (p *PromWriter) Err() error { return p.err }
-
-// Flush flushes the buffered output and returns the first error.
-func (p *PromWriter) Flush() error {
-	if p.err != nil {
-		return p.err
-	}
-	return p.w.Flush()
-}
-
-func renderLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l.K)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(l.V))
-		sb.WriteByte('"')
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
-
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
-}
-
-// unescapeLabelValue inverts escapeLabel in a single pass. Sequential
-// ReplaceAll calls cannot do this: the writer renders the literal two bytes
-// `\n` as `\\n`, and a `\n`-then-`\\` replacement order turns that back into
-// a backslash followed by a real newline instead. Unknown escapes pass
-// through with the backslash intact, matching Prometheus text semantics.
-func unescapeLabelValue(s string) string {
-	if !strings.Contains(s, `\`) {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '\\' || i+1 >= len(s) {
-			sb.WriteByte(c)
-			continue
-		}
-		i++
-		switch s[i] {
-		case 'n':
-			sb.WriteByte('\n')
-		case '\\':
-			sb.WriteByte('\\')
-		case '"':
-			sb.WriteByte('"')
-		default:
-			sb.WriteByte('\\')
-			sb.WriteByte(s[i])
-		}
-	}
-	return sb.String()
-}
-
-func escapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
 
 // PromSample is one parsed sample line.
 type PromSample struct {
@@ -158,7 +21,8 @@ type PromFamily struct {
 	Samples []PromSample
 }
 
-// ParsePromText parses and validates Prometheus text exposition: every
+// ParsePromText parses and validates Prometheus text exposition (version
+// 0.0.4, as obs.Registry.WritePrometheus renders it): every
 // sample line must parse, belong to a family whose # TYPE was declared
 // first, and histogram families must have cumulative, non-decreasing
 // buckets ending in le="+Inf" with _count equal to the +Inf bucket. This is
@@ -234,85 +98,63 @@ func parsePromSample(line string) (PromSample, error) {
 		return s, fmt.Errorf("invalid metric name in %q", line)
 	}
 	if strings.HasPrefix(rest, "{") {
-		end := labelSetEnd(rest)
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
+		var err error
+		if rest, err = parseLabels(rest, s.Labels); err != nil {
+			return s, fmt.Errorf("%w in %q", err, line)
 		}
-		for _, kv := range splitLabels(rest[1:end]) {
-			eq := strings.Index(kv, "=")
-			if eq < 0 {
-				return s, fmt.Errorf("malformed label %q", kv)
-			}
-			k := kv[:eq]
-			raw := kv[eq+1:]
-			if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
-				return s, fmt.Errorf("label %s value not quoted in %q", k, line)
-			}
-			s.Labels[k] = unescapeLabelValue(raw[1 : len(raw)-1])
-		}
-		rest = rest[end+1:]
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 1 {
 		return s, fmt.Errorf("no value in %q", line)
 	}
-	v, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil && fields[0] != "+Inf" && fields[0] != "-Inf" && fields[0] != "NaN" {
+	v, err := strconv.ParseFloat(fields[0], 64) // accepts +Inf, -Inf, NaN
+	if err != nil {
 		return s, fmt.Errorf("bad value %q", fields[0])
 	}
 	s.Value = v
 	return s, nil
 }
 
-// labelSetEnd returns the index of the `}` closing the label set that opens
-// at s[0], honoring quoted values — a `}` inside a quoted label value (route
-// patterns like "GET /api/v1/jobs/{id}") does not terminate the set. Returns
-// -1 when the set never closes.
-func labelSetEnd(s string) int {
-	inQuote := false
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if inQuote {
+// parseLabels reads the label set opening at s[0] into labels, unescaping
+// each quoted value in the same pass, and returns the rest of the line after
+// the closing `}`. A `}` or `,` inside a quoted value (route patterns like
+// "GET /api/v1/jobs/{id}") belongs to the value. The escapes are the
+// writer's (\\, \", \n); an unknown one keeps its backslash, as the text
+// format specifies, so a literal backslash-n written as `\\n` comes back as
+// two characters, never a newline.
+func parseLabels(s string, labels map[string]string) (string, error) {
+	for i := 1; ; {
+		if i < len(s) && s[i] == '}' {
+			return s[i+1:], nil
+		}
+		eq := strings.IndexByte(s[i:], '=')
+		if eq < 0 || i+eq+1 >= len(s) || s[i+eq+1] != '"' {
+			return "", fmt.Errorf("malformed or unquoted label")
+		}
+		k := s[i : i+eq]
+		var v strings.Builder
+		for i += eq + 2; i < len(s) && s[i] != '"'; i++ {
+			c := s[i]
+			if c == '\\' && i+1 < len(s) {
 				i++
+				switch c = s[i]; c {
+				case 'n':
+					c = '\n'
+				case '\\', '"':
+				default:
+					v.WriteByte('\\')
+				}
 			}
-		case '"':
-			inQuote = !inQuote
-		case '}':
-			if !inQuote {
-				return i
-			}
+			v.WriteByte(c)
 		}
-	}
-	return -1
-}
-
-// splitLabels splits a="1",b="2" on commas outside quotes.
-func splitLabels(s string) []string {
-	var out []string
-	var cur strings.Builder
-	inQuote := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '\\' && inQuote && i+1 < len(s):
-			cur.WriteByte(c)
+		if i >= len(s) {
+			return "", fmt.Errorf("unterminated label set")
+		}
+		labels[k] = v.String()
+		if i++; i < len(s) && s[i] == ',' {
 			i++
-			cur.WriteByte(s[i])
-		case c == '"':
-			inQuote = !inQuote
-			cur.WriteByte(c)
-		case c == ',' && !inQuote:
-			out = append(out, cur.String())
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
 		}
 	}
-	if cur.Len() > 0 {
-		out = append(out, cur.String())
-	}
-	return out
 }
 
 func validMetricName(name string) bool {
@@ -338,18 +180,9 @@ func validateHistogram(fam *PromFamily) error {
 	}
 	bySet := map[string]*series{}
 	keyOf := func(labels map[string]string) string {
-		keys := make([]string, 0, len(labels))
-		for k := range labels {
-			if k != "le" {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		var sb strings.Builder
-		for _, k := range keys {
-			sb.WriteString(k + "=" + labels[k] + ";")
-		}
-		return sb.String()
+		rest := maps.Clone(labels)
+		delete(rest, "le")
+		return fmt.Sprint(rest) // fmt prints maps in key order
 	}
 	for _, s := range fam.Samples {
 		key := keyOf(s.Labels)

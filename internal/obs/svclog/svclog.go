@@ -1,8 +1,9 @@
 // Package svclog is the service-edge observability layer: structured JSON
 // logging on log/slog with a deterministic-field contract, HTTP middleware
-// that stamps request IDs and feeds per-endpoint latency histograms, a job
-// lifecycle event log with a global sequence (the SSE resume cursor), and a
-// hand-rolled Prometheus text-format writer. It observes the service edge
+// that stamps request IDs and reports each request's route, status and
+// duration, a job lifecycle event log with a global sequence (the SSE resume
+// cursor), and the strict parser for the Prometheus text exposition that
+// obs.Registry renders. It observes the service edge
 // (internal/serve, cmd/aggsimd) the way internal/obs observes the simulator:
 // record-only, so enabling it never changes a result.
 //

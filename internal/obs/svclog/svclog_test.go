@@ -57,7 +57,7 @@ func TestRequestLogGoldenKeySet(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("x"))
 	})
-	h := Middleware(log, NewHTTPStats(), mux)
+	h := Middleware(log, nil, mux)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/jobs/j-000001", nil))
 
@@ -158,36 +158,46 @@ func TestMiddlewareRequestID(t *testing.T) {
 	}
 }
 
-func TestHTTPStatsObserve(t *testing.T) {
-	hs := NewHTTPStats()
-	for i := 0; i < 10; i++ {
-		hs.Observe("GET /a", 200, 100*time.Microsecond)
+// TestMiddlewareObserves: every completed request reaches the observe hook
+// once, keyed by the mux route pattern (path parameters folded), with the
+// status the handler wrote ("unmatched" when no route did) and a duration.
+func TestMiddlewareObserves(t *testing.T) {
+	type obsd struct {
+		route  string
+		status int
 	}
-	hs.Observe("GET /a", 500, 50*time.Millisecond)
-	hs.Observe("POST /b", 202, time.Millisecond)
-
-	snap := hs.Snapshot()
-	if len(snap) != 2 || snap[0].Route != "GET /a" || snap[1].Route != "POST /b" {
-		t.Fatalf("snapshot routes: %+v", snap)
+	var got []obsd
+	var durs []time.Duration
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /a/{id}", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Millisecond)
+		w.Write([]byte("ok"))
+	})
+	mux.HandleFunc("POST /b", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	})
+	h := Middleware(Nop(), func(route string, status int, d time.Duration) {
+		got = append(got, obsd{route, status})
+		durs = append(durs, d)
+	}, mux)
+	for _, req := range []*http.Request{
+		httptest.NewRequest("GET", "/a/1", nil),
+		httptest.NewRequest("GET", "/a/2", nil),
+		httptest.NewRequest("POST", "/b", nil),
+		httptest.NewRequest("GET", "/nowhere", nil),
+	} {
+		h.ServeHTTP(httptest.NewRecorder(), req)
 	}
-	a := snap[0]
-	if a.Count != 11 || a.Status[200] != 10 || a.Status[500] != 1 {
-		t.Fatalf("GET /a counters: %+v", a)
+	want := []obsd{{"GET /a/{id}", 200}, {"GET /a/{id}", 200}, {"POST /b", 500}, {"unmatched", 404}}
+	if len(got) != len(want) {
+		t.Fatalf("observed %+v, want %+v", got, want)
 	}
-	if a.SumUS != 10*100+50000 {
-		t.Fatalf("GET /a sum_us = %d", a.SumUS)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("observation %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
-	if a.Hist.Total() != 11 {
-		t.Fatalf("GET /a hist total = %d", a.Hist.Total())
-	}
-	// With half the samples slow, the p99 upper bound must land in the
-	// slow bucket (LatHist.Percentile floors the rank, so a single outlier
-	// in a small sample would not).
-	for i := 0; i < 11; i++ {
-		hs.Observe("GET /a", 200, 50*time.Millisecond)
-	}
-	a = hs.Snapshot()[0]
-	if p99 := a.P99US(); p99 < 50000 {
-		t.Fatalf("p99 upper bound %d below the 50ms mass", p99)
+	if durs[0] < time.Millisecond {
+		t.Fatalf("duration %v shorter than the handler's sleep", durs[0])
 	}
 }

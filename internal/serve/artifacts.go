@@ -29,7 +29,7 @@ type ArtifactStore struct {
 	head, tail *artEntry
 	bytes      int64
 
-	puts, hits, misses, evictions uint64
+	metrics *metrics // puts, hits, misses and evictions count here
 }
 
 type artEntry struct {
@@ -57,15 +57,21 @@ type artIndexEntry struct {
 // NewArtifactStore opens (creating if needed) the store at dir with the
 // given byte bound. A missing index is a fresh start; a corrupt one is an
 // error (move it aside deliberately). Index entries whose backing file is
-// missing or has changed size are dropped individually, not fatally.
+// missing or has changed size are dropped individually, not fatally. The
+// store counts into a metrics registry of its own; the Server's store
+// counts into the Server's.
 func NewArtifactStore(dir string, limit int64) (*ArtifactStore, error) {
+	return openArtifactStore(dir, limit, newMetrics(nil))
+}
+
+func openArtifactStore(dir string, limit int64, m *metrics) (*ArtifactStore, error) {
 	if limit <= 0 {
 		limit = 64 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: artifact dir: %w", err)
 	}
-	s := &ArtifactStore{dir: dir, limit: limit, entries: make(map[string]*artEntry)}
+	s := &ArtifactStore{dir: dir, limit: limit, entries: make(map[string]*artEntry), metrics: m}
 	if err := s.loadIndex(); err != nil {
 		return nil, err
 	}
@@ -184,13 +190,13 @@ func (s *ArtifactStore) Put(name string, write func(io.Writer) error) error {
 	e := &artEntry{name: name, size: fi.Size()}
 	s.insertMRU(e)
 	s.bytes += e.size
-	s.puts++
+	s.metrics.artPuts.Inc()
 	for s.bytes > s.limit && s.tail != nil && s.tail != e {
 		victim := s.tail
 		s.unlink(victim)
 		delete(s.entries, victim.name)
 		s.bytes -= victim.size
-		s.evictions++
+		s.metrics.artEvictions.Inc()
 		os.Remove(filepath.Join(s.dir, victim.name))
 	}
 	return nil
@@ -203,8 +209,8 @@ func (s *ArtifactStore) Get(name string) ([]byte, bool, error) {
 	s.mu.Lock()
 	e, ok := s.entries[name]
 	if !ok {
-		s.misses++
 		s.mu.Unlock()
+		s.metrics.artMisses.Inc()
 		return nil, false, nil
 	}
 	s.touch(e)
@@ -218,16 +224,14 @@ func (s *ArtifactStore) Get(name string) ([]byte, bool, error) {
 			delete(s.entries, name)
 			s.bytes -= cur.size
 		}
-		s.misses++
 		s.mu.Unlock()
+		s.metrics.artMisses.Inc()
 		if os.IsNotExist(err) {
 			return nil, false, nil
 		}
 		return nil, false, err
 	}
-	s.mu.Lock()
-	s.hits++
-	s.mu.Unlock()
+	s.metrics.artHits.Inc()
 	return b, true, nil
 }
 
@@ -267,9 +271,9 @@ func (s *ArtifactStore) Stats() ArtifactStats {
 		Count:     len(s.entries),
 		Bytes:     s.bytes,
 		Limit:     s.limit,
-		Puts:      s.puts,
-		Hits:      s.hits,
-		Misses:    s.misses,
-		Evictions: s.evictions,
+		Puts:      s.metrics.artPuts.Value(),
+		Hits:      s.metrics.artHits.Value(),
+		Misses:    s.metrics.artMisses.Value(),
+		Evictions: s.metrics.artEvictions.Value(),
 	}
 }

@@ -31,7 +31,9 @@ type flight struct {
 
 // Cache is the content-addressed result store: an open-addressed index
 // (internal/hashmap) over an intrusive LRU list bounded to max entries, plus
-// the in-flight registry that collapses duplicate work.
+// the in-flight registry that collapses duplicate work. It counts its hits,
+// misses and joins, by the caller's tenant, and its evictions into the
+// metrics registry it was built with.
 type Cache struct {
 	mu         sync.Mutex
 	max        int
@@ -39,15 +41,18 @@ type Cache struct {
 	inflight   hashmap.Map[*flight]
 	head, tail *entry
 
-	hits, misses, joins, evictions uint64
+	metrics *metrics
 }
 
-// NewCache returns a cache bounded to max entries (min 1).
-func NewCache(max int) *Cache {
+// NewCache returns a cache bounded to max entries (min 1), counting into a
+// registry of its own.
+func NewCache(max int) *Cache { return newCache(max, newMetrics(nil)) }
+
+func newCache(max int, m *metrics) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	return &Cache{max: max}
+	return &Cache{max: max, metrics: m}
 }
 
 // Len returns the number of cached results.
@@ -96,19 +101,22 @@ func (c *Cache) unlink(e *entry) {
 //     owner=false; wait on fl.done, then read fl.res/fl.js/fl.err;
 //   - own: the caller must simulate and then call Fulfill or Abort — fl is
 //     the caller's own flight, owner=true.
-func (c *Cache) Acquire(key uint64) (res *machine.Result, js []byte, hit bool, fl *flight, owner bool) {
+//
+// The outcome is counted once, as a hit, join or miss of tenant ("" for
+// anonymous and peer traffic).
+func (c *Cache) Acquire(key uint64, tenant string) (res *machine.Result, js []byte, hit bool, fl *flight, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m.Get(key); ok {
-		c.hits++
+		c.metrics.hits.With(tenant).Inc()
 		c.touch(e)
 		return e.res, e.js, true, nil, false
 	}
 	if f, ok := c.inflight.Get(key); ok {
-		c.joins++
+		c.metrics.joins.With(tenant).Inc()
 		return nil, nil, false, f, false
 	}
-	c.misses++
+	c.metrics.misses.With(tenant).Inc()
 	f := &flight{done: make(chan struct{})}
 	c.inflight.Put(key, f)
 	return nil, nil, false, f, true
@@ -118,11 +126,11 @@ func (c *Cache) Acquire(key uint64) (res *machine.Result, js []byte, hit bool, f
 // counts (and refreshes LRU recency) like Acquire's, but a miss moves no
 // counters and registers no in-flight work. Cluster routing uses it to ask
 // "can this node answer right now?" before forwarding to the owner.
-func (c *Cache) Peek(key uint64) (*machine.Result, []byte, bool) {
+func (c *Cache) Peek(key uint64, tenant string) (*machine.Result, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m.Get(key); ok {
-		c.hits++
+		c.metrics.hits.With(tenant).Inc()
 		c.touch(e)
 		return e.res, e.js, true
 	}
@@ -177,11 +185,12 @@ func (c *Cache) insert(key, seed uint64, spec ConfigSpec, res *machine.Result, j
 		victim := c.tail
 		c.unlink(victim)
 		c.m.Delete(victim.key)
-		c.evictions++
+		c.metrics.evictions.Inc()
 	}
 }
 
-// CacheStats is a counters snapshot.
+// CacheStats is a counters snapshot; the counters are the registry's sums
+// over tenants.
 type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Limit     int    `json:"limit"`
@@ -199,10 +208,10 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Entries:   c.m.Len(),
 		Limit:     c.max,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Joins:     c.joins,
-		Evictions: c.evictions,
+		Hits:      c.metrics.hits.Sum(),
+		Misses:    c.metrics.misses.Sum(),
+		Joins:     c.metrics.joins.Sum(),
+		Evictions: c.metrics.evictions.Value(),
 		InFlight:  c.inflight.Len(),
 	}
 }

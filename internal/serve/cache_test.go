@@ -25,7 +25,7 @@ func TestCacheLRUBoundUnderRandomizedStorm(t *testing.T) {
 	live := map[uint64]bool{}
 	for i := 0; i < 4096; i++ {
 		key := uint64(rng.Intn(256)) // enough reuse to exercise hits + evictions
-		_, _, hit, _, owner := c.Acquire(key)
+		_, _, hit, _, owner := c.Acquire(key, "")
 		if hit {
 			live[key] = true
 			continue
@@ -54,7 +54,7 @@ func TestCacheLRUBoundUnderRandomizedStorm(t *testing.T) {
 func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	c := NewCache(3)
 	put := func(k uint64) {
-		if _, _, hit, _, owner := c.Acquire(k); hit || !owner {
+		if _, _, hit, _, owner := c.Acquire(k, ""); hit || !owner {
 			t.Fatalf("Acquire(%d): hit=%v owner=%v", k, hit, owner)
 		}
 		res, js := fakeResult(int64(k))
@@ -64,16 +64,16 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	put(2)
 	put(3)
 	// Touch 1 so 2 becomes the LRU victim.
-	if _, _, hit, _, _ := c.Acquire(1); !hit {
+	if _, _, hit, _, _ := c.Acquire(1, ""); !hit {
 		t.Fatal("1 should be cached")
 	}
 	put(4) // evicts 2
-	if _, _, hit, _, _ := c.Acquire(2); hit {
+	if _, _, hit, _, _ := c.Acquire(2, ""); hit {
 		t.Fatal("2 should have been evicted (LRU)")
 	}
 	c.Abort(2, errors.New("cleanup the flight the check above opened"))
 	for _, k := range []uint64{1, 3, 4} {
-		if _, _, hit, _, _ := c.Acquire(k); !hit {
+		if _, _, hit, _, _ := c.Acquire(k, ""); !hit {
 			t.Fatalf("%d should have survived", k)
 		}
 	}
@@ -84,11 +84,11 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 
 func TestCacheSingleflightJoin(t *testing.T) {
 	c := NewCache(8)
-	_, _, hit, fl1, owner1 := c.Acquire(42)
+	_, _, hit, fl1, owner1 := c.Acquire(42, "")
 	if hit || !owner1 {
 		t.Fatalf("first acquire: hit=%v owner=%v", hit, owner1)
 	}
-	_, _, hit2, fl2, owner2 := c.Acquire(42)
+	_, _, hit2, fl2, owner2 := c.Acquire(42, "")
 	if hit2 || owner2 {
 		t.Fatalf("second acquire should join: hit=%v owner=%v", hit2, owner2)
 	}
@@ -110,18 +110,18 @@ func TestCacheSingleflightJoin(t *testing.T) {
 		t.Fatalf("stats after join: %+v", st)
 	}
 	// And the result is now a plain hit.
-	if got, _, hitNow, _, _ := c.Acquire(42); !hitNow || got != res {
+	if got, _, hitNow, _, _ := c.Acquire(42, ""); !hitNow || got != res {
 		t.Fatal("fulfilled result not served as a hit")
 	}
 }
 
 func TestCacheAbortPropagatesError(t *testing.T) {
 	c := NewCache(8)
-	_, _, _, _, owner := c.Acquire(7)
+	_, _, _, _, owner := c.Acquire(7, "")
 	if !owner {
 		t.Fatal("expected ownership")
 	}
-	_, _, _, fl, _ := c.Acquire(7)
+	_, _, _, fl, _ := c.Acquire(7, "")
 	boom := errors.New("boom")
 	c.Abort(7, boom)
 	<-fl.done
@@ -129,7 +129,7 @@ func TestCacheAbortPropagatesError(t *testing.T) {
 		t.Fatalf("flight err = %v", fl.err)
 	}
 	// Nothing cached: the next acquire owns a fresh attempt.
-	if _, _, hit, _, owner := c.Acquire(7); hit || !owner {
+	if _, _, hit, _, owner := c.Acquire(7, ""); hit || !owner {
 		t.Fatalf("after abort: hit=%v owner=%v", hit, owner)
 	}
 }
@@ -142,7 +142,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 	for i, sp := range specs {
 		k := sp.Key(0)
-		c.Acquire(k)
+		c.Acquire(k, "")
 		res := &machine.Result{Arch: machine.Arch(sp.Arch), App: sp.App, Threads: sp.Threads}
 		js, _ := canonicalResultJSON(res)
 		_ = i
@@ -167,7 +167,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 	for _, sp := range specs {
 		k := sp.Key(0)
-		_, js, hit, _, _ := fresh.Acquire(k)
+		_, js, hit, _, _ := fresh.Acquire(k, "")
 		if !hit {
 			t.Fatalf("%s/%s lost across round trip", sp.Arch, sp.App)
 		}
@@ -205,7 +205,7 @@ func TestLoadIndexVerifiesKeys(t *testing.T) {
 	if n := c.LoadIndex(idx); n != 1 {
 		t.Fatalf("restored %d entries, want only the verified one", n)
 	}
-	if _, _, hit, _, _ := c.Acquire(sp.Key(0)); !hit {
+	if _, _, hit, _, _ := c.Acquire(sp.Key(0), ""); !hit {
 		t.Fatal("verified entry missing")
 	}
 	stale := &index{Version: KeyVersion + 1, Entries: []indexEntry{good}}

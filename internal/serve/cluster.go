@@ -20,8 +20,8 @@ package serve
 // is the shared cluster name carried in the X-Aggsimd-Cluster header (and,
 // for payload-bearing endpoints, the key-derivation check that also guards
 // the persisted cache index). Without an attached node every cluster route is
-// an inert 404 and no counter, stats field or metric family below exists —
-// the single-node daemon stays byte-identical.
+// an inert 404 and no stats field or metric family below is rendered — the
+// single-node daemon stays byte-identical.
 
 import (
 	"bytes"
@@ -58,18 +58,6 @@ const stealRequeueAfter = 60 * time.Second
 // clusterLoopEvery paces the background cluster loop (steal attempts and
 // stolen-job requeue sweeps).
 const clusterLoopEvery = 100 * time.Millisecond
-
-// clusterCounters backs the aggsimd_cluster_* metric families. All fields
-// are guarded by Server.mu.
-type clusterCounters struct {
-	forwardsSent, forwardsFailed, forwardsServed   uint64
-	lookupsServed, lookupsMissed                   uint64
-	replicasSent, replicasFailed, replicasReceived uint64
-	recoveries                                     uint64
-	stealsGiven, stealsTaken                       uint64
-	stealsCompleted, stealsFailed, stealsRequeued  uint64
-	redirects                                      uint64
-}
 
 // stolenRecord tracks one job a peer is executing for us.
 type stolenRecord struct {
@@ -116,29 +104,30 @@ type ClusterStats struct {
 	Redirects uint64 `json:"redirects"`
 }
 
-// clusterStatsLocked snapshots the cluster section; s.mu must be held. The
-// node has its own mutex ordered strictly after s.mu (the node never calls
-// back into the server).
+// clusterStatsLocked snapshots the cluster section from the node and the
+// metrics registry; s.mu must be held. The node has its own mutex ordered
+// strictly after s.mu (the node never calls back into the server).
 func (s *Server) clusterStatsLocked() *ClusterStats {
+	m := s.m
 	return &ClusterStats{
 		Node:             s.cluster.Stats(),
 		Replicas:         s.cluster.Replicas(),
-		ForwardsSent:     s.cl.forwardsSent,
-		ForwardsFailed:   s.cl.forwardsFailed,
-		ForwardsServed:   s.cl.forwardsServed,
-		LookupsServed:    s.cl.lookupsServed,
-		LookupsMissed:    s.cl.lookupsMissed,
-		ReplicasSent:     s.cl.replicasSent,
-		ReplicasFailed:   s.cl.replicasFailed,
-		ReplicasReceived: s.cl.replicasReceived,
-		Recoveries:       s.cl.recoveries,
-		StealsGiven:      s.cl.stealsGiven,
-		StealsTaken:      s.cl.stealsTaken,
-		StealsCompleted:  s.cl.stealsCompleted,
-		StealsFailed:     s.cl.stealsFailed,
-		StealsRequeued:   s.cl.stealsRequeued,
+		ForwardsSent:     m.forwardsSent.Value(),
+		ForwardsFailed:   m.forwardsFailed.Value(),
+		ForwardsServed:   m.forwardsServed.Value(),
+		LookupsServed:    m.lookupsServed.Value(),
+		LookupsMissed:    m.lookupsMissed.Value(),
+		ReplicasSent:     m.replicasSent.Value(),
+		ReplicasFailed:   m.replicasFailed.Value(),
+		ReplicasReceived: m.replicasRecvd.Value(),
+		Recoveries:       m.recoveries.Value(),
+		StealsGiven:      m.stealsGiven.Value(),
+		StealsTaken:      m.stealsTaken.Value(),
+		StealsCompleted:  m.stealsCompleted.Value(),
+		StealsFailed:     m.stealsFailed.Value(),
+		StealsRequeued:   m.stealsRequeued.Value(),
 		StolenInFlight:   len(s.stolen),
-		Redirects:        s.cl.redirects,
+		Redirects:        m.redirects.Value(),
 	}
 }
 
@@ -172,12 +161,6 @@ func (s *Server) clusterNode() *cluster.Node {
 	return s.cluster
 }
 
-func (s *Server) countCluster(fn func(*clusterCounters)) {
-	s.mu.Lock()
-	fn(&s.cl)
-	s.mu.Unlock()
-}
-
 // stopCluster tears the peer layer down: the steal loop and heartbeats stop,
 // in-flight replications drain, and jobs still held by thieves are aborted
 // (their results, if any, were computed against the shared cache and are not
@@ -201,10 +184,8 @@ func (s *Server) stopCluster() {
 		j.state = JobAborted
 		j.err = ErrDraining
 		j.finished = time.Now()
-		s.jobsAborted++
-		if s.opt.Tenants != nil && j.spec.Tenant != "" {
-			s.opt.Tenants.abortedRunning(j.spec.Tenant)
-		}
+		s.m.aborted.With(j.spec.Tenant).Inc()
+		s.opt.Tenants.move(j.spec.Tenant, 0, -1)
 		s.eventLocked(j, svclog.EvAborted, -1, 0, "shutdown while stolen by "+rec.thief)
 		close(j.doneCh)
 	}
@@ -277,9 +258,10 @@ func clip(b []byte) string {
 // resolveLocal resolves one key on this node: cache hit, singleflight join,
 // replica recovery, or a real simulation (which then replicates to the key's
 // successors). how is "hit", "join", "recovered" or "simulated". This is the
-// owner half of compute-at-owner routing — it never forwards.
-func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec) (*machine.Result, []byte, string, error) {
-	res, js, hit, fl, owner := s.cache.Acquire(key)
+// owner half of compute-at-owner routing — it never forwards. The cache
+// outcome and any simulation count against tenant ("" for peer traffic).
+func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*machine.Result, []byte, string, error) {
+	res, js, hit, fl, owner := s.cache.Acquire(key, tenant)
 	if hit {
 		return res, js, "hit", nil
 	}
@@ -312,10 +294,8 @@ func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec) (*machine.Result,
 		return nil, nil, "", err
 	}
 	s.cache.Fulfill(key, seed, cs.canonical(), rs[0], sjs)
-	s.mu.Lock()
-	s.simulatedRuns++
-	s.simulatedCycles += uint64(rs[0].Breakdown.Exec)
-	s.mu.Unlock()
+	s.m.simRuns.With(tenant).Inc()
+	s.m.simCycles.With(tenant).Add(uint64(rs[0].Breakdown.Exec))
 	s.replicateAsync(key, seed, cs.canonical(), sjs)
 	return rs[0], sjs, "simulated", nil
 }
@@ -325,30 +305,30 @@ func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec) (*machine.Result,
 // is unreachable — locally as a last resort (membership timeouts will
 // reshuffle the ring shortly; result bytes are identical wherever computed).
 // how adds "forward" to resolveLocal's vocabulary.
-func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec) (*machine.Result, []byte, string, error) {
-	if res, js, ok := s.cache.Peek(key); ok {
+func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec, tenant string) (*machine.Result, []byte, string, error) {
+	if res, js, ok := s.cache.Peek(key, tenant); ok {
 		return res, js, "hit", nil
 	}
 	node := s.clusterNode()
 	if node == nil {
-		return s.resolveLocal(key, seed, cs)
+		return s.resolveLocal(key, seed, cs, tenant)
 	}
 	owner, self := node.Owner(key)
 	if self {
-		return s.resolveLocal(key, seed, cs)
+		return s.resolveLocal(key, seed, cs, tenant)
 	}
 	targets := append([]string{owner}, node.Successors(key, node.Replicas())...)
 	var lastErr error
 	for _, peer := range targets {
 		if peer == node.Self() {
 			// The ring moved under us; we are in the key's replica set.
-			return s.resolveLocal(key, seed, cs)
+			return s.resolveLocal(key, seed, cs, tenant)
 		}
-		s.countCluster(func(c *clusterCounters) { c.forwardsSent++ })
+		s.m.forwardsSent.Inc()
 		res, js, err := s.forwardCompute(peer, key, seed, cs)
 		if err != nil {
 			lastErr = err
-			s.countCluster(func(c *clusterCounters) { c.forwardsFailed++ })
+			s.m.forwardsFailed.Inc()
 			continue
 		}
 		// Keep a copy: the front door converges toward the hot set its own
@@ -356,7 +336,7 @@ func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec) (*machine.Result, [
 		s.cache.Fulfill(key, seed, cs.canonical(), res, js)
 		return res, js, "forward", nil
 	}
-	res, js, how, err := s.resolveLocal(key, seed, cs)
+	res, js, how, err := s.resolveLocal(key, seed, cs, tenant)
 	if err != nil && lastErr != nil {
 		return nil, nil, "", fmt.Errorf("%w (after forward failure: %v)", err, lastErr)
 	}
@@ -415,7 +395,7 @@ func (s *Server) recoverFromReplicas(key uint64) (*machine.Result, []byte, bool)
 		if err != nil {
 			continue
 		}
-		s.countCluster(func(c *clusterCounters) { c.recoveries++ })
+		s.m.recoveries.Inc()
 		return res, js, true
 	}
 	return nil, nil, false
@@ -456,16 +436,16 @@ func (s *Server) replicateAsync(key, seed uint64, cs ConfigSpec, js []byte) {
 		for peer := range targets {
 			code, _, err := s.peerDo("POST", peer, "/api/v1/cluster/replicate", body)
 			if err != nil || code/100 != 2 {
-				s.countCluster(func(c *clusterCounters) { c.replicasFailed++ })
+				s.m.replicasFailed.Inc()
 				continue
 			}
-			s.countCluster(func(c *clusterCounters) { c.replicasSent++ })
+			s.m.replicasSent.Inc()
 		}
 	}()
 }
 
 // resolveRemote resolves a job's peer-owned configs (bounded fan-out) and
-// folds each outcome into the job's counters, events and tenant accounting.
+// folds each outcome into the job's counters and events.
 func (s *Server) resolveRemote(j *Job, keys []uint64, remote []int, results []*machine.Result, resJSON [][]byte) error {
 	var (
 		rmu      sync.Mutex
@@ -479,7 +459,7 @@ func (s *Server) resolveRemote(j *Job, keys []uint64, remote []int, results []*m
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, js, how, err := s.resolveAny(keys[i], j.spec.Seed, j.spec.Configs[i])
+			res, js, how, err := s.resolveAny(keys[i], j.spec.Seed, j.spec.Configs[i], j.spec.Tenant)
 			rmu.Lock()
 			defer rmu.Unlock()
 			if err != nil {
@@ -500,7 +480,8 @@ func (s *Server) resolveRemote(j *Job, keys []uint64, remote []int, results []*m
 // only the pre-cluster lifecycle event kinds, so every chain still satisfies
 // ValidateEventChain: peer-resolved configs surface as cache_hit events with
 // a "cluster:…" detail (from this node's perspective, the cluster's
-// replicated cache answered).
+// replicated cache answered). The cache outcome and any simulation were
+// counted where they happened (resolveAny/resolveLocal).
 func (s *Server) accountResolved(j *Job, i int, res *machine.Result, js []byte, how string) {
 	s.mu.Lock()
 	j.done++
@@ -520,19 +501,7 @@ func (s *Server) accountResolved(j *Job, i int, res *machine.Result, js []byte, 
 		s.eventLocked(j, svclog.EvCacheHit, i, 0, "cluster:"+how)
 	}
 	s.mu.Unlock()
-	s.tenantAccount(j, func(u *TenantUsage) {
-		u.ResultBytes += uint64(len(js))
-		switch how {
-		case "hit":
-			u.CacheHits++
-		case "join":
-			u.Joins++
-		case "simulated":
-			u.CacheMisses++
-			u.SimulatedRuns++
-			u.EngineCycles += uint64(res.Breakdown.Exec)
-		}
-	})
+	s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
 }
 
 // ---------------------------------------------------------------------------
@@ -558,7 +527,7 @@ func (s *Server) RedirectTarget(spec JobSpec) (peer, reason string, ok bool) {
 		if len(peers) == 0 {
 			return "", "", false
 		}
-		s.countCluster(func(c *clusterCounters) { c.redirects++ })
+		s.m.redirects.Inc()
 		return peers[rand.Intn(len(peers))], "draining", true
 	}
 	owner := ""
@@ -580,7 +549,7 @@ func (s *Server) RedirectTarget(spec JobSpec) (peer, reason string, ok bool) {
 	if owner == "" {
 		return "", "", false
 	}
-	s.countCluster(func(c *clusterCounters) { c.redirects++ })
+	s.m.redirects.Inc()
 	return owner, "keys owned by peer", true
 }
 
@@ -632,10 +601,8 @@ func (s *Server) stealJob(thief string) (stealResponse, bool) {
 	j.started = time.Now()
 	j.stolenBy = thief
 	s.stolen[j.id] = &stolenRecord{job: j, thief: thief, deadline: time.Now().Add(stealRequeueAfter)}
-	s.cl.stealsGiven++
-	if s.opt.Tenants != nil && j.spec.Tenant != "" {
-		s.opt.Tenants.started(j.spec.Tenant)
-	}
+	s.m.stealsGiven.Inc()
+	s.opt.Tenants.move(j.spec.Tenant, -1, +1)
 	s.eventLocked(j, svclog.EvStarted, -1, 0, "stolen by "+thief)
 	s.opt.Log.Info("job_stolen", "job", j.id, "thief", thief, "queue_depth", len(s.queue))
 	return stealResponse{ID: j.id, Spec: j.spec}, true
@@ -696,7 +663,7 @@ func (s *Server) completeStolen(j *Job, rep stolenReport) {
 	if jobErr != nil {
 		j.state = JobFailed
 		j.err = jobErr
-		s.jobsFailed++
+		s.m.failed.With(j.spec.Tenant).Inc()
 		s.eventLocked(j, svclog.EvFailed, -1, 0, jobErr.Error())
 		s.opt.Log.Error("job_failed", "job", j.id, "name", j.spec.Name, "thief", j.stolenBy,
 			"err", jobErr.Error())
@@ -718,7 +685,7 @@ func (s *Server) completeStolen(j *Job, rep stolenReport) {
 			}
 			s.eventLocked(j, svclog.EvCacheHit, i, 0, "stolen:"+how)
 		}
-		s.jobsDone++
+		s.m.done.With(j.spec.Tenant).Inc()
 		s.eventLocked(j, svclog.EvDone, -1, 0, "stolen by "+j.stolenBy)
 		s.opt.Log.Info("job_done", "job", j.id, "name", j.spec.Name, "thief", j.stolenBy,
 			"wall_us", j.finished.Sub(j.submitted).Microseconds())
@@ -730,15 +697,11 @@ func (s *Server) completeStolen(j *Job, rep stolenReport) {
 		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
 	}
 	s.mu.Unlock()
-	if s.opt.Tenants != nil && j.spec.Tenant != "" {
-		s.opt.Tenants.finished(j.spec.Tenant, jobErr != nil, sec)
-	}
+	s.opt.Tenants.finished(j.spec.Tenant, sec)
 	if jobErr == nil {
-		s.tenantAccount(j, func(u *TenantUsage) {
-			for _, js := range resJSON {
-				u.ResultBytes += uint64(len(js))
-			}
-		})
+		for _, js := range resJSON {
+			s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
+		}
 	}
 	close(j.doneCh)
 }
@@ -758,10 +721,8 @@ func (s *Server) requeueStolen(now time.Time) {
 		j.stolenBy = ""
 		j.started = time.Time{}
 		s.queue.push(j)
-		s.cl.stealsRequeued++
-		if s.opt.Tenants != nil && j.spec.Tenant != "" {
-			s.opt.Tenants.requeued(j.spec.Tenant)
-		}
+		s.m.stealsRequeued.Inc()
+		s.opt.Tenants.move(j.spec.Tenant, +1, -1)
 		s.eventLocked(j, svclog.EvQueued, -1, 0, "steal by "+rec.thief+" timed out; requeued")
 		s.opt.Log.Warn("job_steal_requeued", "job", j.id, "thief", rec.thief)
 		s.cond.Signal()
@@ -798,7 +759,7 @@ func (s *Server) trySteal() {
 	if err := json.Unmarshal(data, &sj); err != nil {
 		return
 	}
-	s.countCluster(func(c *clusterCounters) { c.stealsTaken++ })
+	s.m.stealsTaken.Inc()
 	s.opt.Log.Info("job_steal_taken", "victim", victim, "job", sj.ID,
 		"configs", len(sj.Spec.Configs))
 	rep := stolenReport{
@@ -807,7 +768,7 @@ func (s *Server) trySteal() {
 		Results: make([]json.RawMessage, len(sj.Spec.Configs)),
 	}
 	for i, cs := range sj.Spec.Configs {
-		_, js, how, err := s.resolveAny(cs.Key(sj.Spec.Seed), sj.Spec.Seed, cs)
+		_, js, how, err := s.resolveAny(cs.Key(sj.Spec.Seed), sj.Spec.Seed, cs, "")
 		if err != nil {
 			rep.Error = err.Error()
 			rep.Hows, rep.Results = nil, nil
@@ -817,15 +778,15 @@ func (s *Server) trySteal() {
 	}
 	rbody, err := json.Marshal(rep)
 	if err != nil {
-		s.countCluster(func(c *clusterCounters) { c.stealsFailed++ })
+		s.m.stealsFailed.Inc()
 		return
 	}
 	code, _, err = s.peerDo("POST", victim, "/api/v1/cluster/stolen", rbody)
 	if err != nil || code/100 != 2 || rep.Error != "" {
-		s.countCluster(func(c *clusterCounters) { c.stealsFailed++ })
+		s.m.stealsFailed.Inc()
 		return
 	}
-	s.countCluster(func(c *clusterCounters) { c.stealsCompleted++ })
+	s.m.stealsCompleted.Inc()
 }
 
 // ---------------------------------------------------------------------------
@@ -879,12 +840,12 @@ func (a *API) clusterCompute(w http.ResponseWriter, r *http.Request) {
 			req.Key, want))
 		return
 	}
-	_, js, how, err := a.srv.resolveLocal(key, req.Seed, req.Spec)
+	_, js, how, err := a.srv.resolveLocal(key, req.Seed, req.Spec, "")
 	if err != nil {
 		a.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
-	a.srv.countCluster(func(c *clusterCounters) { c.forwardsServed++ })
+	a.srv.m.forwardsServed.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Aggsimd-How", how)
 	w.Write(js)
@@ -901,13 +862,13 @@ func (a *API) clusterLookup(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, r, http.StatusBadRequest, "bad key: "+err.Error())
 		return
 	}
-	_, js, ok := a.srv.Cache().Peek(key)
+	_, js, ok := a.srv.Cache().Peek(key, "")
 	if !ok {
-		a.srv.countCluster(func(c *clusterCounters) { c.lookupsMissed++ })
+		a.srv.m.lookupsMissed.Inc()
 		a.writeError(w, r, http.StatusNotFound, "key not resident")
 		return
 	}
-	a.srv.countCluster(func(c *clusterCounters) { c.lookupsServed++ })
+	a.srv.m.lookupsServed.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(js)
 }
@@ -936,7 +897,7 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.srv.Cache().Fulfill(want, ie.Seed, ie.Spec, res, js)
-	a.srv.countCluster(func(c *clusterCounters) { c.replicasReceived++ })
+	a.srv.m.replicasRecvd.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 

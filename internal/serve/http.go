@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -20,7 +19,8 @@ import (
 // alongside an obs.Dashboard (which keeps its routes: /, /spans, /metrics,
 // /profile, /debug/vars, /debug/pprof/). Every route passes through the
 // svclog middleware: requests are stamped with X-Request-ID, logged as
-// structured JSON, and fed into per-endpoint latency histograms.
+// structured JSON, and counted by route and status, with their latency, in
+// the server's metrics registry.
 //
 // Routes:
 //
@@ -52,7 +52,6 @@ type API struct {
 	srv  *Server
 	dash *obs.Dashboard
 	log  *slog.Logger
-	hs   *svclog.HTTPStats
 
 	// sseKeepalive is the comment-frame interval on the SSE stream
 	// (keeps idle proxies from reaping the connection; test seam).
@@ -66,14 +65,9 @@ func NewAPI(srv *Server, dash *obs.Dashboard) *API {
 		srv:          srv,
 		dash:         dash,
 		log:          srv.Log(),
-		hs:           svclog.NewHTTPStats(),
 		sseKeepalive: 15 * time.Second,
 	}
 }
-
-// HTTPStats exposes the per-endpoint request histograms (fed by the
-// middleware, drained by /metrics.prom and tests).
-func (a *API) HTTPStats() *svclog.HTTPStats { return a.hs }
 
 // resultEnvelope is the GET .../result payload. Results holds each run's
 // canonical JSON verbatim, so the bytes a client extracts are exactly the
@@ -132,7 +126,8 @@ func apiKey(r *http.Request) string {
 // auth guards one API handler with tenant authentication. Anonymous mode
 // (no registry) is a pass-through. On success the tenant name is recorded
 // in the request context, where the submit handler stamps it into the
-// JobSpec and the svclog middleware picks it up for the request log line.
+// JobSpec and the svclog middleware picks it up for the request log line,
+// and the request counts toward the tenant's usage.
 // The wrapper runs inside the mux, so 401 responses carry the real route
 // pattern in logs and histograms.
 func (a *API) auth(h http.HandlerFunc) http.HandlerFunc {
@@ -153,6 +148,7 @@ func (a *API) auth(h http.HandlerFunc) http.HandlerFunc {
 			a.writeError(w, r, http.StatusUnauthorized, "invalid API key")
 			return
 		}
+		a.srv.m.requests.With(name).Inc()
 		svclog.SetTenant(r.Context(), name)
 		h(w, r)
 	}
@@ -198,7 +194,7 @@ func (a *API) Handler() http.Handler {
 	if a.dash != nil {
 		mux.Handle("/", a.dash.Handler())
 	}
-	return svclog.Middleware(a.log, a.hs, mux)
+	return svclog.Middleware(a.log, a.srv.m.observeHTTP, mux)
 }
 
 // Serve serves the API on an already-bound listener (hardened
@@ -306,27 +302,25 @@ func (a *API) list(w http.ResponseWriter, r *http.Request) {
 // (never the keys). 404 in anonymous mode, like the event endpoints when the
 // event log is off.
 func (a *API) tenantsList(w http.ResponseWriter, r *http.Request) {
-	reg := a.srv.Tenants()
-	if reg == nil {
+	if a.srv.Tenants() == nil {
 		a.writeError(w, r, http.StatusNotFound, "tenancy disabled on this server (run with -tenants-file)")
 		return
 	}
 	a.writeJSON(w, r, http.StatusOK, struct {
 		Tenants []TenantSnapshot `json:"tenants"`
-	}{Tenants: reg.Snapshot()})
+	}{Tenants: a.srv.tenantSnapshots()})
 }
 
 // tenantUsage serves one tenant's usage: the process-lifetime counters that
 // back the per-tenant Prometheus families, and the cumulative ledger that
 // survives restarts.
 func (a *API) tenantUsage(w http.ResponseWriter, r *http.Request) {
-	reg := a.srv.Tenants()
-	if reg == nil {
+	if a.srv.Tenants() == nil {
 		a.writeError(w, r, http.StatusNotFound, "tenancy disabled on this server (run with -tenants-file)")
 		return
 	}
 	name := r.PathValue("name")
-	snap, ok := reg.Get(name)
+	snap, ok := a.srv.tenantSnapshot(name)
 	if !ok {
 		a.writeError(w, r, http.StatusNotFound, "no such tenant "+name)
 		return
@@ -702,179 +696,12 @@ func (a *API) stats(w http.ResponseWriter, r *http.Request) {
 	a.writeJSON(w, r, http.StatusOK, a.srv.Stats())
 }
 
-// metricsProm is the Prometheus text-format exposition: server, cache,
-// queue and event-log counters plus the per-endpoint HTTP histograms. All
-// hand-rolled (no client_golang); the soak harness parses and validates the
-// output with svclog.ParsePromText.
+// metricsProm is the Prometheus text-format exposition: a rendering of the
+// server's metrics registry (no client_golang); the soak harness parses and
+// validates it with svclog.ParsePromText.
 func (a *API) metricsProm(w http.ResponseWriter, r *http.Request) {
-	st := a.srv.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := svclog.NewPromWriter(w)
-
-	counter := func(name, help string, v uint64) {
-		p.Family(name, "counter", help)
-		p.Sample(name, nil, float64(v))
-	}
-	gauge := func(name, help string, v float64) {
-		p.Family(name, "gauge", help)
-		p.Sample(name, nil, v)
-	}
-
-	counter("aggsimd_jobs_submitted_total", "Jobs admitted past the admission window.", st.JobsSubmitted)
-	counter("aggsimd_jobs_rejected_total", "Submissions rejected (window full or draining).", st.JobsRejected)
-	counter("aggsimd_jobs_done_total", "Jobs finished successfully.", st.JobsDone)
-	counter("aggsimd_jobs_failed_total", "Jobs finished with an error.", st.JobsFailed)
-	counter("aggsimd_jobs_aborted_total", "Queued jobs aborted by shutdown.", st.JobsAborted)
-	counter("aggsimd_simulated_runs_total", "Real simulations executed (cache hits and joins excluded).", st.SimulatedRuns)
-	counter("aggsimd_simulated_cycles_total", "Engine cycles across all real simulations.", st.SimulatedCycles)
-
-	gauge("aggsimd_queue_depth", "Jobs waiting to run.", float64(st.Queued))
-	gauge("aggsimd_queue_limit", "Admission window size.", float64(st.QueueLimit))
-	gauge("aggsimd_jobs_running", "Jobs currently simulating.", float64(st.Running))
-	gauge("aggsimd_workers", "Worker pool size.", float64(st.Workers))
-	draining := 0.0
-	if st.Draining {
-		draining = 1
-	}
-	gauge("aggsimd_draining", "1 while the server is shutting down.", draining)
-
-	gauge("aggsimd_cache_entries", "Result cache entries resident.", float64(st.Cache.Entries))
-	gauge("aggsimd_cache_limit", "Result cache LRU bound.", float64(st.Cache.Limit))
-	gauge("aggsimd_cache_inflight", "Simulations currently in flight (singleflight).", float64(st.Cache.InFlight))
-	counter("aggsimd_cache_hits_total", "Result cache hits.", st.Cache.Hits)
-	counter("aggsimd_cache_misses_total", "Result cache misses.", st.Cache.Misses)
-	counter("aggsimd_cache_joins_total", "Singleflight joins on in-flight simulations.", st.Cache.Joins)
-	counter("aggsimd_cache_evictions_total", "Result cache LRU evictions.", st.Cache.Evictions)
-
-	gauge("aggsimd_artifacts_resident", "Flight-recorder artifacts resident in the store.", float64(st.Artifacts.Count))
-	gauge("aggsimd_artifacts_bytes", "Flight-recorder store bytes resident.", float64(st.Artifacts.Bytes))
-	gauge("aggsimd_artifacts_bytes_limit", "Flight-recorder store byte bound.", float64(st.Artifacts.Limit))
-	counter("aggsimd_artifacts_puts_total", "Flight-recorder artifacts written.", st.Artifacts.Puts)
-	counter("aggsimd_artifacts_hits_total", "Flight-recorder artifact fetches served.", st.Artifacts.Hits)
-	counter("aggsimd_artifacts_misses_total", "Flight-recorder artifact fetches missed (evicted or never recorded).", st.Artifacts.Misses)
-	counter("aggsimd_artifacts_evictions_total", "Flight-recorder artifacts evicted by the byte bound.", st.Artifacts.Evictions)
-
-	counter("aggsimd_events_appended_total", "Lifecycle events recorded.", st.Events.Appended)
-	counter("aggsimd_events_dropped_total", "Lifecycle events dropped on slow subscribers.", st.Events.Dropped)
-	gauge("aggsimd_event_subscribers", "Live SSE/event subscribers.", float64(st.Events.Subscribers))
-
-	// Per-tenant families, only with a registry configured — the anonymous
-	// exposition stays byte-identical to the pre-tenancy daemon. The label
-	// cardinality is bounded by the tenants file: the fixed tenant set is
-	// the only source of `tenant` values. Per-tenant job/cache/cycle
-	// counters sum exactly to the globals above when all traffic is
-	// authenticated, because each increments at the same point as its
-	// global counterpart.
-	if len(st.Tenants) > 0 {
-		tc := func(name, help string, pick func(TenantSnapshot) uint64) {
-			p.Family(name, "counter", help)
-			for _, t := range st.Tenants {
-				p.Sample(name, []svclog.Label{{K: "tenant", V: t.Name}}, float64(pick(t)))
-			}
-		}
-		tg := func(name, help string, pick func(TenantSnapshot) float64) {
-			p.Family(name, "gauge", help)
-			for _, t := range st.Tenants {
-				p.Sample(name, []svclog.Label{{K: "tenant", V: t.Name}}, pick(t))
-			}
-		}
-		tc("aggsimd_tenant_http_requests_total", "Authenticated API requests by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.Requests })
-		tc("aggsimd_tenant_jobs_submitted_total", "Jobs admitted by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.JobsSubmitted })
-		tc("aggsimd_tenant_jobs_done_total", "Jobs finished successfully by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.JobsDone })
-		tc("aggsimd_tenant_jobs_failed_total", "Jobs finished with an error by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.JobsFailed })
-		tc("aggsimd_tenant_jobs_aborted_total", "Queued jobs aborted by shutdown, by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.JobsAborted })
-		p.Family("aggsimd_tenant_rejected_total", "counter", "Submissions rejected by tenant and gate.")
-		for _, t := range st.Tenants {
-			for _, rr := range []struct {
-				reason string
-				v      uint64
-			}{
-				{"rate", t.Usage.RejectedRate},
-				{"queue_quota", t.Usage.RejectedQueueQuota},
-				{"concurrency_quota", t.Usage.RejectedActiveQuota},
-				{"window", t.Usage.RejectedWindow},
-			} {
-				p.Sample("aggsimd_tenant_rejected_total",
-					[]svclog.Label{{K: "tenant", V: t.Name}, {K: "reason", V: rr.reason}}, float64(rr.v))
-			}
-		}
-		tc("aggsimd_tenant_cache_hits_total", "Result cache hits by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.CacheHits })
-		tc("aggsimd_tenant_cache_misses_total", "Result cache misses by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.CacheMisses })
-		tc("aggsimd_tenant_cache_joins_total", "Singleflight joins by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.Joins })
-		tc("aggsimd_tenant_simulated_runs_total", "Real simulations executed by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.SimulatedRuns })
-		tc("aggsimd_tenant_simulated_cycles_total", "Engine cycles consumed by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.EngineCycles })
-		tc("aggsimd_tenant_result_bytes_total", "Canonical result bytes delivered by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.ResultBytes })
-		tc("aggsimd_tenant_artifact_bytes_total", "Flight-recorder artifact bytes written by tenant.",
-			func(t TenantSnapshot) uint64 { return t.Usage.ArtifactBytes })
-		tg("aggsimd_tenant_queued", "Jobs waiting to run by tenant.",
-			func(t TenantSnapshot) float64 { return float64(t.Queued) })
-		tg("aggsimd_tenant_running", "Jobs currently simulating by tenant.",
-			func(t TenantSnapshot) float64 { return float64(t.Running) })
-	}
-
-	// Cluster families, only with a node attached — the single-node
-	// exposition stays byte-identical to the pre-cluster daemon.
-	if cs := st.Cluster; cs != nil {
-		gauge("aggsimd_cluster_members_alive", "Cluster members alive (including self).", float64(cs.Node.Alive))
-		gauge("aggsimd_cluster_members_suspect", "Cluster members suspected (silent but still in the ring).", float64(cs.Node.Suspect))
-		gauge("aggsimd_cluster_members_dead", "Cluster members declared dead (out of the ring).", float64(cs.Node.Dead))
-		gauge("aggsimd_cluster_ring_members", "Members currently owning ring partitions.", float64(cs.Node.RingMembers))
-		gauge("aggsimd_cluster_ring_version", "Ring rebuild count (bumps on every membership change).", float64(cs.Node.RingVersion))
-		gauge("aggsimd_cluster_incarnation", "This node's gossip incarnation.", float64(cs.Node.Incarnation))
-		gauge("aggsimd_cluster_stolen_inflight", "Jobs currently out on loan to thieves.", float64(cs.StolenInFlight))
-		counter("aggsimd_cluster_heartbeats_sent_total", "Gossip heartbeats delivered to peers.", cs.Node.HeartbeatsSent)
-		counter("aggsimd_cluster_heartbeats_received_total", "Gossip heartbeats received from peers.", cs.Node.HeartbeatsReceived)
-		counter("aggsimd_cluster_heartbeat_failures_total", "Gossip heartbeats that failed to deliver.", cs.Node.HeartbeatFailures)
-		counter("aggsimd_cluster_refutations_total", "Death rumors about this node it refuted.", cs.Node.Refutations)
-		counter("aggsimd_cluster_forwards_sent_total", "Configs resolved through an owning peer.", cs.ForwardsSent)
-		counter("aggsimd_cluster_forwards_failed_total", "Forwarded resolutions that failed over to the next target.", cs.ForwardsFailed)
-		counter("aggsimd_cluster_forwards_served_total", "Forwarded computes served as owner.", cs.ForwardsServed)
-		counter("aggsimd_cluster_lookups_served_total", "Replica-cache lookups served to peers.", cs.LookupsServed)
-		counter("aggsimd_cluster_lookups_missed_total", "Replica-cache lookups that missed.", cs.LookupsMissed)
-		counter("aggsimd_cluster_replicas_sent_total", "Result copies pushed to ring successors.", cs.ReplicasSent)
-		counter("aggsimd_cluster_replicas_failed_total", "Result copies that failed to push.", cs.ReplicasFailed)
-		counter("aggsimd_cluster_replicas_received_total", "Result copies received from peers.", cs.ReplicasReceived)
-		counter("aggsimd_cluster_recoveries_total", "Simulations avoided by pulling a replica instead.", cs.Recoveries)
-		counter("aggsimd_cluster_steals_given_total", "Queued jobs handed to thieves.", cs.StealsGiven)
-		counter("aggsimd_cluster_steals_taken_total", "Jobs stolen from peers.", cs.StealsTaken)
-		counter("aggsimd_cluster_steals_completed_total", "Stolen jobs completed and reported back.", cs.StealsCompleted)
-		counter("aggsimd_cluster_steals_failed_total", "Stolen jobs that failed or could not report back.", cs.StealsFailed)
-		counter("aggsimd_cluster_steals_requeued_total", "Stolen jobs requeued after the thief went silent.", cs.StealsRequeued)
-		counter("aggsimd_cluster_redirects_total", "Submissions redirected to the owning peer (421).", cs.Redirects)
-	}
-
-	snap := a.hs.Snapshot()
-	p.Family("aggsimd_http_requests_total", "counter", "HTTP requests by route and status code.")
-	for _, ep := range snap {
-		codes := make([]int, 0, len(ep.Status))
-		for code := range ep.Status {
-			codes = append(codes, code)
-		}
-		sort.Ints(codes)
-		for _, code := range codes {
-			p.Sample("aggsimd_http_requests_total",
-				[]svclog.Label{{K: "route", V: ep.Route}, {K: "code", V: strconv.Itoa(code)}},
-				float64(ep.Status[code]))
-		}
-	}
-	p.Family("aggsimd_http_request_duration_us", "histogram", "Request latency in microseconds (power-of-two buckets).")
-	for _, ep := range snap {
-		h := ep.Hist
-		p.Histogram("aggsimd_http_request_duration_us",
-			[]svclog.Label{{K: "route", V: ep.Route}}, &h, float64(ep.SumUS))
-	}
-	if err := p.Flush(); err != nil {
+	if err := a.srv.m.reg.WritePrometheus(w); err != nil {
 		a.log.Error("response_encode_failed",
 			"request_id", svclog.RequestID(r.Context()),
 			"route", r.Pattern, "status", http.StatusOK, "err", err.Error())

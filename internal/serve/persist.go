@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"pimdsm/internal/obs"
 )
@@ -48,33 +49,24 @@ const usageLedgerVersion = 1
 
 // usageLedger is the persisted per-tenant cumulative usage: the tenant's
 // restart-surviving bill, written like the cache index (atomic temp+rename
-// on Shutdown, restored in New).
+// on Shutdown, restored in New). Rows follow the names, which are sorted so
+// that identical state writes identical bytes.
 type usageLedger struct {
-	Version int                    `json:"version"`
-	Usage   map[string]TenantUsage `json:"usage"`
+	Version int           `json:"version"`
+	Names   []string      `json:"names"`
+	Rows    []TenantUsage `json:"rows"`
 }
 
 // saveUsage writes the cumulative per-tenant ledger to path atomically.
 func (s *Server) saveUsage(path string) error {
-	ledger := usageLedger{Version: usageLedgerVersion, Usage: s.opt.Tenants.exportUsage()}
-	err := obs.WriteFileAtomic(path, func(w io.Writer) error {
-		// Encode with stable key order so identical state produces identical
-		// bytes (maps would otherwise randomize).
-		ordered := struct {
-			Version int               `json:"version"`
-			Names   []string          `json:"names"`
-			Rows    []json.RawMessage `json:"rows"`
-		}{Version: ledger.Version}
-		for _, name := range sortedUsageNames(ledger.Usage) {
-			row, err := json.Marshal(ledger.Usage[name])
-			if err != nil {
-				return err
-			}
-			ordered.Names = append(ordered.Names, name)
-			ordered.Rows = append(ordered.Rows, row)
-		}
-		return json.NewEncoder(w).Encode(ordered)
-	})
+	snaps := s.tenantSnapshots()
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Name < snaps[j].Name })
+	ledger := usageLedger{Version: usageLedgerVersion}
+	for _, t := range snaps {
+		ledger.Names = append(ledger.Names, t.Name)
+		ledger.Rows = append(ledger.Rows, t.Total) // restored base plus this process
+	}
+	err := obs.WriteFileAtomic(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(ledger) })
 	if err != nil {
 		return fmt.Errorf("serve: save usage ledger: %w", err)
 	}
@@ -93,11 +85,7 @@ func (s *Server) loadUsage(path string) error {
 		return err
 	}
 	defer f.Close()
-	var onDisk struct {
-		Version int           `json:"version"`
-		Names   []string      `json:"names"`
-		Rows    []TenantUsage `json:"rows"`
-	}
+	var onDisk usageLedger
 	if err := json.NewDecoder(f).Decode(&onDisk); err != nil {
 		return fmt.Errorf("serve: usage ledger %s is corrupt: %w", path, err)
 	}
@@ -107,10 +95,6 @@ func (s *Server) loadUsage(path string) error {
 	if len(onDisk.Names) != len(onDisk.Rows) {
 		return fmt.Errorf("serve: usage ledger %s is corrupt: %d names, %d rows", path, len(onDisk.Names), len(onDisk.Rows))
 	}
-	ledger := make(map[string]TenantUsage, len(onDisk.Names))
-	for i, name := range onDisk.Names {
-		ledger[name] = onDisk.Rows[i]
-	}
-	s.opt.Tenants.restoreUsage(ledger)
+	s.opt.Tenants.restoreUsage(onDisk.Names, onDisk.Rows)
 	return nil
 }

@@ -169,7 +169,7 @@ func (s *Server) recordFlight(j *Job) {
 				s.opt.Log.Error("artifact_write_failed", "job", j.id, "artifact", name, "err", err.Error())
 			}
 		}
-		s.tenantAccount(j, func(u *TenantUsage) { u.ArtifactBytes += artifactBytes })
+		s.m.artifactBytes.With(j.spec.Tenant).Add(artifactBytes)
 		return
 	}
 	arts := make(map[string][]byte, len(encode))
@@ -185,7 +185,7 @@ func (s *Server) recordFlight(j *Job) {
 	s.mu.Lock()
 	j.artifacts = arts
 	s.mu.Unlock()
-	s.tenantAccount(j, func(u *TenantUsage) { u.ArtifactBytes += artifactBytes })
+	s.m.artifactBytes.With(j.spec.Tenant).Add(artifactBytes)
 }
 
 // countingWriter counts bytes on their way through to w.

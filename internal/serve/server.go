@@ -246,6 +246,7 @@ var ErrDraining = errors.New("serve: server is shutting down")
 // queue drained by a fixed worker pool, and the content-addressed cache.
 type Server struct {
 	opt       Options
+	m         *metrics
 	cache     *Cache
 	artifacts *ArtifactStore
 
@@ -259,17 +260,13 @@ type Server struct {
 	draining bool
 	wg       sync.WaitGroup
 
-	submitted, rejected, jobsDone, jobsFailed, jobsAborted uint64
-	simulatedRuns, simulatedCycles                         uint64
-	ewmaJobSec                                             float64
+	ewmaJobSec float64
 
-	// Cluster mode (AttachCluster): the peer node, the counters behind the
-	// aggsimd_cluster_* metric families, and the jobs currently stolen by
-	// peers (keyed by job id, requeued past their deadline). All guarded by
-	// mu like the rest; clusterWG tracks the steal loop and the async
-	// replication goroutines so Shutdown can wait for them.
+	// Cluster mode (AttachCluster): the peer node and the jobs currently
+	// stolen by peers (keyed by job id, requeued past their deadline). Both
+	// guarded by mu like the rest; clusterWG tracks the steal loop and the
+	// async replication goroutines so Shutdown can wait for them.
 	cluster       *cluster.Node
-	cl            clusterCounters
 	stolen        map[string]*stolenRecord
 	clusterStop   chan struct{}
 	clusterWG     sync.WaitGroup
@@ -282,11 +279,9 @@ type Server struct {
 // launches the worker pool.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
-	s := &Server{
-		opt:   opt,
-		cache: NewCache(opt.CacheEntries),
-		jobs:  make(map[string]*Job),
-	}
+	s := &Server{opt: opt, jobs: make(map[string]*Job)}
+	s.m = newMetrics(s)
+	s.cache = newCache(opt.CacheEntries, s.m)
 	s.cond = sync.NewCond(&s.mu)
 	if opt.CachePath != "" {
 		if _, err := s.loadCache(opt.CachePath); err != nil {
@@ -294,7 +289,7 @@ func New(opt Options) (*Server, error) {
 		}
 	}
 	if opt.ArtifactDir != "" {
-		store, err := NewArtifactStore(opt.ArtifactDir, opt.ArtifactBytes)
+		store, err := openArtifactStore(opt.ArtifactDir, opt.ArtifactBytes, s.m)
 		if err != nil {
 			return nil, err
 		}
@@ -385,9 +380,8 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.rejected++
+		s.m.rejected.With(spec.Tenant, "window").Inc()
 		if reg != nil {
-			reg.rejectedWindow(spec.Tenant)
 			s.opt.Log.Warn("job_rejected", "reason", "draining", "name", spec.Name, "tenant", spec.Tenant)
 		} else {
 			s.opt.Log.Warn("job_rejected", "reason", "draining", "name", spec.Name)
@@ -399,7 +393,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 			var be *BusyError
 			switch {
 			case errors.As(err, &be):
-				s.rejected++
+				s.m.rejected.With(spec.Tenant, reasonLabel[be.Reason]).Inc()
 				s.opt.Log.Warn("job_rejected", "reason", be.Reason, "tenant", spec.Tenant,
 					"name", spec.Name, "retry_after_sec", int(be.RetryAfter/time.Second))
 			default:
@@ -410,10 +404,9 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		}
 	}
 	if len(s.queue) >= s.opt.QueueLimit {
-		s.rejected++
+		s.m.rejected.With(spec.Tenant, "window").Inc()
 		retry := s.retryAfterLocked()
 		if reg != nil {
-			reg.rejectedWindow(spec.Tenant)
 			s.opt.Log.Warn("job_rejected", "reason", RejectWindow,
 				"name", spec.Name, "tenant", spec.Tenant,
 				"queue_depth", len(s.queue), "retry_after_sec", int(retry/time.Second))
@@ -451,7 +444,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	s.order = append(s.order, j.id)
 	s.eventLocked(j, svclog.EvSubmitted, -1, 0, spec.Name)
 	s.queue.push(j)
-	s.submitted++
+	s.m.submitted.With(spec.Tenant).Inc()
 	s.eventLocked(j, svclog.EvQueued, -1, 0, "")
 	if spec.Tenant != "" {
 		s.opt.Log.Info("job_submitted", "job", j.id, "name", spec.Name, "tenant", spec.Tenant,
@@ -604,8 +597,10 @@ type ServerStats struct {
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters: live state plus reads of the
+// metrics registry, whose globals are sums over the tenant families.
 func (s *Server) Stats() ServerStats {
+	m := s.m
 	s.mu.Lock()
 	st := ServerStats{
 		Workers:         s.opt.Workers,
@@ -613,13 +608,13 @@ func (s *Server) Stats() ServerStats {
 		Queued:          len(s.queue),
 		Running:         s.running,
 		Draining:        s.draining,
-		JobsSubmitted:   s.submitted,
-		JobsRejected:    s.rejected,
-		JobsDone:        s.jobsDone,
-		JobsFailed:      s.jobsFailed,
-		JobsAborted:     s.jobsAborted,
-		SimulatedRuns:   s.simulatedRuns,
-		SimulatedCycles: s.simulatedCycles,
+		JobsSubmitted:   m.submitted.Sum(),
+		JobsRejected:    m.rejected.Sum(),
+		JobsDone:        m.done.Sum(),
+		JobsFailed:      m.failed.Sum(),
+		JobsAborted:     m.aborted.Sum(),
+		SimulatedRuns:   m.simRuns.Sum(),
+		SimulatedCycles: m.simCycles.Sum(),
 	}
 	if s.cluster != nil {
 		st.Cluster = s.clusterStatsLocked()
@@ -632,20 +627,33 @@ func (s *Server) Stats() ServerStats {
 	if s.artifacts != nil {
 		st.Artifacts = s.artifacts.Stats()
 	}
-	if s.opt.Tenants != nil {
-		st.Tenants = s.opt.Tenants.Snapshot()
-	}
+	st.Tenants = s.tenantSnapshots()
 	return st
 }
 
-// tenantAccount applies fn to j's tenant's usage counters (no-op in
-// anonymous mode). The per-tenant increments are made at the same points as
-// their global counterparts, which is what makes the per-tenant Prometheus
-// counters sum exactly to the globals when every job is tenant-attributed.
-func (s *Server) tenantAccount(j *Job, fn func(u *TenantUsage)) {
-	if s.opt.Tenants != nil && j.spec.Tenant != "" {
-		s.opt.Tenants.account(j.spec.Tenant, fn)
+// tenantSnapshots is every tenant's declaration, live state and usage, in
+// file order (nil in anonymous mode): Usage reads the registry, Total adds
+// the restored ledger.
+func (s *Server) tenantSnapshots() []TenantSnapshot {
+	if s.opt.Tenants == nil {
+		return nil
 	}
+	snaps := s.opt.Tenants.snapshot()
+	for i := range snaps {
+		snaps[i].Usage = s.m.usage(snaps[i].Name)
+		snaps[i].Total.add(snaps[i].Usage)
+	}
+	return snaps
+}
+
+// tenantSnapshot is one tenant's snapshot, false when not registered.
+func (s *Server) tenantSnapshot(name string) (TenantSnapshot, bool) {
+	for _, t := range s.tenantSnapshots() {
+		if t.Name == name {
+			return t, true
+		}
+	}
+	return TenantSnapshot{}, false
 }
 
 // worker pulls the highest-priority queued job and runs it to completion.
@@ -664,9 +672,7 @@ func (s *Server) worker() {
 		j.state = JobRunning
 		j.started = time.Now()
 		s.running++
-		if s.opt.Tenants != nil && j.spec.Tenant != "" {
-			s.opt.Tenants.started(j.spec.Tenant)
-		}
+		s.opt.Tenants.move(j.spec.Tenant, -1, +1)
 		s.eventLocked(j, svclog.EvStarted, -1, 0, "")
 		s.mu.Unlock()
 		s.runJob(j)
@@ -698,6 +704,7 @@ func (s *Server) runJob(j *Job) {
 	var remote []int
 	node := s.clusterNode()
 
+	tenant := j.spec.Tenant
 	recordHit := func(i int, res *machine.Result, js []byte) {
 		results[i], resJSON[i] = res, js
 		s.mu.Lock()
@@ -705,10 +712,7 @@ func (s *Server) runJob(j *Job) {
 		j.cacheHits++
 		s.eventLocked(j, svclog.EvCacheHit, i, 0, "")
 		s.mu.Unlock()
-		s.tenantAccount(j, func(u *TenantUsage) {
-			u.CacheHits++
-			u.ResultBytes += uint64(len(js))
-		})
+		s.m.resultBytes.With(tenant).Add(uint64(len(js)))
 	}
 
 	for i, cs := range j.spec.Configs {
@@ -717,7 +721,7 @@ func (s *Server) runJob(j *Job) {
 			if _, self := node.Owner(keys[i]); !self {
 				// A replicated or previously forwarded copy serves locally;
 				// otherwise the owner resolves it (never a local flight).
-				if res, js, ok := s.cache.Peek(keys[i]); ok {
+				if res, js, ok := s.cache.Peek(keys[i], tenant); ok {
 					recordHit(i, res, js)
 				} else {
 					remote = append(remote, i)
@@ -725,7 +729,7 @@ func (s *Server) runJob(j *Job) {
 				continue
 			}
 		}
-		res, js, hit, fl, owner := s.cache.Acquire(keys[i])
+		res, js, hit, fl, owner := s.cache.Acquire(keys[i], tenant)
 		switch {
 		case hit:
 			recordHit(i, res, js)
@@ -743,16 +747,14 @@ func (s *Server) runJob(j *Job) {
 					j.forwarded++
 					s.eventLocked(j, svclog.EvCacheHit, i, 0, "cluster:recovered")
 					s.mu.Unlock()
-					s.tenantAccount(j, func(u *TenantUsage) { u.ResultBytes += uint64(len(js)) })
+					s.m.resultBytes.With(tenant).Add(uint64(len(js)))
 					continue
 				}
 			}
 			toRun = append(toRun, i)
-			s.tenantAccount(j, func(u *TenantUsage) { u.CacheMisses++ })
 			_ = fl // resolved via cache.Fulfill/Abort below
 		default:
 			joins = append(joins, join{i: i, fl: fl})
-			s.tenantAccount(j, func(u *TenantUsage) { u.Joins++ })
 		}
 	}
 
@@ -780,7 +782,7 @@ func (s *Server) runJob(j *Job) {
 		j.joins++
 		s.eventLocked(j, svclog.EvJoined, w.i, 0, "")
 		s.mu.Unlock()
-		s.tenantAccount(j, func(u *TenantUsage) { u.ResultBytes += uint64(len(w.fl.js)) })
+		s.m.resultBytes.With(tenant).Add(uint64(len(w.fl.js)))
 	}
 
 	if jobErr == nil && j.metrics != nil {
@@ -800,7 +802,7 @@ func (s *Server) runJob(j *Job) {
 	if jobErr != nil {
 		j.state = JobFailed
 		j.err = jobErr
-		s.jobsFailed++
+		s.m.failed.With(tenant).Inc()
 		s.eventLocked(j, svclog.EvFailed, -1, 0, jobErr.Error())
 		args := []any{"job", j.id, "name", j.spec.Name,
 			"err", jobErr.Error(), "wall_us", j.finished.Sub(j.submitted).Microseconds()}
@@ -812,7 +814,7 @@ func (s *Server) runJob(j *Job) {
 		j.state = JobDone
 		j.results = results
 		j.resultJSON = resJSON
-		s.jobsDone++
+		s.m.done.With(tenant).Inc()
 		s.eventLocked(j, svclog.EvDone, -1, 0, "")
 		args := []any{"job", j.id, "name", j.spec.Name,
 			"cache_hits", j.cacheHits, "simulated", j.simulated, "joins", j.joins,
@@ -830,9 +832,7 @@ func (s *Server) runJob(j *Job) {
 		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
 	}
 	s.mu.Unlock()
-	if s.opt.Tenants != nil && j.spec.Tenant != "" {
-		s.opt.Tenants.finished(j.spec.Tenant, jobErr != nil, sec)
-	}
+	s.opt.Tenants.finished(tenant, sec)
 	close(j.doneCh)
 }
 
@@ -901,16 +901,12 @@ func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine
 			s.mu.Lock()
 			j.done++
 			j.simulated++
-			s.simulatedRuns++
-			s.simulatedCycles += uint64(r.Breakdown.Exec)
 			s.eventLocked(j, svclog.EvSimulated, i, uint64(r.Breakdown.Exec), "")
 			s.eventLocked(j, svclog.EvPersisted, i, 0, "")
 			s.mu.Unlock()
-			s.tenantAccount(j, func(u *TenantUsage) {
-				u.SimulatedRuns++
-				u.EngineCycles += uint64(r.Breakdown.Exec)
-				u.ResultBytes += uint64(len(js))
-			})
+			s.m.simRuns.With(j.spec.Tenant).Inc()
+			s.m.simCycles.With(j.spec.Tenant).Add(uint64(r.Breakdown.Exec))
+			s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
 		}
 		_, err := s.opt.Run(cfgs, onResult)
 		if err != nil && firstErr == nil {
@@ -946,10 +942,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		j.state = JobAborted
 		j.err = ErrDraining
 		j.finished = time.Now()
-		s.jobsAborted++
-		if s.opt.Tenants != nil && j.spec.Tenant != "" {
-			s.opt.Tenants.aborted(j.spec.Tenant)
-		}
+		s.m.aborted.With(j.spec.Tenant).Inc()
+		s.opt.Tenants.move(j.spec.Tenant, -1, 0)
 		s.eventLocked(j, svclog.EvAborted, -1, 0, ErrDraining.Error())
 		close(j.doneCh)
 	}

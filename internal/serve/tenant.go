@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
@@ -13,8 +12,9 @@ import (
 // Tenant identity and attribution (DESIGN.md §14). A Tenants registry is the
 // service's multi-tenant edge: API-key authentication (constant-time), a
 // per-tenant token bucket and concurrency/queue quotas gating admission in
-// front of the shared window, and per-tenant usage accounting feeding the
-// /metrics.prom tenant label dimension and the persisted usage ledger.
+// front of the shared window, and the `tenant` label dimension of the
+// server's metrics registry, which feeds /metrics.prom, the usage views and
+// the persisted usage ledger.
 //
 // The tenant set is fixed at startup from the tenants file, which is what
 // bounds the `tenant` label cardinality in the Prometheus exposition: labels
@@ -47,9 +47,10 @@ type Tenant struct {
 }
 
 // TenantUsage is one tenant's resource-consumption counters. The same shape
-// serves two horizons: the process-lifetime counters behind the per-tenant
-// Prometheus families (which sum exactly to the global counters), and the
-// cumulative ledger persisted across restarts.
+// serves two horizons: the process-lifetime counters (a read of the
+// tenant's series in the server's metrics registry, the same series the
+// per-tenant Prometheus families render), and the cumulative ledger
+// persisted across restarts.
 type TenantUsage struct {
 	Requests uint64 `json:"requests"`
 
@@ -74,24 +75,19 @@ type TenantUsage struct {
 	ArtifactBytes uint64 `json:"artifact_bytes"`
 }
 
+// counters lists u's counters in declaration order.
+func (u *TenantUsage) counters() []*uint64 {
+	return []*uint64{&u.Requests, &u.JobsSubmitted, &u.JobsDone, &u.JobsFailed, &u.JobsAborted,
+		&u.RejectedRate, &u.RejectedQueueQuota, &u.RejectedActiveQuota, &u.RejectedWindow,
+		&u.CacheHits, &u.CacheMisses, &u.Joins, &u.SimulatedRuns, &u.EngineCycles, &u.ResultBytes, &u.ArtifactBytes}
+}
+
 // add accumulates o into u (ledger merge).
 func (u *TenantUsage) add(o TenantUsage) {
-	u.Requests += o.Requests
-	u.JobsSubmitted += o.JobsSubmitted
-	u.JobsDone += o.JobsDone
-	u.JobsFailed += o.JobsFailed
-	u.JobsAborted += o.JobsAborted
-	u.RejectedRate += o.RejectedRate
-	u.RejectedQueueQuota += o.RejectedQueueQuota
-	u.RejectedActiveQuota += o.RejectedActiveQuota
-	u.RejectedWindow += o.RejectedWindow
-	u.CacheHits += o.CacheHits
-	u.CacheMisses += o.CacheMisses
-	u.Joins += o.Joins
-	u.SimulatedRuns += o.SimulatedRuns
-	u.EngineCycles += o.EngineCycles
-	u.ResultBytes += o.ResultBytes
-	u.ArtifactBytes += o.ArtifactBytes
+	oc := o.counters()
+	for i, p := range u.counters() {
+		*p += *oc[i]
+	}
 }
 
 // Rejected is the tenant's total rejection count across all reasons.
@@ -112,11 +108,11 @@ type TenantSnapshot struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
 
-	// Usage counts this daemon process's activity; these are the counters
-	// behind the per-tenant Prometheus families, and across all tenants they
-	// sum exactly to the global counters. Total adds the ledger restored
-	// from a previous process: the tenant's cumulative, restart-surviving
-	// consumption.
+	// Usage counts this daemon process's activity: the tenant's series of
+	// the per-tenant Prometheus families, which across all tenants sum to
+	// the global counters when all traffic is authenticated. Total adds the
+	// ledger restored from a previous process: the tenant's cumulative,
+	// restart-surviving consumption.
 	Usage TenantUsage `json:"usage"`
 	Total TenantUsage `json:"total"`
 }
@@ -142,8 +138,8 @@ func (e *ForbiddenError) Error() string {
 	return fmt.Sprintf("serve: tenant %s: %s", e.Tenant, e.Msg)
 }
 
-// tenantState is one tenant's live scheduling and accounting state, guarded
-// by the registry mutex.
+// tenantState is one tenant's live scheduling state, guarded by the
+// registry mutex.
 type tenantState struct {
 	t Tenant
 
@@ -156,12 +152,12 @@ type tenantState struct {
 	tokens     float64
 	lastRefill time.Time
 
-	usage TenantUsage // this process
-	base  TenantUsage // restored ledger from previous processes
+	base TenantUsage // restored ledger from previous processes
 }
 
-// Tenants is the registry: the tenant set plus per-tenant live state. The
-// set is fixed between reloads — Reload swaps in a revalidated tenants file
+// Tenants is the registry: the tenant set plus per-tenant live state (usage
+// is counted by the Server, into its metrics registry). The set is fixed
+// between reloads — Reload swaps in a revalidated tenants file
 // atomically (generation counts the swaps), which is what bounds the
 // `tenant` label cardinality in the Prometheus exposition: labels only ever
 // take values from the operator-controlled file.
@@ -266,12 +262,14 @@ func NewTenants(list []Tenant) (*Tenants, error) {
 // Reload swaps the registry's tenant set for a new declared list, atomically
 // and all-or-nothing: a list that fails validation changes NOTHING (the old
 // registry keeps serving) and the error says why. Tenants present in both
-// sets keep their live scheduling state and usage counters under the new
+// sets keep their live scheduling state and restored ledger under the new
 // declaration (tokens clamp to a shrunk burst; a newly rate-limited tenant
 // starts with a full bucket). Removed tenants drop out — their keys stop
-// authenticating on the next request, and their in-flight jobs finish
-// normally (the accounting paths tolerate an unregistered name). Added
-// tenants start fresh.
+// authenticating on the next request, their families stop rendering, and
+// their in-flight jobs finish normally (the accounting paths tolerate an
+// unregistered name). Added tenants start with fresh scheduling state; their
+// process-lifetime usage is whatever the server's registry has counted
+// under the name.
 func (r *Tenants) Reload(list []Tenant) error {
 	list, err := normalizeTenants(list)
 	if err != nil {
@@ -355,8 +353,7 @@ func (r *Tenants) Names() []string {
 // Authenticate resolves an API key to a tenant name. Every registered key is
 // compared with crypto/subtle regardless of earlier matches, so the scan's
 // timing does not depend on which tenant (if any) matched; only key lengths
-// are observable, and keys are not secrets of each other's length. A hit
-// counts toward the tenant's request usage.
+// are observable, and keys are not secrets of each other's length.
 func (r *Tenants) Authenticate(key string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -367,11 +364,7 @@ func (r *Tenants) Authenticate(key string) (string, bool) {
 			match = name
 		}
 	}
-	if match == "" {
-		return "", false
-	}
-	r.states[match].usage.Requests++
-	return match, true
+	return match, match != ""
 }
 
 // refillLocked advances the token bucket to now.
@@ -414,9 +407,9 @@ func (st *tenantState) retryAfterLocked(workers int, globalEwma float64) time.Du
 
 // gate checks the tenant's admission constraints without committing
 // anything: priority ceiling (403), token bucket, queue quota, concurrency
-// quota (each a per-tenant 429 carrying the tenant's own Retry-After).
-// Rejections are counted; a nil return means the submission may proceed to
-// the shared window, after which the caller commits.
+// quota (each a per-tenant 429 carrying the tenant's own Retry-After). A nil
+// return means the submission may proceed to the shared window, after which
+// the caller commits.
 func (r *Tenants) gate(name string, priority, workers int, globalEwma float64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -433,7 +426,6 @@ func (r *Tenants) gate(name string, priority, workers int, globalEwma float64) e
 	now := r.now()
 	st.refillLocked(now)
 	if st.t.RatePerSec > 0 && st.tokens < 1 {
-		st.usage.RejectedRate++
 		// Time until the bucket holds one token again.
 		wait := time.Duration((1 - st.tokens) / st.t.RatePerSec * float64(time.Second))
 		if wait < time.Second {
@@ -442,14 +434,12 @@ func (r *Tenants) gate(name string, priority, workers int, globalEwma float64) e
 		return &BusyError{RetryAfter: wait.Round(time.Second), Tenant: name, Reason: RejectRate}
 	}
 	if st.t.MaxQueued > 0 && st.queued >= st.t.MaxQueued {
-		st.usage.RejectedQueueQuota++
 		return &BusyError{
 			RetryAfter: st.retryAfterLocked(workers, globalEwma),
 			Tenant:     name, Reason: RejectQueueQuota,
 		}
 	}
 	if st.t.MaxActive > 0 && st.queued+st.running >= st.t.MaxActive {
-		st.usage.RejectedActiveQuota++
 		return &BusyError{
 			RetryAfter: st.retryAfterLocked(workers, globalEwma),
 			Tenant:     name, Reason: RejectActiveQuota,
@@ -476,28 +466,31 @@ func (r *Tenants) commit(name string) {
 		}
 	}
 	st.queued++
-	st.usage.JobsSubmitted++
 }
 
-// rejectedWindow counts a shared-window (or draining) rejection against the
-// tenant that caused it.
-func (r *Tenants) rejectedWindow(name string) {
-	r.account(name, func(u *TenantUsage) { u.RejectedWindow++ })
-}
-
-// started moves one of the tenant's jobs from queued to running.
-func (r *Tenants) started(name string) {
+// move shifts one of the tenant's jobs between its queued and running
+// counts: start is (-1, +1), a requeued steal (+1, -1), an abort (-1, 0)
+// or, for a stolen job, (0, -1). A nil registry or an unregistered name is
+// a no-op, so callers need not check for tenancy.
+func (r *Tenants) move(name string, dQueued, dRunning int) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if st := r.states[name]; st != nil {
-		st.queued--
-		st.running++
+		st.queued += dQueued
+		st.running += dRunning
 	}
 }
 
 // finished retires one running job and folds its wall time into the
-// tenant's EWMA (the basis of its personal Retry-After).
-func (r *Tenants) finished(name string, failed bool, sec float64) {
+// tenant's EWMA (the basis of its personal Retry-After). Like move, a
+// no-op without the tenant.
+func (r *Tenants) finished(name string, sec float64) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.states[name]
@@ -505,11 +498,6 @@ func (r *Tenants) finished(name string, failed bool, sec float64) {
 		return
 	}
 	st.running--
-	if failed {
-		st.usage.JobsFailed++
-	} else {
-		st.usage.JobsDone++
-	}
 	if st.ewmaJobSec == 0 {
 		st.ewmaJobSec = sec
 	} else {
@@ -517,123 +505,49 @@ func (r *Tenants) finished(name string, failed bool, sec float64) {
 	}
 }
 
-// aborted retires one still-queued job during a drain.
-func (r *Tenants) aborted(name string) {
+// live returns one tenant's queued and running job counts.
+func (r *Tenants) live(name string) (queued, running int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if st := r.states[name]; st != nil {
-		st.queued--
-		st.usage.JobsAborted++
+		return st.queued, st.running
 	}
+	return 0, 0
 }
 
-// requeued moves a job back from running to queued (a stolen job whose thief
-// went silent).
-func (r *Tenants) requeued(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st := r.states[name]; st != nil {
-		st.running--
-		st.queued++
-	}
-}
-
-// abortedRunning retires one running job during a drain (a stolen job the
-// shutdown could not wait for).
-func (r *Tenants) abortedRunning(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st := r.states[name]; st != nil {
-		st.running--
-		st.usage.JobsAborted++
-	}
-}
-
-// account applies fn to the tenant's process-lifetime usage counters.
-func (r *Tenants) account(name string, fn func(u *TenantUsage)) {
-	if name == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st := r.states[name]; st != nil {
-		fn(&st.usage)
-	}
-}
-
-// Snapshot copies every tenant's state in file order.
-func (r *Tenants) Snapshot() []TenantSnapshot {
+// snapshot copies every tenant's declaration and live state in file order,
+// with Total holding only the restored ledger; the Server adds the usage
+// (tenantSnapshots).
+func (r *Tenants) snapshot() []TenantSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]TenantSnapshot, 0, len(r.order))
 	for _, name := range r.order {
-		out = append(out, r.snapshotLocked(r.states[name]))
+		st := r.states[name]
+		out = append(out, TenantSnapshot{
+			Name:        st.t.Name,
+			MaxPriority: st.t.MaxPriority,
+			RatePerSec:  st.t.RatePerSec,
+			Burst:       st.t.Burst,
+			MaxQueued:   st.t.MaxQueued,
+			MaxActive:   st.t.MaxActive,
+			Queued:      st.queued,
+			Running:     st.running,
+			Total:       st.base,
+		})
 	}
 	return out
 }
 
-// Get snapshots one tenant by name.
-func (r *Tenants) Get(name string) (TenantSnapshot, bool) {
+// restoreUsage installs a previously persisted ledger (rows[i] is
+// names[i]'s) as each tenant's base. Ledger entries for tenants no longer in
+// the file are dropped (their history ends with their registration).
+func (r *Tenants) restoreUsage(names []string, rows []TenantUsage) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.states[name]
-	if !ok {
-		return TenantSnapshot{}, false
-	}
-	return r.snapshotLocked(st), true
-}
-
-func (r *Tenants) snapshotLocked(st *tenantState) TenantSnapshot {
-	total := st.base
-	total.add(st.usage)
-	return TenantSnapshot{
-		Name:        st.t.Name,
-		MaxPriority: st.t.MaxPriority,
-		RatePerSec:  st.t.RatePerSec,
-		Burst:       st.t.Burst,
-		MaxQueued:   st.t.MaxQueued,
-		MaxActive:   st.t.MaxActive,
-		Queued:      st.queued,
-		Running:     st.running,
-		Usage:       st.usage,
-		Total:       total,
-	}
-}
-
-// exportUsage returns each tenant's cumulative usage (restored base plus
-// this process), the shape the usage ledger persists.
-func (r *Tenants) exportUsage() map[string]TenantUsage {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]TenantUsage, len(r.states))
-	for name, st := range r.states {
-		total := st.base
-		total.add(st.usage)
-		out[name] = total
-	}
-	return out
-}
-
-// restoreUsage installs a previously persisted ledger as each tenant's
-// base. Ledger entries for tenants no longer in the file are dropped (their
-// history ends with their registration).
-func (r *Tenants) restoreUsage(ledger map[string]TenantUsage) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, u := range ledger {
+	for i, name := range names {
 		if st := r.states[name]; st != nil {
-			st.base = u
+			st.base = rows[i]
 		}
 	}
-}
-
-// sortedUsageNames returns ledger keys in stable order (deterministic
-// persistence output).
-func sortedUsageNames(m map[string]TenantUsage) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -22,6 +22,18 @@ func twoTenants(t *testing.T, list []Tenant) *Tenants {
 	return reg
 }
 
+// declared returns one tenant's declaration and live state.
+func declared(t *testing.T, reg *Tenants, name string) TenantSnapshot {
+	t.Helper()
+	for _, snap := range reg.snapshot() {
+		if snap.Name == name {
+			return snap
+		}
+	}
+	t.Fatalf("tenant %s not registered", name)
+	return TenantSnapshot{}
+}
+
 func TestNewTenantsValidation(t *testing.T) {
 	ok := Tenant{Name: "a", Key: "key-aaaaaaaa"}
 	bad := []struct {
@@ -41,7 +53,7 @@ func TestNewTenantsValidation(t *testing.T) {
 		}
 	}
 	reg := twoTenants(t, []Tenant{{Name: "a", Key: "key-aaaaaaaa", RatePerSec: 2.5}})
-	if snap, _ := reg.Get("a"); snap.Burst != 3 {
+	if snap := declared(t, reg, "a"); snap.Burst != 3 {
 		t.Fatalf("default burst = %d, want ceil(2.5) = 3", snap.Burst)
 	}
 }
@@ -78,9 +90,6 @@ func TestAuthenticate(t *testing.T) {
 	if _, ok := reg.Authenticate(""); ok {
 		t.Fatal("empty key authenticated")
 	}
-	if snap, _ := reg.Get("b"); snap.Usage.Requests != 1 {
-		t.Fatalf("b's request count = %d, want 1", snap.Usage.Requests)
-	}
 }
 
 // TestTenantTokenBucket drives the bucket through a fake clock: burst spends
@@ -91,10 +100,15 @@ func TestTenantTokenBucket(t *testing.T) {
 	now := time.Unix(1000, 0)
 	reg.now = func() time.Time { return now }
 
+	rateRejections := 0
 	admit := func() error {
 		err := reg.gate("a", 0, 1, 0)
 		if err == nil {
 			reg.commit("a")
+		}
+		var be *BusyError
+		if errors.As(err, &be) && be.Reason == RejectRate {
+			rateRejections++
 		}
 		return err
 	}
@@ -130,8 +144,8 @@ func TestTenantTokenBucket(t *testing.T) {
 	if err := admit(); !errors.As(err, &be) {
 		t.Fatalf("idle refill exceeded burst: %v", err)
 	}
-	if snap, _ := reg.Get("a"); snap.Usage.RejectedRate != 3 {
-		t.Fatalf("rate rejections = %d, want 3", snap.Usage.RejectedRate)
+	if rateRejections != 3 {
+		t.Fatalf("rate rejections = %d, want 3", rateRejections)
 	}
 }
 
@@ -158,7 +172,7 @@ func TestTenantQuotasAndCeiling(t *testing.T) {
 	if !errors.As(err, &be) || be.Reason != RejectQueueQuota {
 		t.Fatalf("queue quota: %v", err)
 	}
-	reg.started("a") // queued=0 running=1: the queue quota frees up
+	reg.move("a", -1, +1) // queued=0 running=1: the queue quota frees up
 	if err := reg.gate("a", 0, 1, 0); err != nil {
 		t.Fatalf("after start: %v", err)
 	}
@@ -166,7 +180,7 @@ func TestTenantQuotasAndCeiling(t *testing.T) {
 	// b's quota is active = queued+running: one queued plus one running
 	// saturates MaxActive 2 regardless of the split.
 	reg.commit("b")
-	reg.started("b")
+	reg.move("b", -1, +1)
 	reg.commit("b")
 	err = reg.gate("b", 0, 1, 0)
 	if !errors.As(err, &be) || be.Reason != RejectActiveQuota || be.Tenant != "b" {
@@ -175,16 +189,15 @@ func TestTenantQuotasAndCeiling(t *testing.T) {
 
 	// gate never consumed what commit did not: drain the backlog and
 	// admission works again.
-	reg.started("b")
-	reg.finished("b", false, 0.1)
-	reg.finished("b", false, 0.1)
+	reg.move("b", -1, +1)
+	reg.finished("b", 0.1)
+	reg.finished("b", 0.1)
 	if err := reg.gate("b", 0, 1, 0); err != nil {
 		t.Fatalf("after drain: %v", err)
 	}
-	snapA, _ := reg.Get("a")
-	snapB, _ := reg.Get("b")
-	if snapA.Usage.RejectedQueueQuota != 1 || snapB.Usage.RejectedActiveQuota != 1 || snapB.Usage.JobsDone != 2 {
-		t.Fatalf("usage after the dance: a=%+v b=%+v", snapA.Usage, snapB.Usage)
+	snapA, snapB := declared(t, reg, "a"), declared(t, reg, "b")
+	if snapA.Queued != 0 || snapA.Running != 1 || snapB.Queued != 0 || snapB.Running != 0 {
+		t.Fatalf("live state after the dance: a=%+v b=%+v", snapA, snapB)
 	}
 }
 
@@ -225,7 +238,7 @@ func TestUsageLedgerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := reg2.Get("a-first")
+	snap, _ := s2.tenantSnapshot("a-first")
 	if snap.Usage.JobsDone != 0 {
 		t.Fatalf("restart leaked ledger into process usage: %+v", snap.Usage)
 	}

@@ -44,7 +44,7 @@ type (
 	// Tenant is one registered identity in the multi-tenant service edge.
 	Tenant = serve.Tenant
 	// TenantRegistry is the service's tenant set: API-key authentication,
-	// token buckets, quotas and usage accounting.
+	// token buckets and quotas (usage is counted by the Server).
 	TenantRegistry = serve.Tenants
 	// TenantUsage is one tenant's resource-consumption counters.
 	TenantUsage = serve.TenantUsage
