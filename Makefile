@@ -98,10 +98,10 @@ tenant-smoke:
 
 # cluster-smoke is the multi-node gate, run under the race detector: a
 # 3-node in-process cluster (gossip membership, consistent-hash ownership,
-# replication, work stealing) byte-compared against a single-node reference,
+# forwarding, replication) byte-compared against a single-node reference,
 # with the exactly-once proof (cluster-wide engine-run counters equal the
-# distinct key count) held through a node kill and restart, and steal
-# counters balancing at quiescence.
+# distinct key count) held through a node kill and restart, and an
+# imbalanced front door whose jobs still simulate at their keys' owners.
 cluster-smoke:
 	$(GO) test -race -count 1 -run 'TestCluster' -v ./internal/cluster/harness
 
@@ -124,19 +124,23 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the five fuzz targets for a short fixed time each on top
+# fuzz-smoke runs the six fuzz targets for a short fixed time each on top
 # of their checked-in seed corpora: the result-envelope decoder (one-pass
 # decoder vs json.Unmarshal), the client's JSON scanner (vs json.Valid),
 # the floor-pruned Resource calendar (vs the unpruned calendar), the packed
-# hashmap.Map (vs the builtin map and the three-array layout it replaced)
-# and the Prometheus round trip (obs.Registry.WritePrometheus read back by
-# the strict svclog.ParsePromText to the same labels and values).
+# hashmap.Map (vs the builtin map and the three-array layout it replaced),
+# the Prometheus round trip (obs.Registry.WritePrometheus read back by the
+# strict svclog.ParsePromText to the same labels and values) and the
+# cluster replicate endpoint (accepts exactly the replicas whose key
+# re-derives and whose result ingests; anything else leaves the cache as
+# it was).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceFloor$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/hashmap
 	$(GO) test -run '^$$' -fuzz '^FuzzPromRoundTrip$$' -fuzztime 10s ./internal/obs/svclog
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterReplicate$$' -fuzztime 10s ./internal/serve
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'

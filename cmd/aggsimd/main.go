@@ -59,10 +59,10 @@
 // Cluster mode (-cluster-name NAME -peers a:1,b:2, DESIGN.md §15): N
 // daemons form a named cluster — gossip membership over the seed list,
 // consistent-hash ownership of the content-addressed key space, forwarding
-// of non-owned keys to their owner, replication of completed results to
-// -replicas ring successors, and work stealing by idle nodes. Any node is a
-// full front door: submit anywhere, the cluster routes. -advertise overrides
-// the address peers use to reach this node (default: the bound -addr).
+// of non-owned keys to their owner, and replication of completed results to
+// -replicas ring successors. Any node is a full front door: submit
+// anywhere, the cluster routes. -advertise overrides the address peers use
+// to reach this node (default: the bound -addr).
 // Without -cluster-name the daemon is byte-identical to a single-node build;
 // membership changes never change result bytes, only where they compute.
 //

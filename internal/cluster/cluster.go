@@ -4,9 +4,9 @@
 // incarnation numbers), and partition the content-addressed key space with a
 // consistent-hash ring of virtual nodes over the frozen 64-bit
 // hashmap.Digest job keys. The package owns membership and ownership only;
-// the serve package builds forwarding, work stealing and replication on top
-// of it. Membership changes move where a result is computed and cached,
-// never what its bytes are.
+// the serve package builds forwarding and replication on top of it.
+// Membership changes move where a result is computed and cached, never what
+// its bytes are.
 package cluster
 
 import (

@@ -1,10 +1,10 @@
 // Package harness spins up an N-node in-process aggsimd cluster for tests:
-// real HTTP listeners on loopback, real gossip membership, real forwarding,
-// replication and work stealing — everything but separate processes. Nodes
-// can be killed (HTTP torn down first, so peers see silence, then the server
-// drained) and restarted on the same address with a fresh cache and a fresh
-// incarnation, which is exactly the crash/recovery sequence the cluster
-// smoke test must prove exactly-once across.
+// real HTTP listeners on loopback, real gossip membership, real forwarding
+// and replication — everything but separate processes. Nodes can be killed
+// (HTTP torn down first, so peers see silence, then the server drained) and
+// restarted on the same address with a fresh cache and a fresh incarnation,
+// which is exactly the crash/recovery sequence the cluster smoke test must
+// prove exactly-once across.
 package harness
 
 import (
@@ -30,10 +30,6 @@ type Options struct {
 	// Workers and QueueLimit are per-node serve options (defaults 2 and 16).
 	Workers    int
 	QueueLimit int
-	// Run overrides the per-node batch runner (nil = serial machine.Run).
-	// The steal test injects a deliberately slow runner here so jobs pile
-	// up in one node's queue while its peers sit idle.
-	Run serve.RunBatchFunc
 	// Log receives every node's structured log lines (nil = discard).
 	Log *slog.Logger
 }
@@ -112,7 +108,6 @@ func (c *Cluster) startNode(i int, ln net.Listener) (*Node, error) {
 	srv, err := serve.New(serve.Options{
 		Workers:    c.opt.Workers,
 		QueueLimit: c.opt.QueueLimit,
-		Run:        c.opt.Run,
 		Log:        c.opt.Log,
 	})
 	if err != nil {

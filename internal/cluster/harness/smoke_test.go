@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pimdsm"
-	"pimdsm/internal/machine"
 	"pimdsm/internal/serve"
 )
 
@@ -157,7 +156,7 @@ func TestClusterSmoke(t *testing.T) {
 			fServed += cs.ForwardsServed
 			rSent += cs.ReplicasSent
 			rRecv += cs.ReplicasReceived
-			failed += cs.ForwardsFailed + cs.ReplicasFailed + cs.StealsFailed + cs.StealsRequeued
+			failed += cs.ForwardsFailed + cs.ReplicasFailed
 		}
 		return failed == 0 && fSent == fServed && rSent == rRecv && rSent > 0
 	}) {
@@ -235,26 +234,13 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestClusterWorkStealing parks a deliberately slow single-worker node
-// behind a pile of queued jobs and checks its idle peers steal, execute and
-// report them back — every distinct key still simulated exactly once.
-func TestClusterWorkStealing(t *testing.T) {
-	slow := func(cfgs []machine.Config, onResult func(int, *machine.Result)) ([]*machine.Result, error) {
-		time.Sleep(150 * time.Millisecond)
-		out := make([]*machine.Result, len(cfgs))
-		for i := range cfgs {
-			r, err := machine.Run(cfgs[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-			if onResult != nil {
-				onResult(i, r)
-			}
-		}
-		return out, nil
-	}
-	c, err := Start("steal", Options{N: 3, Workers: 1, Run: slow})
+// TestClusterImbalancedFrontDoor sends every job to one single-worker node
+// while its peers sit idle. Ownership alone spreads the load: node 0
+// forwards each config it does not own to the key's owner, so every node
+// simulates exactly the keys the ring assigns to it, and the cluster as a
+// whole simulates each distinct key once.
+func TestClusterImbalancedFrontDoor(t *testing.T) {
+	c, err := Start("imbalanced", Options{N: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,28 +250,31 @@ func TestClusterWorkStealing(t *testing.T) {
 	}
 
 	// Two seeds double the distinct key set: every job is one config, every
-	// key unique, all submitted to node 0 directly (no ownership redirect),
-	// so they pile up in its queue while nodes 1 and 2 sit idle.
+	// key unique, all submitted to node 0 directly (no ownership redirect).
 	batch := smokeBatch(t)
-	victim := c.Node(0)
+	door := c.Node(0)
+	owned := make(map[string]uint64)
 	var jobs []*serve.Job
-	var total int
 	for seed := uint64(1); seed <= 2; seed++ {
-		for i, cs := range batch {
-			st, err := victim.Srv.Submit(serve.JobSpec{
-				Name:    fmt.Sprintf("steal-%d-%d", seed, i),
+		for i, key := range batchKeys(t, batch, seed) {
+			owner, self := door.Peer.Owner(key)
+			if self {
+				owner = door.Addr
+			}
+			owned[owner]++
+			st, err := door.Srv.Submit(serve.JobSpec{
+				Name:    fmt.Sprintf("imbalanced-%d-%d", seed, i),
 				Seed:    seed,
-				Configs: []serve.ConfigSpec{cs},
+				Configs: []serve.ConfigSpec{batch[i]},
 			})
 			if err != nil {
 				t.Fatalf("submit seed %d config %d: %v", seed, i, err)
 			}
-			j, ok := victim.Srv.Job(st.ID)
+			j, ok := door.Srv.Job(st.ID)
 			if !ok {
 				t.Fatalf("job %s vanished after submit", st.ID)
 			}
 			jobs = append(jobs, j)
-			total++
 		}
 	}
 
@@ -295,29 +284,19 @@ func TestClusterWorkStealing(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("job did not finish; cluster stats %+v", c.ClusterStats())
 		}
-	}
-	for _, j := range jobs {
-		if _, raw, ok := victim.Srv.Results(j); !ok || len(raw) != 1 || len(raw[0]) == 0 {
-			t.Fatalf("a stolen or local job finished without a result (ok=%v)", ok)
+		st := door.Srv.Status(j)
+		_, raw, ok := door.Srv.Results(j)
+		if st.State != serve.JobDone || !ok || len(raw) != 1 || len(raw[0]) == 0 {
+			t.Fatalf("job %s finished %s (%s) without a result (ok=%v)", st.ID, st.State, st.Error, ok)
 		}
 	}
 
-	if got := c.SimulatedRuns(); got != uint64(total) {
-		t.Fatalf("exactly-once under stealing: %d engine runs for %d distinct keys", got, total)
+	if got := c.SimulatedRuns(); got != uint64(len(jobs)) {
+		t.Fatalf("exactly-once: %d engine runs for %d distinct keys", got, len(jobs))
 	}
-	// Steal accounting balances at quiescence: every loan was taken, every
-	// taken loan completed, nothing timed out back into the queue.
-	if !Wait(10*time.Second, func() bool {
-		var given, taken, completed, failed, requeued uint64
-		for _, cs := range c.ClusterStats() {
-			given += cs.StealsGiven
-			taken += cs.StealsTaken
-			completed += cs.StealsCompleted
-			failed += cs.StealsFailed
-			requeued += cs.StealsRequeued
+	for _, n := range c.Live() {
+		if got := n.Srv.Stats().SimulatedRuns; got != owned[n.Addr] {
+			t.Errorf("node %s simulated %d configs, owns %d of the keys", n.Addr, got, owned[n.Addr])
 		}
-		return given >= 1 && given == taken && taken == completed && failed == 0 && requeued == 0
-	}) {
-		t.Fatalf("steal counters never balanced: %+v", c.ClusterStats())
 	}
 }

@@ -233,10 +233,10 @@ func canonicalResultJSON(res *machine.Result) ([]byte, error) {
 }
 
 // ingestResult re-derives the canonical bytes of a result that arrived from
-// outside this process: a persisted index entry, a peer's compute reply,
-// replica or stolen-job report. The API serves cached bytes verbatim, so
-// they must be canonicalized here, once, rather than trusted as they came —
-// an indented or padded copy would otherwise reach clients unnormalized.
+// outside this process: a persisted index entry, a peer's compute reply or
+// a replica. The API serves cached bytes verbatim, so they must be
+// canonicalized here, once, rather than trusted as they came — an indented
+// or padded copy would otherwise reach clients unnormalized.
 func ingestResult(raw []byte) (*machine.Result, []byte, error) {
 	var res machine.Result
 	if err := json.Unmarshal(raw, &res); err != nil {

@@ -1,7 +1,7 @@
 package serve
 
 // Cluster glue (DESIGN.md §15): this file builds the distributed service on
-// top of internal/cluster's membership and ring. Three mechanisms, all
+// top of internal/cluster's membership and ring. Two mechanisms, both
 // byte-transparent to results:
 //
 //   - Compute-at-owner forwarding: a front door resolves configs whose keys
@@ -12,9 +12,9 @@ package serve
 //     successors, so any of R+1 nodes answers repeat queries after the owner
 //     dies; a restarted owner checks its successors (replica recovery) before
 //     burning a fresh simulation.
-//   - Work stealing: an idle node polls a random alive peer for its worst
-//     queued job, executes it (through the same owner-routing), and posts the
-//     results back; the victim requeues the job if the thief goes silent.
+//
+// Load spreads by ownership alone: 421 redirects send clients to the key's
+// owner, and a front door forwards whatever configs it does not own.
 //
 // The peer endpoints sit outside tenant authentication; their admission check
 // is the shared cluster name carried in the X-Aggsimd-Cluster header (and,
@@ -25,13 +25,13 @@ package serve
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -48,23 +48,6 @@ const (
 	clusterHeader   = "X-Aggsimd-Cluster"
 	forwardedHeader = "X-Aggsimd-Forwarded"
 )
-
-// stealRequeueAfter is how long a stolen job may stay out before the victim
-// assumes the thief died and requeues it locally. Generous on purpose: a
-// premature requeue risks the same configs running twice (same bytes, wasted
-// cycles), while a late one only delays a job whose thief crashed.
-const stealRequeueAfter = 60 * time.Second
-
-// clusterLoopEvery paces the background cluster loop (steal attempts and
-// stolen-job requeue sweeps).
-const clusterLoopEvery = 100 * time.Millisecond
-
-// stolenRecord tracks one job a peer is executing for us.
-type stolenRecord struct {
-	job      *Job
-	thief    string
-	deadline time.Time
-}
 
 // ClusterStats is the peer-layer section of ServerStats: the membership
 // node's own snapshot plus the serve-level routing counters.
@@ -91,14 +74,6 @@ type ClusterStats struct {
 	// from a replica instead (the exactly-once-across-restart mechanism).
 	Recoveries uint64 `json:"recoveries"`
 
-	// Work stealing, from both sides of the exchange.
-	StealsGiven     uint64 `json:"steals_given"`
-	StealsTaken     uint64 `json:"steals_taken"`
-	StealsCompleted uint64 `json:"steals_completed"`
-	StealsFailed    uint64 `json:"steals_failed"`
-	StealsRequeued  uint64 `json:"steals_requeued"`
-	StolenInFlight  int    `json:"stolen_in_flight"`
-
 	// Redirects counts 421 Misdirected Request responses steering clients to
 	// the owning peer.
 	Redirects uint64 `json:"redirects"`
@@ -121,19 +96,13 @@ func (s *Server) clusterStatsLocked() *ClusterStats {
 		ReplicasFailed:   m.replicasFailed.Value(),
 		ReplicasReceived: m.replicasRecvd.Value(),
 		Recoveries:       m.recoveries.Value(),
-		StealsGiven:      m.stealsGiven.Value(),
-		StealsTaken:      m.stealsTaken.Value(),
-		StealsCompleted:  m.stealsCompleted.Value(),
-		StealsFailed:     m.stealsFailed.Value(),
-		StealsRequeued:   m.stealsRequeued.Value(),
-		StolenInFlight:   len(s.stolen),
 		Redirects:        m.redirects.Value(),
 	}
 }
 
-// AttachCluster joins the server to a cluster: the node's heartbeat loop
-// starts and the background steal/requeue loop launches. Call once, before
-// serving traffic; attaching after Shutdown began is a no-op.
+// AttachCluster joins the server to a cluster and starts the node's heartbeat
+// loop. Call once, before serving traffic; attaching after Shutdown began is
+// a no-op.
 func (s *Server) AttachCluster(node *cluster.Node) {
 	s.mu.Lock()
 	if s.cluster != nil || s.draining {
@@ -141,8 +110,6 @@ func (s *Server) AttachCluster(node *cluster.Node) {
 		return
 	}
 	s.cluster = node
-	s.stolen = make(map[string]*stolenRecord)
-	s.clusterStop = make(chan struct{})
 	// Forwarded computes may simulate inline at the owner; the peer client
 	// timeout must cover a full run, not just a cache probe.
 	s.clusterHTTP = &http.Client{Timeout: 2 * time.Minute}
@@ -150,8 +117,6 @@ func (s *Server) AttachCluster(node *cluster.Node) {
 	s.opt.Log.Info("cluster_attached", "cluster", node.Name(), "self", node.Self(),
 		"replicas", node.Replicas())
 	node.Start()
-	s.clusterWG.Add(1)
-	go s.clusterLoop()
 }
 
 // clusterNode returns the attached node (nil outside cluster mode).
@@ -161,10 +126,8 @@ func (s *Server) clusterNode() *cluster.Node {
 	return s.cluster
 }
 
-// stopCluster tears the peer layer down: the steal loop and heartbeats stop,
-// in-flight replications drain, and jobs still held by thieves are aborted
-// (their results, if any, were computed against the shared cache and are not
-// lost — only this job's delivery is). Idempotent; called from Shutdown.
+// stopCluster tears the peer layer down: heartbeats stop and in-flight
+// replications drain. Idempotent; called from Shutdown.
 func (s *Server) stopCluster() {
 	s.mu.Lock()
 	node := s.cluster
@@ -174,39 +137,8 @@ func (s *Server) stopCluster() {
 	}
 	s.clusterClosed = true
 	s.mu.Unlock()
-	close(s.clusterStop)
 	node.Stop()
 	s.clusterWG.Wait()
-	s.mu.Lock()
-	for id, rec := range s.stolen {
-		delete(s.stolen, id)
-		j := rec.job
-		j.state = JobAborted
-		j.err = ErrDraining
-		j.finished = time.Now()
-		s.m.aborted.With(j.spec.Tenant).Inc()
-		s.opt.Tenants.move(j.spec.Tenant, 0, -1)
-		s.eventLocked(j, svclog.EvAborted, -1, 0, "shutdown while stolen by "+rec.thief)
-		close(j.doneCh)
-	}
-	s.mu.Unlock()
-}
-
-// clusterLoop is the node's background cluster duty cycle: requeue stolen
-// jobs whose thieves went silent, then steal from a peer if we are idle.
-func (s *Server) clusterLoop() {
-	defer s.clusterWG.Done()
-	t := time.NewTicker(clusterLoopEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.clusterStop:
-			return
-		case <-t.C:
-			s.requeueStolen(time.Now())
-			s.trySteal()
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -554,242 +486,6 @@ func (s *Server) RedirectTarget(spec JobSpec) (peer, reason string, ok bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Work stealing
-
-// stealResponse hands one queued job to a thief.
-type stealResponse struct {
-	ID   string  `json:"id"`
-	Spec JobSpec `json:"spec"`
-}
-
-// stolenReport returns a stolen job's outcome to its victim. Results carry
-// each config's canonical JSON verbatim; Hows says how the thief resolved
-// each one (hit/join/forward/recovered/simulated).
-type stolenReport struct {
-	ID      string            `json:"id"`
-	Error   string            `json:"error,omitempty"`
-	Hows    []string          `json:"hows,omitempty"`
-	Results []json.RawMessage `json:"results,omitempty"`
-}
-
-// stealJob pops the worst queued job (lowest priority, newest) for a thief.
-// Jobs carrying run-time observers (spans, telemetry) are pinned: their
-// artifacts must be recorded where the simulations execute. The job flips to
-// running attributed to the thief; it does not occupy a local worker slot.
-func (s *Server) stealJob(thief string) (stealResponse, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || thief == "" || len(s.queue) == 0 {
-		return stealResponse{}, false
-	}
-	worst := -1
-	for i, j := range s.queue {
-		if j.spans != nil || j.telemetry {
-			continue
-		}
-		if worst == -1 ||
-			j.spec.Priority < s.queue[worst].spec.Priority ||
-			(j.spec.Priority == s.queue[worst].spec.Priority && j.seq > s.queue[worst].seq) {
-			worst = i
-		}
-	}
-	if worst == -1 {
-		return stealResponse{}, false
-	}
-	j := heap.Remove(&s.queue, worst).(*Job)
-	j.state = JobRunning
-	j.started = time.Now()
-	j.stolenBy = thief
-	s.stolen[j.id] = &stolenRecord{job: j, thief: thief, deadline: time.Now().Add(stealRequeueAfter)}
-	s.m.stealsGiven.Inc()
-	s.opt.Tenants.move(j.spec.Tenant, -1, +1)
-	s.eventLocked(j, svclog.EvStarted, -1, 0, "stolen by "+thief)
-	s.opt.Log.Info("job_stolen", "job", j.id, "thief", thief, "queue_depth", len(s.queue))
-	return stealResponse{ID: j.id, Spec: j.spec}, true
-}
-
-// takeStolen claims a stolen job for finalization; false when the job was
-// already requeued (thief too slow) or is unknown.
-func (s *Server) takeStolen(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.stolen[id]
-	if !ok {
-		return nil, false
-	}
-	delete(s.stolen, id)
-	return rec.job, true
-}
-
-// completeStolen finalizes a job whose configs a thief resolved, mirroring
-// runJob's tail: results install, metrics fold, events close the chain.
-// Global simulation counters do NOT move here — they moved on the node that
-// actually simulated, which is what makes the cluster-wide sum of
-// simulated_runs the exactly-once proof.
-func (s *Server) completeStolen(j *Job, rep stolenReport) {
-	n := len(j.spec.Configs)
-	results := make([]*machine.Result, n)
-	resJSON := make([][]byte, n)
-	var jobErr error
-	switch {
-	case rep.Error != "":
-		jobErr = fmt.Errorf("serve: stolen by %s: %s", j.stolenBy, rep.Error)
-	case len(rep.Results) != n || len(rep.Hows) != n:
-		jobErr = fmt.Errorf("serve: thief %s returned %d results / %d hows for %d configs",
-			j.stolenBy, len(rep.Results), len(rep.Hows), n)
-	default:
-		for i := range rep.Results {
-			res, js, err := ingestResult(rep.Results[i])
-			if err != nil {
-				jobErr = fmt.Errorf("serve: stolen result %d: %w", i, err)
-				break
-			}
-			results[i], resJSON[i] = res, js
-		}
-	}
-	if jobErr == nil {
-		for i := range results {
-			s.cache.Fulfill(j.spec.Configs[i].Key(j.spec.Seed), j.spec.Seed,
-				j.spec.Configs[i].canonical(), results[i], resJSON[i])
-		}
-		if j.metrics != nil {
-			for _, r := range results {
-				machine.CollectMetrics(j.metrics, r)
-			}
-		}
-	}
-	s.mu.Lock()
-	j.finished = time.Now()
-	if jobErr != nil {
-		j.state = JobFailed
-		j.err = jobErr
-		s.m.failed.With(j.spec.Tenant).Inc()
-		s.eventLocked(j, svclog.EvFailed, -1, 0, jobErr.Error())
-		s.opt.Log.Error("job_failed", "job", j.id, "name", j.spec.Name, "thief", j.stolenBy,
-			"err", jobErr.Error())
-	} else {
-		j.state = JobDone
-		j.results = results
-		j.resultJSON = resJSON
-		j.done = n
-		for i, how := range rep.Hows {
-			switch how {
-			case "simulated":
-				j.simulated++
-			case "join":
-				j.joins++
-			case "hit":
-				j.cacheHits++
-			default:
-				j.forwarded++
-			}
-			s.eventLocked(j, svclog.EvCacheHit, i, 0, "stolen:"+how)
-		}
-		s.m.done.With(j.spec.Tenant).Inc()
-		s.eventLocked(j, svclog.EvDone, -1, 0, "stolen by "+j.stolenBy)
-		s.opt.Log.Info("job_done", "job", j.id, "name", j.spec.Name, "thief", j.stolenBy,
-			"wall_us", j.finished.Sub(j.submitted).Microseconds())
-	}
-	sec := j.finished.Sub(j.started).Seconds()
-	if s.ewmaJobSec == 0 {
-		s.ewmaJobSec = sec
-	} else {
-		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
-	}
-	s.mu.Unlock()
-	s.opt.Tenants.finished(j.spec.Tenant, sec)
-	if jobErr == nil {
-		for _, js := range resJSON {
-			s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
-		}
-	}
-	close(j.doneCh)
-}
-
-// requeueStolen returns jobs whose thieves blew the deadline to the local
-// queue. A late thief report for a requeued job gets 410 Gone.
-func (s *Server) requeueStolen(now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, rec := range s.stolen {
-		if now.Before(rec.deadline) {
-			continue
-		}
-		delete(s.stolen, id)
-		j := rec.job
-		j.state = JobQueued
-		j.stolenBy = ""
-		j.started = time.Time{}
-		s.queue.push(j)
-		s.m.stealsRequeued.Inc()
-		s.opt.Tenants.move(j.spec.Tenant, +1, -1)
-		s.eventLocked(j, svclog.EvQueued, -1, 0, "steal by "+rec.thief+" timed out; requeued")
-		s.opt.Log.Warn("job_steal_requeued", "job", j.id, "thief", rec.thief)
-		s.cond.Signal()
-	}
-}
-
-// trySteal runs the thief side: when this node is fully idle, ask one random
-// alive peer for work, resolve it through the normal owner routing, and post
-// the results back.
-func (s *Server) trySteal() {
-	node := s.clusterNode()
-	if node == nil {
-		return
-	}
-	s.mu.Lock()
-	idle := len(s.queue) == 0 && s.running == 0 && !s.draining
-	s.mu.Unlock()
-	if !idle {
-		return
-	}
-	peers := node.AlivePeers()
-	if len(peers) == 0 {
-		return
-	}
-	victim := peers[rand.Intn(len(peers))]
-	body, _ := json.Marshal(struct {
-		Thief string `json:"thief"`
-	}{Thief: node.Self()})
-	code, data, err := s.peerDo("POST", victim, "/api/v1/cluster/steal", body)
-	if err != nil || code != http.StatusOK {
-		return // nothing to steal, or victim unreachable
-	}
-	var sj stealResponse
-	if err := json.Unmarshal(data, &sj); err != nil {
-		return
-	}
-	s.m.stealsTaken.Inc()
-	s.opt.Log.Info("job_steal_taken", "victim", victim, "job", sj.ID,
-		"configs", len(sj.Spec.Configs))
-	rep := stolenReport{
-		ID:      sj.ID,
-		Hows:    make([]string, len(sj.Spec.Configs)),
-		Results: make([]json.RawMessage, len(sj.Spec.Configs)),
-	}
-	for i, cs := range sj.Spec.Configs {
-		_, js, how, err := s.resolveAny(cs.Key(sj.Spec.Seed), sj.Spec.Seed, cs, "")
-		if err != nil {
-			rep.Error = err.Error()
-			rep.Hows, rep.Results = nil, nil
-			break
-		}
-		rep.Hows[i], rep.Results[i] = how, json.RawMessage(js)
-	}
-	rbody, err := json.Marshal(rep)
-	if err != nil {
-		s.m.stealsFailed.Inc()
-		return
-	}
-	code, _, err = s.peerDo("POST", victim, "/api/v1/cluster/stolen", rbody)
-	if err != nil || code/100 != 2 || rep.Error != "" {
-		s.m.stealsFailed.Inc()
-		return
-	}
-	s.m.stealsCompleted.Inc()
-}
-
-// ---------------------------------------------------------------------------
 // HTTP handlers (mounted in API.Handler, outside tenant auth)
 
 // clusterGuard resolves the attached node and (for peer-to-peer payload
@@ -857,8 +553,8 @@ func (a *API) clusterLookup(w http.ResponseWriter, r *http.Request) {
 	if _, ok := a.clusterGuard(w, r, true); !ok {
 		return
 	}
-	var key uint64
-	if _, err := fmt.Sscanf(r.URL.Query().Get("key"), "%x", &key); err != nil {
+	key, err := strconv.ParseUint(r.URL.Query().Get("key"), 16, 64)
+	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, "bad key: "+err.Error())
 		return
 	}
@@ -880,8 +576,14 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 	if _, ok := a.clusterGuard(w, r, true); !ok {
 		return
 	}
+	// Unmarshal, not a streaming Decode: a body with bytes after its one
+	// JSON value is malformed, not a replica.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	var ie indexEntry
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&ie); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, &ie)
+	}
+	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, "bad replica: "+err.Error())
 		return
 	}
@@ -898,47 +600,5 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	a.srv.Cache().Fulfill(want, ie.Seed, ie.Spec, res, js)
 	a.srv.m.replicasRecvd.Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// clusterSteal hands one queued job to a thief (200 with the job, 204 when
-// nothing is stealable).
-func (a *API) clusterSteal(w http.ResponseWriter, r *http.Request) {
-	if _, ok := a.clusterGuard(w, r, true); !ok {
-		return
-	}
-	var req struct {
-		Thief string `json:"thief"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		a.writeError(w, r, http.StatusBadRequest, "bad steal request: "+err.Error())
-		return
-	}
-	sj, ok := a.srv.stealJob(req.Thief)
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	a.writeJSON(w, r, http.StatusOK, sj)
-}
-
-// clusterStolen finalizes a stolen job with the thief's results; 410 when the
-// job was already requeued (the thief's work is discarded — the shared cache
-// still keeps whatever it computed).
-func (a *API) clusterStolen(w http.ResponseWriter, r *http.Request) {
-	if _, ok := a.clusterGuard(w, r, true); !ok {
-		return
-	}
-	var rep stolenReport
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&rep); err != nil {
-		a.writeError(w, r, http.StatusBadRequest, "bad stolen report: "+err.Error())
-		return
-	}
-	j, ok := a.srv.takeStolen(rep.ID)
-	if !ok {
-		a.writeError(w, r, http.StatusGone, "job "+rep.ID+" is not out on loan (requeued or unknown)")
-		return
-	}
-	a.srv.completeStolen(j, rep)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -55,7 +55,7 @@ func TestResultEnvelopeBodyGolden(t *testing.T) {
 		"markup": {ID: "j2", Name: `x<y>&"z"`, Tenant: `t<&>"`, State: JobDone,
 			Total: 7, Done: 7, CacheHits: 7, SubmittedAt: at, StartedAt: &at, FinishedAt: &later},
 		"cluster": {ID: "j3", State: JobDone, Total: 7, Done: 7, Forwarded: 3,
-			StolenBy: `peer<1>&"`, Telemetry: true, Priority: 4, SubmittedAt: at},
+			Telemetry: true, Priority: 4, SubmittedAt: at},
 	}
 	batches := map[string][][]byte{"empty": {}, "one": {markupResult(0)}}
 	for i := 0; i < 7; i++ {
@@ -148,9 +148,9 @@ func TestHTTPResultGolden(t *testing.T) {
 		j, _ := s.Job(st.ID)
 		check(spec.Name, j)
 
-		// Cluster attribution, as a forwarded or stolen job reports it.
+		// Cluster attribution, as a job with forwarded configs reports it.
 		s.mu.Lock()
-		j.forwarded, j.stolenBy = 2, `peer<1>&"`
+		j.forwarded = 2
 		s.mu.Unlock()
 		check(spec.Name+"/cluster", j)
 	}

@@ -196,7 +196,6 @@ func (g *goldenScript) run(gr *goldenRunner, clustered bool) {
 		g.do("POST", "/api/v1/cluster/replicate", "", indexEntry{
 			Key: fmt.Sprintf("%016x", water.Key(0)), Spec: water, Result: js,
 		}, peer)
-		g.do("POST", "/api/v1/cluster/steal", "", map[string]string{"thief": "elsewhere:1"}, peer)
 		g.do("GET", "/api/v1/cluster/lookup?key=1", "", nil, nil)
 	}
 

@@ -183,8 +183,6 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/cluster/compute", a.clusterCompute)
 	mux.HandleFunc("GET /api/v1/cluster/lookup", a.clusterLookup)
 	mux.HandleFunc("POST /api/v1/cluster/replicate", a.clusterReplicate)
-	mux.HandleFunc("POST /api/v1/cluster/steal", a.clusterSteal)
-	mux.HandleFunc("POST /api/v1/cluster/stolen", a.clusterStolen)
 	mux.HandleFunc("GET /metrics.prom", a.metricsProm)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -25,10 +25,9 @@ type metrics struct {
 
 	evictions, artPuts, artHits, artMisses, artEvictions *obs.Counter
 
-	// Cluster routing, replication and stealing.
+	// Cluster routing and replication.
 	forwardsSent, forwardsFailed, forwardsServed, lookupsServed, lookupsMissed *obs.Counter
 	replicasSent, replicasFailed, replicasRecvd, recoveries, redirects         *obs.Counter
-	stealsGiven, stealsTaken, stealsCompleted, stealsFailed, stealsRequeued    *obs.Counter
 
 	httpRequests *obs.CounterVec   // route, code
 	httpDuration *obs.HistogramVec // route; microseconds
@@ -182,8 +181,6 @@ func newMetrics(s *Server) *metrics {
 			func(st *ClusterStats) uint64 { return st.Node.RingVersion }},
 		{"aggsimd_cluster_incarnation", "This node's gossip incarnation.", false,
 			func(st *ClusterStats) uint64 { return st.Node.Incarnation }},
-		{"aggsimd_cluster_stolen_inflight", "Jobs currently out on loan to thieves.", false,
-			func(st *ClusterStats) uint64 { return uint64(st.StolenInFlight) }},
 		{"aggsimd_cluster_heartbeats_sent_total", "Gossip heartbeats delivered to peers.", true,
 			func(st *ClusterStats) uint64 { return st.Node.HeartbeatsSent }},
 		{"aggsimd_cluster_heartbeats_received_total", "Gossip heartbeats received from peers.", true,
@@ -210,11 +207,6 @@ func newMetrics(s *Server) *metrics {
 	m.replicasFailed = counter("aggsimd_cluster_replicas_failed_total", "Result copies that failed to push.", clustered)
 	m.replicasRecvd = counter("aggsimd_cluster_replicas_received_total", "Result copies received from peers.", clustered)
 	m.recoveries = counter("aggsimd_cluster_recoveries_total", "Simulations avoided by pulling a replica instead.", clustered)
-	m.stealsGiven = counter("aggsimd_cluster_steals_given_total", "Queued jobs handed to thieves.", clustered)
-	m.stealsTaken = counter("aggsimd_cluster_steals_taken_total", "Jobs stolen from peers.", clustered)
-	m.stealsCompleted = counter("aggsimd_cluster_steals_completed_total", "Stolen jobs completed and reported back.", clustered)
-	m.stealsFailed = counter("aggsimd_cluster_steals_failed_total", "Stolen jobs that failed or could not report back.", clustered)
-	m.stealsRequeued = counter("aggsimd_cluster_steals_requeued_total", "Stolen jobs requeued after the thief went silent.", clustered)
 	m.redirects = counter("aggsimd_cluster_redirects_total", "Submissions redirected to the owning peer (421).", clustered)
 
 	// Per-route request families: routes are the mux's patterns and codes

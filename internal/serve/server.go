@@ -169,8 +169,7 @@ type Job struct {
 	cacheHits int
 	simulated int
 	joins     int
-	forwarded int    // configs resolved by a cluster peer (forward or replica recovery)
-	stolenBy  string // peer executing this job after stealing it from our queue
+	forwarded int // configs resolved by a cluster peer (forward or replica recovery)
 	err       error
 
 	results    []*machine.Result
@@ -202,11 +201,9 @@ type JobStatus struct {
 	CacheHits int      `json:"cache_hits"`
 	Simulated int      `json:"simulated"`
 	Joins     int      `json:"singleflight_joins"`
-	// Forwarded counts configs resolved by a cluster peer; StolenBy names the
-	// peer that executed the whole job after stealing it. Both are zero-valued
-	// (and absent from the JSON) outside cluster mode.
+	// Forwarded counts configs resolved by a cluster peer. It is zero (and
+	// absent from the JSON) outside cluster mode.
 	Forwarded int    `json:"forwarded,omitempty"`
-	StolenBy  string `json:"stolen_by,omitempty"`
 	Telemetry bool   `json:"telemetry,omitempty"`
 	Tenant    string `json:"tenant,omitempty"`
 	Error     string `json:"error,omitempty"`
@@ -262,13 +259,10 @@ type Server struct {
 
 	ewmaJobSec float64
 
-	// Cluster mode (AttachCluster): the peer node and the jobs currently
-	// stolen by peers (keyed by job id, requeued past their deadline). Both
-	// guarded by mu like the rest; clusterWG tracks the steal loop and the
-	// async replication goroutines so Shutdown can wait for them.
+	// Cluster mode (AttachCluster): the peer node, guarded by mu like the
+	// rest. clusterWG tracks the async replication goroutines so Shutdown can
+	// wait for them.
 	cluster       *cluster.Node
-	stolen        map[string]*stolenRecord
-	clusterStop   chan struct{}
 	clusterWG     sync.WaitGroup
 	clusterHTTP   *http.Client
 	clusterClosed bool // set under mu before clusterWG.Wait; gates new Add calls
@@ -499,7 +493,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		Simulated:   j.simulated,
 		Joins:       j.joins,
 		Forwarded:   j.forwarded,
-		StolenBy:    j.stolenBy,
 		Telemetry:   j.telemetry,
 		Tenant:      j.spec.Tenant,
 		SubmittedAt: j.submitted,

@@ -469,9 +469,8 @@ func (r *Tenants) commit(name string) {
 }
 
 // move shifts one of the tenant's jobs between its queued and running
-// counts: start is (-1, +1), a requeued steal (+1, -1), an abort (-1, 0)
-// or, for a stolen job, (0, -1). A nil registry or an unregistered name is
-// a no-op, so callers need not check for tenancy.
+// counts: start is (-1, +1) and an abort (-1, 0). A nil registry or an
+// unregistered name is a no-op, so callers need not check for tenancy.
 func (r *Tenants) move(name string, dQueued, dRunning int) {
 	if r == nil {
 		return

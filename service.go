@@ -73,8 +73,8 @@ type (
 	// The cluster layer (internal/cluster + DESIGN.md §15): N aggsimd
 	// daemons form a named cluster via gossip membership, partition the
 	// content-addressed key space with a consistent-hash ring, route work to
-	// key owners, replicate hot results to ring successors, and steal queued
-	// jobs when idle. Attach a node with Server.AttachCluster.
+	// key owners and replicate hot results to ring successors. Attach a node
+	// with Server.AttachCluster.
 	// ClusterConfig configures one membership node (name, self, seeds,
 	// replicas, timing).
 	ClusterConfig = cluster.Config
