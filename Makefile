@@ -30,11 +30,12 @@ bench:
 # bench-smoke runs each benchmark once — compile + one iteration, a CI-speed
 # check that the benchmarks still work — then pins the profiler-disabled
 # record paths, metrics-registry counting, the floor-attached Resource
-# calendar, hashmap lookups and overwrites, and cache and local-memory
-# accesses and fills at zero allocations (the alloc-regression gate).
+# calendar, hashmap lookups and overwrites, cache and local-memory accesses
+# and fills, and the SSE handler's JobEvent encoding at zero allocations
+# (the alloc-regression gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/sim ./internal/hashmap ./internal/cache
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/obs/svclog ./internal/sim ./internal/hashmap ./internal/cache
 
 ci: build vet test race-hot
 
@@ -124,16 +125,18 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the six fuzz targets for a short fixed time each on top
+# fuzz-smoke runs the nine fuzz targets for a short fixed time each on top
 # of their checked-in seed corpora: the result-envelope decoder (one-pass
 # decoder vs json.Unmarshal), the client's JSON scanner (vs json.Valid),
 # the floor-pruned Resource calendar (vs the unpruned calendar), the packed
 # hashmap.Map (vs the builtin map and the three-array layout it replaced),
 # the Prometheus round trip (obs.Registry.WritePrometheus read back by the
-# strict svclog.ParsePromText to the same labels and values) and the
-# cluster replicate endpoint (accepts exactly the replicas whose key
-# re-derives and whose result ingests; anything else leaves the cache as
-# it was).
+# strict svclog.ParsePromText to the same labels and values), the cluster
+# replicate endpoint (accepts exactly the replicas whose key re-derives and
+# whose result could come from running their spec; anything else leaves
+# the cache as it was), and the hand-written wire codecs of JobEvent,
+# JobStatus and JobSpec (vs json.Marshal, json.Encoder, json.Unmarshal and
+# a DisallowUnknownFields json.Decoder).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
@@ -141,6 +144,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/hashmap
 	$(GO) test -run '^$$' -fuzz '^FuzzPromRoundTrip$$' -fuzztime 10s ./internal/obs/svclog
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterReplicate$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzJobEventCodec$$' -fuzztime 10s ./internal/obs/svclog
+	$(GO) test -run '^$$' -fuzz '^FuzzJobStatusCodec$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s ./internal/serve
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'

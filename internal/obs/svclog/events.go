@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"pimdsm/internal/jsonwire"
 )
 
 // JobEventKind names one step of a job's path through the service.
@@ -44,6 +46,85 @@ type JobEvent struct {
 	Cycles        uint64       `json:"cycles,omitempty"`
 	Tenant        string       `json:"tenant,omitempty"`
 	Detail        string       `json:"detail,omitempty"`
+}
+
+// AppendJobEvent appends ev's JSON encoding to dst, byte-identical to
+// json.Marshal(ev): the members follow JobEvent's field order and omitempty
+// tags. An event the jsonwire writer cannot encode as encoding/json would
+// goes to json.Marshal itself, whose error is returned.
+func AppendJobEvent(dst []byte, ev JobEvent) ([]byte, error) {
+	o := jsonwire.Begin(dst, false)
+	o.Uint("seq", ev.Seq)
+	o.String("job", ev.Job)
+	o.String("kind", string(ev.Kind))
+	o.Time("at", ev.At)
+	o.Int("since_submit_us", ev.SinceSubmitUS)
+	o.Int("queue_depth", int64(ev.QueueDepth))
+	o.Int("running", int64(ev.Running))
+	o.Int("config", int64(ev.Config))
+	if ev.Cycles != 0 {
+		o.Uint("cycles", ev.Cycles)
+	}
+	if ev.Tenant != "" {
+		o.String("tenant", ev.Tenant)
+	}
+	if ev.Detail != "" {
+		o.String("detail", ev.Detail)
+	}
+	if b, ok := o.End(); ok {
+		return b, nil
+	}
+	js, err := json.Marshal(ev)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, js...), nil
+}
+
+// jobEventKeys are JobEvent's JSON member names.
+var jobEventKeys = []string{"seq", "job", "kind", "at", "since_submit_us",
+	"queue_depth", "running", "config", "cycles", "tenant", "detail"}
+
+// DecodeJobEvent decodes one JSON-encoded event. The event and whether an
+// error comes back always equal json.Unmarshal's into a zero JobEvent: a
+// body of the plain shape jsonwire.Reader takes, with known keys each at
+// most once, is read directly, and anything else goes to json.Unmarshal.
+func DecodeJobEvent(b []byte) (JobEvent, error) {
+	var ev JobEvent
+	r := jsonwire.NewReader(b)
+	var seen uint64
+	for more := r.Object(); more; more = r.More('}') {
+		switch r.Member(jobEventKeys, &seen) {
+		case "seq":
+			ev.Seq = r.Uint()
+		case "job":
+			ev.Job = r.String()
+		case "kind":
+			ev.Kind = JobEventKind(r.String())
+		case "at":
+			ev.At = r.Time()
+		case "since_submit_us":
+			ev.SinceSubmitUS = r.Int64()
+		case "queue_depth":
+			ev.QueueDepth = r.Int()
+		case "running":
+			ev.Running = r.Int()
+		case "config":
+			ev.Config = r.Int()
+		case "cycles":
+			ev.Cycles = r.Uint()
+		case "tenant":
+			ev.Tenant = r.String()
+		case "detail":
+			ev.Detail = r.String()
+		}
+	}
+	if r.Done() {
+		return ev, nil
+	}
+	ev = JobEvent{}
+	err := json.Unmarshal(b, &ev)
+	return ev, err
 }
 
 // EventLogStats counts the log's traffic.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pimdsm/internal/machine"
+	"pimdsm/internal/obs/svclog"
 )
 
 // fig6Results is one svc-hit request's batch, the 7-config Figure-6 fft
@@ -102,6 +103,74 @@ func BenchmarkDecodeResultEnvelope(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		if _, err := decodeResultEnvelope(body.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The codec benchmarks time each hand-written codec on one svc-hit request's
+// values: the 7-config Figure-6 submission, its done status, and one of its
+// cache_hit events.
+
+var (
+	benchAt     = time.Date(2026, 3, 1, 12, 0, 0, 123456789, time.UTC)
+	benchSpec   = JobSpec{Configs: fig6Batch("fft", 32, 0.02)}
+	benchStatus = JobStatus{ID: "j-000042", State: JobDone, Total: 7, Done: 7, CacheHits: 7,
+		SubmittedAt: benchAt, StartedAt: &benchAt, FinishedAt: &benchAt}
+	benchEvent = svclog.JobEvent{Seq: 12345, Job: "j-000042", Kind: svclog.EvCacheHit, At: benchAt,
+		SinceSubmitUS: 87, QueueDepth: 0, Running: 1, Config: 6}
+	benchSink []byte
+)
+
+func BenchmarkAppendJobSpec(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		benchSink, _ = appendJobSpec(benchSink[:0], benchSpec)
+	}
+}
+
+func BenchmarkDecodeJobSpec(b *testing.B) {
+	body, _ := json.Marshal(benchSpec)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := decodeJobSpec(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAppendJobStatus(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		benchSink, _ = appendJobStatus(benchSink[:0], benchStatus, true)
+	}
+}
+
+func BenchmarkDecodeJobStatus(b *testing.B) {
+	body, _ := json.MarshalIndent(benchStatus, "", "  ")
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := decodeJobStatus(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAppendJobEvent(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		benchSink, _ = svclog.AppendJobEvent(benchSink[:0], benchEvent)
+	}
+}
+
+func BenchmarkDecodeJobEvent(b *testing.B) {
+	body, _ := json.Marshal(benchEvent)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := svclog.DecodeJobEvent(body); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -137,6 +138,30 @@ func (c *Cache) Peek(key uint64, tenant string) (*machine.Result, []byte, bool) 
 	return nil, nil, false
 }
 
+// PeekAll resolves every key under one lock, all or nothing: when all are
+// cached it counts a hit of tenant for each, refreshes their LRU recency and
+// returns the results in key order; when any is missing it counts and
+// touches nothing, so the worker that later resolves the batch counts each
+// key once.
+func (c *Cache) PeekAll(keys []uint64, tenant string) ([]*machine.Result, [][]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		if _, ok := c.m.Get(k); !ok {
+			return nil, nil, false
+		}
+	}
+	res := make([]*machine.Result, len(keys))
+	js := make([][]byte, len(keys))
+	for i, k := range keys {
+		e, _ := c.m.Get(k)
+		c.touch(e)
+		res[i], js[i] = e.res, e.js
+	}
+	c.metrics.hits.With(tenant).Add(uint64(len(keys)))
+	return res, js, true
+}
+
 // Contains reports residency without touching counters or recency — a pure
 // read for redirect decisions.
 func (c *Cache) Contains(key uint64) bool {
@@ -236,17 +261,41 @@ func canonicalResultJSON(res *machine.Result) ([]byte, error) {
 // outside this process: a persisted index entry, a peer's compute reply or
 // a replica. The API serves cached bytes verbatim, so they must be
 // canonicalized here, once, rather than trusted as they came — an indented
-// or padded copy would otherwise reach clients unnormalized.
-func ingestResult(raw []byte) (*machine.Result, []byte, error) {
-	var res machine.Result
+// or padded copy would otherwise reach clients unnormalized. The result must
+// also be one that running cs can produce (checkResult): a null or empty
+// object decodes without error but is no result at all.
+func ingestResult(raw []byte, cs ConfigSpec) (*machine.Result, []byte, error) {
+	var res *machine.Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, nil, err
 	}
-	js, err := canonicalResultJSON(&res)
+	if err := checkResult(res, cs); err != nil {
+		return nil, nil, err
+	}
+	js, err := canonicalResultJSON(res)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &res, js, nil
+	return res, js, nil
+}
+
+// checkResult reports why res cannot be the result of running cs: it is
+// null, names another machine, application or thread count, lacks a
+// per-thread record for each thread, or ran for no cycles.
+func checkResult(res *machine.Result, cs ConfigSpec) error {
+	c := cs.canonical()
+	switch {
+	case res == nil:
+		return errors.New("serve: result is null")
+	case string(res.Arch) != c.Arch || res.App != c.App || res.Threads != c.Threads:
+		return fmt.Errorf("serve: result is for %s/%s/%d threads, spec is %s/%s/%d threads",
+			res.Arch, res.App, res.Threads, c.Arch, c.App, c.Threads)
+	case len(res.PerThread) != res.Threads:
+		return fmt.Errorf("serve: result has %d per-thread records for %d threads", len(res.PerThread), res.Threads)
+	case res.Breakdown.Exec <= 0:
+		return errors.New("serve: result ran for no cycles")
+	}
+	return nil
 }
 
 // indexEntry is the persisted form of one cache entry.
@@ -294,7 +343,7 @@ func (c *Cache) LoadIndex(idx *index) int {
 		if fmt.Sprintf("%016x", want) != ie.Key {
 			continue
 		}
-		res, js, err := ingestResult(ie.Result)
+		res, js, err := ingestResult(ie.Result, ie.Spec)
 		if err != nil {
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 
 	"pimdsm/internal/machine"
 	"pimdsm/internal/sim"
+	"pimdsm/internal/stats"
 )
 
 func fakeResult(exec int64) (*machine.Result, []byte) {
@@ -143,7 +144,9 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	for i, sp := range specs {
 		k := sp.Key(0)
 		c.Acquire(k, "")
-		res := &machine.Result{Arch: machine.Arch(sp.Arch), App: sp.App, Threads: sp.Threads}
+		res := &machine.Result{Arch: machine.Arch(sp.Arch), App: sp.App, Threads: sp.Threads,
+			PerThread: make([]stats.Thread, sp.Threads)}
+		res.Breakdown.Exec = 1000
 		js, _ := canonicalResultJSON(res)
 		_ = i
 		c.Fulfill(k, 0, sp, res, js)
@@ -193,7 +196,8 @@ func mustFindEntry(t *testing.T, idx *index, key uint64) []byte {
 // dropped, never served under a wrong key.
 func TestLoadIndexVerifiesKeys(t *testing.T) {
 	sp := ConfigSpec{Arch: "agg", App: "fft", Scale: 1, Threads: 8, Pressure: 0.75, DRatio: 1}
-	res := &machine.Result{App: "fft"}
+	res := &machine.Result{Arch: machine.AGG, App: "fft", Threads: 8, PerThread: make([]stats.Thread, 8)}
+	res.Breakdown.Exec = 1000
 	js, _ := canonicalResultJSON(res)
 	good := indexEntry{Key: keyHex(sp.Key(0)), Spec: sp, Result: js}
 	tampered := good

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"pimdsm/internal/jsonwire"
 	"pimdsm/internal/obs/svclog"
 )
 
@@ -131,16 +132,22 @@ func apiError(resp *http.Response, body []byte) error {
 const maxPresizedBody = 64 << 20
 
 // readBody reads a response body into one buffer sized from Content-Length
-// when the server sent one, instead of growing it step by step through
-// io.ReadAll. It reads to EOF either way, so the connection is reused.
+// when the server sent one. It reads to EOF either way, so the connection is
+// reused.
 func readBody(resp *http.Response) ([]byte, error) {
-	n := resp.ContentLength
-	if n <= 0 || n > maxPresizedBody {
-		return io.ReadAll(resp.Body)
+	return readSized(resp.Body, resp.ContentLength, maxPresizedBody)
+}
+
+// readSized reads rd to EOF into one buffer sized for the n bytes the peer
+// announced, when 0 < n <= max, instead of growing it step by step through
+// io.ReadAll.
+func readSized(rd io.Reader, n, max int64) ([]byte, error) {
+	if n <= 0 || n > max {
+		return io.ReadAll(rd)
 	}
 	var buf bytes.Buffer
 	buf.Grow(int(n) + bytes.MinRead)
-	_, err := buf.ReadFrom(resp.Body)
+	_, err := buf.ReadFrom(rd)
 	return buf.Bytes(), err
 }
 
@@ -160,7 +167,7 @@ func (c *Client) get(path string, out any) error {
 // client's later status/result calls.
 func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 	var st JobStatus
-	buf, err := json.Marshal(spec)
+	buf, err := appendJobSpec(nil, spec)
 	if err != nil {
 		return st, err
 	}
@@ -195,7 +202,7 @@ func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 		if resp.StatusCode != http.StatusAccepted {
 			return st, apiError(resp, body)
 		}
-		return st, json.Unmarshal(body, &st)
+		return decodeJobStatus(body)
 	}
 }
 
@@ -270,9 +277,11 @@ func backoffWindow(hint time.Duration, n int, cap time.Duration) time.Duration {
 
 // Status fetches one job's status.
 func (c *Client) Status(id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.get("/api/v1/jobs/"+id, &st)
-	return st, err
+	body, err := c.raw("/api/v1/jobs/" + id)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return decodeJobStatus(body)
 }
 
 // Jobs lists every job on the daemon.
@@ -302,14 +311,18 @@ func (c *Client) Result(id string) (JobStatus, []json.RawMessage, error) {
 // decodeResultEnvelope decodes a GET .../result body in one pass:
 // scanResultEnvelope checks the whole body and finds the two members in the
 // same walk, the results become sub-slices of body, and only the small job
-// object goes through json.Unmarshal. Invalid JSON, or any shape other than
+// object goes through decodeJobStatus. Invalid JSON, or any shape other than
 // the one the server writes — another, repeated or escaped key, a results
 // that is not an array — falls back to json.Unmarshal, so the outcome always
 // equals json.Unmarshal(body, &env).
 func decodeResultEnvelope(body []byte) (resultEnvelope, error) {
 	var env resultEnvelope
 	if job, results, ok := scanResultEnvelope(body); ok {
-		if job == nil || json.Unmarshal(job, &env.Job) == nil {
+		var err error
+		if job != nil {
+			env.Job, err = decodeJobStatus(job)
+		}
+		if err == nil {
 			env.Results = results
 			return env, nil
 		}
@@ -318,10 +331,6 @@ func decodeResultEnvelope(body []byte) (resultEnvelope, error) {
 	err := json.Unmarshal(body, &env)
 	return env, err
 }
-
-// maxScanDepth is encoding/json's nesting limit: json.Valid accepts 10000
-// nested arrays and objects and rejects 10001.
-const maxScanDepth = 10000
 
 // scanResultEnvelope checks that b is one valid JSON document and finds the
 // "job" and "results" members of its top-level object in the same walk. ok
@@ -332,35 +341,35 @@ const maxScanDepth = 10000
 // leaves it; an empty results array is a non-nil empty slice, as
 // json.Unmarshal makes it.
 func scanResultEnvelope(b []byte) (job []byte, results []json.RawMessage, ok bool) {
-	i := skipSpace(b, 0)
+	i := jsonwire.SkipSpace(b, 0)
 	if i == len(b) || b[i] != '{' {
 		return nil, nil, false
 	}
-	i = skipSpace(b, i+1)
+	i = jsonwire.SkipSpace(b, i+1)
 	if i < len(b) && b[i] == '}' {
-		return nil, nil, skipSpace(b, i+1) == len(b)
+		return nil, nil, jsonwire.SkipSpace(b, i+1) == len(b)
 	}
 	var seenJob, seenResults bool
 	for {
 		if i == len(b) || b[i] != '"' {
 			return nil, nil, false
 		}
-		end := scanString(b, i)
+		end := jsonwire.ScanString(b, i)
 		if end < 0 {
 			return nil, nil, false
 		}
 		key := b[i+1 : end-1]
-		if i = skipSpace(b, end); i == len(b) || b[i] != ':' {
+		if i = jsonwire.SkipSpace(b, end); i == len(b) || b[i] != ':' {
 			return nil, nil, false
 		}
-		i = skipSpace(b, i+1)
+		i = jsonwire.SkipSpace(b, i+1)
 		switch string(key) {
 		case "job":
 			if seenJob {
 				return nil, nil, false
 			}
 			seenJob = true
-			if end = scanValue(b, i, 1); end >= 0 {
+			if end = jsonwire.ScanValue(b, i, 1); end >= 0 {
 				job = b[i:end]
 			}
 		case "results":
@@ -369,21 +378,21 @@ func scanResultEnvelope(b []byte) (job []byte, results []json.RawMessage, ok boo
 			}
 			seenResults = true
 			results = []json.RawMessage{}
-			end = scanArray(b, i, 2, &results)
+			end = jsonwire.ScanArray(b, i, 2, &results)
 		default:
 			return nil, nil, false
 		}
 		if end < 0 {
 			return nil, nil, false
 		}
-		if i = skipSpace(b, end); i == len(b) {
+		if i = jsonwire.SkipSpace(b, end); i == len(b) {
 			return nil, nil, false
 		}
 		switch b[i] {
 		case ',':
-			i = skipSpace(b, i+1)
+			i = jsonwire.SkipSpace(b, i+1)
 		case '}':
-			if skipSpace(b, i+1) != len(b) {
+			if jsonwire.SkipSpace(b, i+1) != len(b) {
 				return nil, nil, false
 			}
 			return job, results, true
@@ -391,215 +400,6 @@ func scanResultEnvelope(b []byte) (job []byte, results []json.RawMessage, ok boo
 			return nil, nil, false
 		}
 	}
-}
-
-// The scanners below accept exactly the language json.Valid does. Each
-// takes the index of a value's first byte and returns the index just past
-// it, or -1 when the bytes there are not a valid value. depth is the
-// nesting depth: the arrays and objects open around the value for
-// scanValue, and those plus the one being scanned for scanObject and
-// scanArray.
-
-// scanValue scans any JSON value at b[i] inside depth open containers.
-func scanValue(b []byte, i, depth int) int {
-	if i == len(b) {
-		return -1
-	}
-	switch c := b[i]; c {
-	case '"':
-		return scanString(b, i)
-	case '{':
-		return scanObject(b, i, depth+1)
-	case '[':
-		return scanArray(b, i, depth+1, nil)
-	case 't':
-		return scanLiteral(b, i, "true")
-	case 'f':
-		return scanLiteral(b, i, "false")
-	case 'n':
-		return scanLiteral(b, i, "null")
-	default:
-		if c == '-' || '0' <= c && c <= '9' {
-			return scanNumber(b, i)
-		}
-		return -1
-	}
-}
-
-// scanObject scans the object at b[i].
-func scanObject(b []byte, i, depth int) int {
-	if depth > maxScanDepth {
-		return -1
-	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
-		return i + 1
-	}
-	for {
-		if i == len(b) || b[i] != '"' {
-			return -1
-		}
-		if i = scanString(b, i); i < 0 {
-			return -1
-		}
-		if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
-			return -1
-		}
-		if i = scanValue(b, skipSpace(b, i+1), depth); i < 0 {
-			return -1
-		}
-		if i = skipSpace(b, i); i == len(b) {
-			return -1
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case '}':
-			return i + 1
-		default:
-			return -1
-		}
-	}
-}
-
-// scanArray scans the array at b[i]. A non-nil out collects the elements as
-// capacity-capped sub-slices of b.
-func scanArray(b []byte, i, depth int, out *[]json.RawMessage) int {
-	if depth > maxScanDepth {
-		return -1
-	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
-		return i + 1
-	}
-	for {
-		end := scanValue(b, i, depth)
-		if end < 0 {
-			return -1
-		}
-		if out != nil {
-			*out = append(*out, b[i:end:end])
-		}
-		if i = skipSpace(b, end); i == len(b) {
-			return -1
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case ']':
-			return i + 1
-		default:
-			return -1
-		}
-	}
-}
-
-// scanString scans the string at b[i]: no byte below 0x20 and only the
-// escapes \" \\ \/ \b \f \n \r \t and \uXXXX. Like json.Valid, it does
-// not check UTF-8.
-func scanString(b []byte, i int) int {
-	for i++; i < len(b); i++ {
-		for plainString[b[i]] {
-			if i++; i == len(b) {
-				return -1
-			}
-		}
-		switch c := b[i]; {
-		case c == '"':
-			return i + 1
-		case c == '\\':
-			if i++; i == len(b) {
-				return -1
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if len(b)-i <= 4 || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-					return -1
-				}
-				i += 4
-			default:
-				return -1
-			}
-		case c < 0x20:
-			return -1
-		}
-	}
-	return -1
-}
-
-// plainString marks the bytes a string holds as they are: all but '"',
-// '\\' and the control bytes below 0x20.
-var plainString = func() (t [256]bool) {
-	for c := 0x20; c < 256; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// scanNumber scans the number at b[i]: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?.
-func scanNumber(b []byte, i int) int {
-	if b[i] == '-' {
-		if i++; i == len(b) {
-			return -1
-		}
-	}
-	switch c := b[i]; {
-	case c == '0':
-		i++
-	case '1' <= c && c <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		if i = skipDigits(b, i+1); b[i-1] == '.' {
-			return -1
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return -1
-		}
-		i = j
-	}
-	return i
-}
-
-// skipDigits returns the index of the first non-digit at or after b[i].
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// scanLiteral scans lit (true, false or null) at b[i].
-func scanLiteral(b []byte, i int, lit string) int {
-	if len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
-		return -1
-	}
-	return i + len(lit)
-}
-
-// skipSpace returns the index of the first non-whitespace byte at or after
-// b[i].
-func skipSpace(b []byte, i int) int {
-	for i < len(b) {
-		switch b[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
 }
 
 // Metrics fetches a finished job's metrics registry JSON.
@@ -748,18 +548,17 @@ func (c *Client) StreamEvents(ctx context.Context, lastID uint64, job, tenant st
 	// care about "id:" and "data:" fields and ignore comment keepalives.
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var data strings.Builder
-	var frameID string
+	var data, frameID []byte
 	flush := func() error {
-		defer func() { data.Reset(); frameID = "" }()
-		if data.Len() == 0 {
+		defer func() { data, frameID = data[:0], frameID[:0] }()
+		if len(data) == 0 {
 			return nil
 		}
-		var ev svclog.JobEvent
-		if err := json.Unmarshal([]byte(data.String()), &ev); err != nil {
+		ev, err := svclog.DecodeJobEvent(data)
+		if err != nil {
 			return fmt.Errorf("serve: bad SSE event payload: %w", err)
 		}
-		if id, err := strconv.ParseUint(frameID, 10, 64); err == nil {
+		if id, err := strconv.ParseUint(string(frameID), 10, 64); err == nil {
 			lastID = id
 		} else if ev.Seq > 0 {
 			lastID = ev.Seq
@@ -768,21 +567,21 @@ func (c *Client) StreamEvents(ctx context.Context, lastID uint64, job, tenant st
 		return nil
 	}
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if err := flush(); err != nil {
 				return lastID, err
 			}
-		case strings.HasPrefix(line, ":"):
+		case line[0] == ':':
 			// keepalive comment
-		case strings.HasPrefix(line, "id:"):
-			frameID = strings.TrimSpace(line[len("id:"):])
-		case strings.HasPrefix(line, "data:"):
-			if data.Len() > 0 {
-				data.WriteByte('\n')
+		case bytes.HasPrefix(line, sseID):
+			frameID = append(frameID[:0], bytes.TrimSpace(line[len(sseID):])...)
+		case bytes.HasPrefix(line, sseData):
+			if len(data) > 0 {
+				data = append(data, '\n')
 			}
-			data.WriteString(strings.TrimSpace(line[len("data:"):]))
+			data = append(data, bytes.TrimSpace(line[len(sseData):])...)
 		}
 	}
 	if err := flush(); err != nil {
@@ -793,6 +592,9 @@ func (c *Client) StreamEvents(ctx context.Context, lastID uint64, job, tenant st
 	}
 	return lastID, ctx.Err()
 }
+
+// The SSE field prefixes StreamEvents reads.
+var sseID, sseData = []byte("id:"), []byte("data:")
 
 // StreamProgress copies the job's plain-text progress stream to w until the
 // job finishes or ctx is canceled.

@@ -207,7 +207,7 @@ func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*
 	// We hold the flight. Before burning a simulation, ask the key's replica
 	// set — a restarted owner finds the copy its successors kept, which is
 	// what preserves exactly-once across a kill/restart.
-	if rres, rjs, ok := s.recoverFromReplicas(key); ok {
+	if rres, rjs, ok := s.recoverFromReplicas(key, cs); ok {
 		s.cache.Fulfill(key, seed, cs.canonical(), rres, rjs)
 		return rres, rjs, "recovered", nil
 	}
@@ -301,15 +301,16 @@ func (s *Server) forwardCompute(peer string, key, seed uint64, cs ConfigSpec) (*
 	if code != http.StatusOK {
 		return nil, nil, fmt.Errorf("serve: peer %s compute: HTTP %d: %s", peer, code, clip(data))
 	}
-	res, js, err := ingestResult(data)
+	res, js, err := ingestResult(data, cs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: peer %s compute: %w", peer, err)
 	}
 	return res, js, nil
 }
 
-// recoverFromReplicas probes the key's successor set for a replicated copy.
-func (s *Server) recoverFromReplicas(key uint64) (*machine.Result, []byte, bool) {
+// recoverFromReplicas probes the key's successor set for a replicated copy
+// of cs's result.
+func (s *Server) recoverFromReplicas(key uint64, cs ConfigSpec) (*machine.Result, []byte, bool) {
 	node := s.clusterNode()
 	if node == nil {
 		return nil, nil, false
@@ -323,7 +324,7 @@ func (s *Server) recoverFromReplicas(key uint64) (*machine.Result, []byte, bool)
 		if err != nil || code != http.StatusOK {
 			continue
 		}
-		res, js, err := ingestResult(data)
+		res, js, err := ingestResult(data, cs)
 		if err != nil {
 			continue
 		}
@@ -524,8 +525,14 @@ func (a *API) clusterCompute(w http.ResponseWriter, r *http.Request) {
 	if _, ok := a.clusterGuard(w, r, true); !ok {
 		return
 	}
+	// Unmarshal, not a streaming Decode: a body with bytes after its one
+	// JSON value is malformed, not a request.
 	var req clusterComputeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	body, err := readRequestBody(w, r, 1<<20)
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, "bad compute request: "+err.Error())
 		return
 	}
@@ -578,7 +585,7 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Unmarshal, not a streaming Decode: a body with bytes after its one
 	// JSON value is malformed, not a replica.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := readRequestBody(w, r, 64<<20)
 	var ie indexEntry
 	if err == nil {
 		err = json.Unmarshal(body, &ie)
@@ -593,7 +600,7 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 			"replica key does not match its spec (mixed KeyVersion deployment?)")
 		return
 	}
-	res, js, err := ingestResult(ie.Result)
+	res, js, err := ingestResult(ie.Result, ie.Spec)
 	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, "bad replica result: "+err.Error())
 		return

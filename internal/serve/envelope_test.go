@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pimdsm/internal/cluster"
+	"pimdsm/internal/jsonwire"
 	"pimdsm/internal/machine"
 	"pimdsm/internal/sim"
 )
@@ -287,8 +288,8 @@ func FuzzDecodeResultEnvelope(f *testing.F) {
 // validJSON is the scanner's verdict on a whole document: one value, then
 // nothing but whitespace.
 func validJSON(b []byte) bool {
-	i := scanValue(b, skipSpace(b, 0), 0)
-	return i >= 0 && skipSpace(b, i) == len(b)
+	i := jsonwire.ScanValue(b, jsonwire.SkipSpace(b, 0), 0)
+	return i >= 0 && jsonwire.SkipSpace(b, i) == len(b)
 }
 
 // nested returns depth arrays, or depth objects, nested around an empty

@@ -22,6 +22,7 @@ import (
 	"pimdsm/internal/machine"
 	"pimdsm/internal/obs/svclog"
 	"pimdsm/internal/sim"
+	"pimdsm/internal/stats"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files")
@@ -192,6 +193,7 @@ func (g *goldenScript) run(gr *goldenRunner, clustered bool) {
 			clusterComputeRequest{Spec: radix, Key: fmt.Sprintf("%016x", radix.Key(0))}, peer)
 		water := goldenSpec("", "water").Configs[0]
 		res, _ := gr.run([]machine.Config{water.canonical().Config()}, nil)
+		res[0].PerThread = make([]stats.Thread, res[0].Threads)
 		js, _ := canonicalResultJSON(res[0])
 		g.do("POST", "/api/v1/cluster/replicate", "", indexEntry{
 			Key: fmt.Sprintf("%016x", water.Key(0)), Spec: water, Result: js,

@@ -24,7 +24,8 @@ import (
 //
 // Routes:
 //
-//	POST /api/v1/jobs               submit a JobSpec  (202, or 429 + Retry-After)
+//	POST /api/v1/jobs               submit a JobSpec  (202, or 429 + Retry-After;
+//	                                a batch all cached answers 202 already done)
 //	GET  /api/v1/jobs               list jobs
 //	GET  /api/v1/jobs/{id}          job status
 //	GET  /api/v1/jobs/{id}/result   results (canonical JSON, input order)
@@ -108,6 +109,28 @@ func (a *API) writeJSON(w http.ResponseWriter, r *http.Request, code int, v any)
 			"request_id", svclog.RequestID(r.Context()),
 			"route", r.Pattern, "status", code, "err", err.Error())
 	}
+}
+
+// writeStatus writes a job status reply, byte-identical to writeJSON's.
+func (a *API) writeStatus(w http.ResponseWriter, r *http.Request, code int, st JobStatus) {
+	body, err := appendJobStatus(nil, st, true)
+	if err != nil {
+		a.writeJSON(w, r, code, st) // logs the same encoder failure
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	if _, err := w.Write(append(body, '\n')); err != nil {
+		a.log.Error("response_encode_failed",
+			"request_id", svclog.RequestID(r.Context()),
+			"route", r.Pattern, "status", code, "err", err.Error())
+	}
+}
+
+// readRequestBody reads a request body of at most limit bytes into one
+// buffer, sized from Content-Length when the client sent one.
+func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	return readSized(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 }
 
 func (a *API) writeError(w http.ResponseWriter, r *http.Request, code int, msg string) {
@@ -216,10 +239,12 @@ func (a *API) ListenAndServe(addr string) (string, func(), error) {
 }
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
+	body, err := readRequestBody(w, r, 1<<20)
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err == nil {
+		spec, err = decodeJobSpec(body)
+	}
+	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}
@@ -277,7 +302,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	a.writeJSON(w, r, http.StatusAccepted, st)
+	a.writeStatus(w, r, http.StatusAccepted, st)
 }
 
 func (a *API) list(w http.ResponseWriter, r *http.Request) {
@@ -374,7 +399,7 @@ func (a *API) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (a *API) status(w http.ResponseWriter, r *http.Request) {
 	if j, ok := a.jobFor(w, r); ok {
-		a.writeJSON(w, r, http.StatusOK, a.srv.Status(j))
+		a.writeStatus(w, r, http.StatusOK, a.srv.Status(j))
 	}
 }
 
@@ -421,12 +446,12 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 // enters from outside), which is already compact and HTML-escaped — so a
 // hit is a copy of the stored bytes, with no re-encoding.
 func resultEnvelopeBody(st JobStatus, js [][]byte) (net.Buffers, error) {
-	job, err := json.Marshal(st)
+	head, err := appendJobStatus(append(make([]byte, 0, 512), `{"job":`...), st, false)
 	if err != nil {
 		return nil, err
 	}
 	body := make(net.Buffers, 1, 2*len(js)+2)
-	body[0] = append(append([]byte(`{"job":`), job...), `,"results":[`...)
+	body[0] = append(head, `,"results":[`...)
 	for i, b := range js {
 		if i > 0 {
 			body = append(body, envelopeSep)
@@ -562,17 +587,22 @@ func (a *API) eventsSSE(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Each frame is built in one buffer, reused for the connection's life.
+	var frame []byte
 	emit := func(ev svclog.JobEvent) bool {
 		if (jobFilter != "" && ev.Job != jobFilter) ||
 			(tenantFilter != "" && ev.Tenant != tenantFilter) {
 			last = ev.Seq // filtered events still advance the cursor
 			return true
 		}
-		data, err := json.Marshal(ev)
-		if err != nil {
+		frame = strconv.AppendUint(append(frame[:0], "id: "...), ev.Seq, 10)
+		frame = append(append(append(frame, "\nevent: "...), ev.Kind...), "\ndata: "...)
+		var err error
+		if frame, err = svclog.AppendJobEvent(frame, ev); err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data); err != nil {
+		frame = append(frame, "\n\n"...)
+		if _, err := w.Write(frame); err != nil {
 			return false
 		}
 		last = ev.Seq

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -568,5 +569,118 @@ func TestHTTPBadSpecFailsJob(t *testing.T) {
 	}
 	if _, raw, err := c.Result(st.ID); err != nil || len(raw) != 1 || !bytes.Equal(raw[0], want) {
 		t.Fatalf("valid job result (%v): %.200s", err, raw)
+	}
+}
+
+// TestSubmitRejectsTrailingValue: POST /api/v1/jobs reads exactly one JSON
+// value, whether the body takes the decoder's fast path or its
+// encoding/json fallback (the escaped name); a second value is 400 and
+// admits nothing.
+func TestSubmitRejectsTrailingValue(t *testing.T) {
+	s, c := startAPI(t, Options{Workers: 1, Run: (&fakeRunner{}).run})
+	one := `{"configs":[{"arch":"agg","app":"fft","threads":8,"pressure":0.75,"dratio":1}]}`
+	escaped := `{"name":"a\"b","configs":[{"arch":"agg","app":"fft","threads":8,"pressure":0.75,"dratio":1}]}`
+	for _, body := range []string{one + " " + one, escaped + "\n" + escaped, one + "x"} {
+		resp, err := http.Post("http://"+c.Base+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d: %s, want 400", body, resp.StatusCode, msg)
+		}
+	}
+	if n := s.Stats().JobsSubmitted; n != 0 {
+		t.Fatalf("%d jobs admitted, want none", n)
+	}
+}
+
+// TestHTTPStatusBodiesMatchEncodingJSON: the submit and status replies are
+// byte for byte what json.Encoder with two-space indent writes for the
+// status they carry, and every SSE data line is what json.Marshal writes for
+// its event, for a job name the fast path writes and for one that needs
+// escaping. The resubmission of a cached batch is answered done.
+func TestHTTPStatusBodiesMatchEncodingJSON(t *testing.T) {
+	s, c := startAPI(t, Options{Workers: 1, Run: (&fakeRunner{}).run, Events: svclog.NewEventLog(0)})
+	indented := func(body []byte) {
+		t.Helper()
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		enc.Encode(st)
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("body\n%s\njson.Encoder\n%s", body, want.Bytes())
+		}
+	}
+	post := func(spec JobSpec) JobStatus {
+		t.Helper()
+		buf, _ := json.Marshal(spec)
+		resp, err := http.Post("http://"+c.Base+"/api/v1/jobs", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, body)
+		}
+		indented(body)
+		st, _ := decodeJobStatus(body)
+		return st
+	}
+	for _, name := range []string{"plain", `x<y>&"z"`} {
+		spec := spec1("fft")
+		spec.Name = name
+		first := post(spec)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if _, err := c.Wait(ctx, first.ID, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		again := post(spec)
+		if again.State != JobDone || again.CacheHits != 1 {
+			t.Fatalf("cached resubmission answered %+v, want done with 1 hit", again)
+		}
+		for _, id := range []string{first.ID, again.ID} {
+			body, err := c.raw("/api/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			indented(body)
+		}
+	}
+
+	// Replay every event so far over SSE; the stream stays open, so read
+	// frames until the last event's.
+	last := int(s.Events().Seq())
+	sse := &http.Client{Timeout: 10 * time.Second}
+	resp, err := sse.Get("http://" + c.Base + "/api/v1/events?last_event_id=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	seen := 0
+	for seen < last && sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev svclog.JobEvent
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(ev); data != string(want) {
+			t.Fatalf("SSE data\n%s\njson.Marshal\n%s", data, want)
+		}
+		seen++
+	}
+	if seen < last {
+		t.Fatalf("read %d SSE events, want %d: %v", seen, last, sc.Err())
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"pimdsm/internal/cluster"
 	"pimdsm/internal/machine"
 	"pimdsm/internal/obs/svclog"
+	"pimdsm/internal/stats"
 )
 
 // tenantGlobals pairs every per-tenant family that has a global with it.
@@ -233,6 +234,7 @@ func TestReplicaRecoveryCountsTenantMiss(t *testing.T) {
 	}
 	cs := spec.Configs[0]
 	res, _ := gr.run([]machine.Config{cs.canonical().Config()}, nil)
+	res[0].PerThread = make([]stats.Thread, res[0].Threads)
 	js, _ := canonicalResultJSON(res[0])
 	body, _ := json.Marshal(indexEntry{Key: keyHex(cs.Key(0)), Spec: cs.canonical(), Result: js})
 	req, _ := http.NewRequest("POST", "http://"+addrB+"/api/v1/cluster/replicate", bytes.NewReader(body))

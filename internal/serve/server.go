@@ -159,6 +159,7 @@ type Job struct {
 	id   string
 	seq  uint64
 	spec JobSpec
+	keys []uint64 // spec.Configs' cache keys, in config order
 
 	state     JobState
 	submitted time.Time
@@ -371,6 +372,10 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	} else if spec.Tenant == "" {
 		return JobStatus{}, errors.New("serve: submission names no tenant")
 	}
+	keys := make([]uint64, len(spec.Configs))
+	for i, cs := range spec.Configs {
+		keys[i] = cs.Key(spec.Seed)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -418,6 +423,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		id:        fmt.Sprintf("j-%06d", s.seq),
 		seq:       s.seq,
 		spec:      spec,
+		keys:      keys,
 		state:     JobQueued,
 		submitted: time.Now(),
 		doneCh:    make(chan struct{}),
@@ -437,7 +443,18 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.eventLocked(j, svclog.EvSubmitted, -1, 0, spec.Name)
-	s.queue.push(j)
+	// An all-hit batch finishes here, with the events and counters a worker
+	// would have produced: a cache hit costs no queue hop. Telemetry jobs
+	// still take a worker, which records their flight.
+	var hits []*machine.Result
+	var hitJSON [][]byte
+	allHit := false
+	if !j.telemetry {
+		hits, hitJSON, allHit = s.cache.PeekAll(keys, spec.Tenant)
+	}
+	if !allHit {
+		s.queue.push(j)
+	}
 	s.m.submitted.With(spec.Tenant).Inc()
 	s.eventLocked(j, svclog.EvQueued, -1, 0, "")
 	if spec.Tenant != "" {
@@ -446,6 +463,14 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	} else {
 		s.opt.Log.Info("job_submitted", "job", j.id, "name", spec.Name,
 			"configs", len(spec.Configs), "priority", spec.Priority, "queue_depth", len(s.queue))
+	}
+	if allHit {
+		s.startLocked(j)
+		for i, js := range hitJSON {
+			s.hitLocked(j, i, js, "")
+		}
+		s.finishLocked(j, hits, hitJSON, nil)
+		return s.statusLocked(j), nil
 	}
 	s.cond.Signal()
 	return s.statusLocked(j), nil
@@ -662,14 +687,32 @@ func (s *Server) worker() {
 			return
 		}
 		j := s.queue.pop()
-		j.state = JobRunning
-		j.started = time.Now()
-		s.running++
-		s.opt.Tenants.move(j.spec.Tenant, -1, +1)
-		s.eventLocked(j, svclog.EvStarted, -1, 0, "")
+		s.startLocked(j)
 		s.mu.Unlock()
 		s.runJob(j)
 	}
+}
+
+// startLocked moves an admitted job to running; s.mu must be held.
+func (s *Server) startLocked(j *Job) {
+	j.state = JobRunning
+	j.started = time.Now()
+	s.running++
+	s.opt.Tenants.move(j.spec.Tenant, -1, +1)
+	s.eventLocked(j, svclog.EvStarted, -1, 0, "")
+}
+
+// hitLocked counts config i of j as served from a cache (detail "" for this
+// node's cache, "cluster:recovered" for a replica's); s.mu must be held.
+func (s *Server) hitLocked(j *Job, i int, js []byte, detail string) {
+	j.done++
+	if detail == "" {
+		j.cacheHits++
+	} else {
+		j.forwarded++
+	}
+	s.eventLocked(j, svclog.EvCacheHit, i, 0, detail)
+	s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
 }
 
 // runJob executes one job: resolve every config against the cache, simulate
@@ -685,7 +728,7 @@ func (s *Server) worker() {
 // never acquire local flights at all.
 func (s *Server) runJob(j *Job) {
 	n := len(j.spec.Configs)
-	keys := make([]uint64, n)
+	keys := j.keys
 	results := make([]*machine.Result, n)
 	resJSON := make([][]byte, n)
 	var toRun []int
@@ -698,24 +741,20 @@ func (s *Server) runJob(j *Job) {
 	node := s.clusterNode()
 
 	tenant := j.spec.Tenant
-	recordHit := func(i int, res *machine.Result, js []byte) {
+	recordHit := func(i int, res *machine.Result, js []byte, detail string) {
 		results[i], resJSON[i] = res, js
 		s.mu.Lock()
-		j.done++
-		j.cacheHits++
-		s.eventLocked(j, svclog.EvCacheHit, i, 0, "")
+		s.hitLocked(j, i, js, detail)
 		s.mu.Unlock()
-		s.m.resultBytes.With(tenant).Add(uint64(len(js)))
 	}
 
 	for i, cs := range j.spec.Configs {
-		keys[i] = cs.Key(j.spec.Seed)
 		if node != nil {
 			if _, self := node.Owner(keys[i]); !self {
 				// A replicated or previously forwarded copy serves locally;
 				// otherwise the owner resolves it (never a local flight).
 				if res, js, ok := s.cache.Peek(keys[i], tenant); ok {
-					recordHit(i, res, js)
+					recordHit(i, res, js, "")
 				} else {
 					remote = append(remote, i)
 				}
@@ -725,22 +764,16 @@ func (s *Server) runJob(j *Job) {
 		res, js, hit, fl, owner := s.cache.Acquire(keys[i], tenant)
 		switch {
 		case hit:
-			recordHit(i, res, js)
+			recordHit(i, res, js, "")
 		case owner:
 			if node != nil {
 				// Owned key, no cached copy: ask the replica set before
 				// burning a simulation — a restarted owner recovers the
 				// results its successors kept (exactly-once across
 				// kill/restart, even through its own front door).
-				if res, js, ok := s.recoverFromReplicas(keys[i]); ok {
+				if res, js, ok := s.recoverFromReplicas(keys[i], cs); ok {
 					s.cache.Fulfill(keys[i], j.spec.Seed, cs.canonical(), res, js)
-					results[i], resJSON[i] = res, js
-					s.mu.Lock()
-					j.done++
-					j.forwarded++
-					s.eventLocked(j, svclog.EvCacheHit, i, 0, "cluster:recovered")
-					s.mu.Unlock()
-					s.m.resultBytes.With(tenant).Add(uint64(len(js)))
+					recordHit(i, res, js, "cluster:recovered")
 					continue
 				}
 			}
@@ -778,18 +811,26 @@ func (s *Server) runJob(j *Job) {
 		s.m.resultBytes.With(tenant).Add(uint64(len(w.fl.js)))
 	}
 
-	if jobErr == nil && j.metrics != nil {
-		for _, r := range results {
-			machine.CollectMetrics(j.metrics, r)
-		}
-	}
 	if jobErr == nil && j.telemetry {
 		// Persist the flight record before the job flips to done, so a
 		// client that sees "done" can always fetch the artifacts.
 		s.recordFlight(j)
 	}
-
 	s.mu.Lock()
+	s.finishLocked(j, results, resJSON, jobErr)
+	s.mu.Unlock()
+}
+
+// finishLocked moves a running job to done or failed: the job's metrics
+// registry, counters, terminal event and log line, the EWMA job time and
+// the tenant's accounting, then doneCh. s.mu must be held.
+func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byte, jobErr error) {
+	tenant := j.spec.Tenant
+	if jobErr == nil && j.metrics != nil {
+		for _, r := range results {
+			machine.CollectMetrics(j.metrics, r)
+		}
+	}
 	j.finished = time.Now()
 	s.running--
 	if jobErr != nil {
@@ -824,7 +865,6 @@ func (s *Server) runJob(j *Job) {
 	} else {
 		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
 	}
-	s.mu.Unlock()
 	s.opt.Tenants.finished(tenant, sec)
 	close(j.doneCh)
 }

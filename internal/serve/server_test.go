@@ -14,6 +14,7 @@ import (
 	"pimdsm/internal/machine"
 	"pimdsm/internal/obs/svclog"
 	"pimdsm/internal/sim"
+	"pimdsm/internal/stats"
 )
 
 // fakeRunner synthesizes results instantly (optionally gated), recording
@@ -35,7 +36,8 @@ func (f *fakeRunner) run(cfgs []machine.Config, onResult func(int, *machine.Resu
 		f.mu.Lock()
 		f.ran = append(f.ran, cfg.App.Name)
 		f.mu.Unlock()
-		res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads}
+		res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads,
+			PerThread: make([]stats.Thread, cfg.Threads)}
 		res.Breakdown.Exec = sim.Time(1000 + i)
 		out[i] = res
 		if onResult != nil {
