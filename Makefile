@@ -17,12 +17,14 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# race-hot covers the packages with real concurrency (the sweep pool sits in
-# the root package; sim and hashmap are what the workers hammer; obs holds
-# the metrics registry every service goroutine counts into while scrapes
-# render it).
+# race-hot covers the packages with real concurrency (the root package holds
+# the Sweep pool the figure drivers use; internal/serve the per-node
+# simulation slot pool every service run takes, exercised by its TestPool
+# tests; sim and hashmap are what the workers hammer; obs holds the metrics
+# registry every service goroutine counts into while scrapes render it).
 race-hot:
 	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/obs .
+	$(GO) test -race -run '^TestPool' ./internal/serve
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

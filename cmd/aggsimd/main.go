@@ -1,9 +1,10 @@
 // Command aggsimd is the simulation service daemon: a long-running process
 // that accepts simulation jobs over a JSON/HTTP API, deduplicates them
 // through a content-addressed result cache, schedules them on a bounded
-// worker pool behind an admission window, and serves results, metrics and
-// span artifacts — so repeated evaluations of the paper's configuration
-// matrix stop paying for re-simulation.
+// worker pool behind an admission window, runs every simulation in one
+// per-node pool of slots, and serves results, metrics and span artifacts —
+// so repeated evaluations of the paper's configuration matrix stop paying
+// for re-simulation.
 //
 // Usage:
 //
@@ -15,11 +16,13 @@
 //	        [-tenants-reload 0] [-cluster-name NAME -peers host:port,...]
 //	        [-advertise host:port] [-replicas 2]
 //
-// -workers bounds concurrently running jobs; -sweep-workers bounds the
-// simulations one job runs in parallel (0 = GOMAXPROCS divided across the
-// job workers). Every simulation is a CPU-bound serial coherence run, so
-// the daemon keeps workers × sweep-workers ≤ GOMAXPROCS:
-// explicit values that oversubscribe are capped with a startup warning.
+// -workers bounds the jobs in flight. The node's simulation budget is
+// workers × sweep-workers slots (sweep-workers 0 = GOMAXPROCS), capped at
+// GOMAXPROCS because every simulation is a CPU-bound serial coherence run;
+// an explicit product above it is capped with a startup warning. Every
+// simulation takes a slot — a job's cache misses, a peer's forwarded
+// compute, a last-resort local run — so one job alone fills every idle slot
+// and concurrent jobs share them.
 // -queue is the admission window: submissions beyond it receive HTTP 429
 // with a Retry-After hint instead of queueing without bound. -cache-file
 // persists the result-cache index across restarts (written atomically on
@@ -112,34 +115,26 @@ func main() {
 // from here instead of scraping stderr.
 var notifyListening = func(addr string) {}
 
-// effectiveSweepWorkers resolves the per-job simulation parallelism so the
-// pool never oversubscribes the host: each of `workers` jobs runs up to the
-// returned count of simulations at once, and every simulation is one
-// CPU-bound goroutine (the coherence path is serial), so the product is
-// kept ≤ maxProcs. sweepWorkers 0 asks for the automatic
-// split; an explicit value that oversubscribes is capped and the returned
-// warning explains what happened (empty when nothing was changed).
-//
-// The previous behavior — 0 meant one sweep worker per CPU in *each* job
-// worker — ran workers × NumCPU simulations on NumCPU cores, a 2× default
-// oversubscription that showed up as pure scheduler churn on loaded hosts.
+// effectiveSweepWorkers resolves the node's simulation budget: the slots
+// every simulation on this node takes, whichever job or peer asked for it.
+// The budget is workers × sweepWorkers, with sweepWorkers 0 meaning
+// maxProcs, capped at maxProcs: each simulation is one CPU-bound goroutine
+// (the coherence path is serial), so more slots than procs only add
+// scheduler churn. An explicit product above maxProcs is capped and the
+// returned warning says so (empty when nothing was changed).
 func effectiveSweepWorkers(workers, sweepWorkers, maxProcs int) (int, string) {
 	if workers < 1 {
 		workers = 1
 	}
-	fair := maxProcs / workers
-	if fair < 1 {
-		fair = 1
-	}
 	if sweepWorkers <= 0 {
-		return fair, ""
+		return maxProcs, ""
 	}
-	if workers*sweepWorkers > maxProcs && sweepWorkers > fair {
-		return fair, fmt.Sprintf(
-			"%d jobs x %d simulations oversubscribes GOMAXPROCS=%d; capping -sweep-workers to %d",
-			workers, sweepWorkers, maxProcs, fair)
+	if workers*sweepWorkers > maxProcs {
+		return maxProcs, fmt.Sprintf(
+			"%d jobs x %d simulations oversubscribes GOMAXPROCS=%d; capping the simulation budget to %d",
+			workers, sweepWorkers, maxProcs, maxProcs)
 	}
-	return sweepWorkers, ""
+	return workers * sweepWorkers, ""
 }
 
 // realMain runs the daemon until a signal arrives on stop (tests send one
@@ -148,8 +143,8 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 	fs := flag.NewFlagSet("aggsimd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "localhost:8977", "listen address (host:port, :0 for an ephemeral port)")
-	workers := fs.Int("workers", 2, "jobs simulated concurrently")
-	sweepWorkers := fs.Int("sweep-workers", 0, "parallel simulations within one job (0 = GOMAXPROCS split across -workers)")
+	workers := fs.Int("workers", 2, "jobs in flight at once")
+	sweepWorkers := fs.Int("sweep-workers", 0, "simulation slots per job worker: the node runs at most workers x sweep-workers simulations at once, capped at GOMAXPROCS (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 16, "admission window: max jobs waiting to run")
 	cacheEntries := fs.Int("cache-entries", 512, "result cache LRU bound")
 	cacheFile := fs.String("cache-file", "", "persist the cache index to this file across restarts")
@@ -225,13 +220,14 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 		svcLog = pimdsm.NewServiceLogger(f, *logLevel, false)
 	}
 
-	sw, warn := effectiveSweepWorkers(*workers, *sweepWorkers, runtime.GOMAXPROCS(0))
+	slots, warn := effectiveSweepWorkers(*workers, *sweepWorkers, runtime.GOMAXPROCS(0))
 	if warn != "" {
 		fmt.Fprintln(stderr, "aggsimd:", warn)
 	}
 
 	srv, err := pimdsm.NewServer(pimdsm.ServerOptions{
 		Workers:         *workers,
+		Slots:           slots,
 		QueueLimit:      *queue,
 		CacheEntries:    *cacheEntries,
 		CachePath:       *cacheFile,
@@ -242,7 +238,7 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 		Events:          pimdsm.NewEventLog(0),
 		Tenants:         tenants,
 		UsagePath:       *usageFile,
-	}, sw)
+	}, 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "aggsimd:", err)
 		return 1

@@ -93,9 +93,9 @@ func wait(t *testing.T, c *pimdsm.ServiceClient, id string) pimdsm.JobStatus {
 func TestServeSmoke(t *testing.T) {
 	const window = 2
 	cacheFile := filepath.Join(t.TempDir(), "aggsimd.cache")
-	// -sweep-workers 1 keeps each job's runs serial, so a storm job's wall
-	// time is the sum of its simulations — the queue genuinely fills even
-	// on a machine with many cores.
+	// -workers 1 -sweep-workers 1 is a budget of 1 simulation slot, so a
+	// storm job's wall time is the sum of its simulations — the queue
+	// genuinely fills even on a machine with many cores.
 	d := startDaemon(t,
 		"-addr", "127.0.0.1:0",
 		"-workers", "1",

@@ -26,9 +26,9 @@ func main() {
 	// -queue 2 -cache-file ...` wires, minus the signal handling.
 	cacheFile := "service-example.cache"
 	defer os.Remove(cacheFile)
-	// sweep-workers 1 runs each job's configurations serially, so a job's
-	// wall time is the sum of its runs — which is what lets the submit
-	// storm below actually fill the queue on a fast machine.
+	// Workers 1 × sweep-workers 1 is a budget of 1 simulation slot, so a
+	// job's wall time is the sum of its runs — which is what lets the
+	// submit storm below actually fill the queue on a fast machine.
 	srv, err := pimdsm.NewServer(pimdsm.ServerOptions{
 		Workers:    1,
 		QueueLimit: 2,

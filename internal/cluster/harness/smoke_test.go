@@ -232,6 +232,7 @@ func TestClusterSmoke(t *testing.T) {
 			t.Fatalf("/metrics.prom missing %q", want)
 		}
 	}
+	assertSlotBound(t, c, 2)
 }
 
 // TestClusterImbalancedFrontDoor sends every job to one single-worker node
@@ -299,4 +300,83 @@ func TestClusterImbalancedFrontDoor(t *testing.T) {
 			t.Errorf("node %s simulated %d configs, owns %d of the keys", n.Addr, got, owned[n.Addr])
 		}
 	}
+	assertSlotBound(t, c, 1)
+}
+
+// assertSlotBound checks that no live node ever ran more simulations at once
+// than its budget, and that the budget is the one the harness asked for.
+func assertSlotBound(t *testing.T, c *Cluster, budget int) {
+	t.Helper()
+	for _, n := range c.Live() {
+		st := n.Srv.Stats()
+		if st.SimSlots != budget || st.SimSlotsHighWater > int64(st.SimSlots) {
+			t.Errorf("node %s: %d simulation slots, high water %d; want %d slots, high water at most that",
+				n.Addr, st.SimSlots, st.SimSlotsHighWater, budget)
+		}
+	}
+}
+
+// TestClusterOwnerSlotBound: node 1 simulates a multi-miss job of its own
+// while node 0 forwards it a 4-config batch whose keys node 1 owns. The
+// forwarded computes take node 1's slots like its own job's misses do, so
+// with one slot node 1 never runs two simulations at once, and still
+// simulates every one of the 7 keys exactly once.
+func TestClusterOwnerSlotBound(t *testing.T) {
+	c, err := Start("slots", Options{N: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitAlive(3, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	door, owner := c.Node(0), c.Node(1)
+
+	// Distinct small configs whose keys node 1 owns, as both nodes see it.
+	var mine []serve.ConfigSpec
+	for k := 0; len(mine) < 7; k++ {
+		cs := serve.ConfigSpec{Arch: "agg", App: "fft", Scale: 0.02 + 0.0001*float64(k),
+			Threads: 4, Pressure: 0.75, DRatio: 1}
+		o, _ := door.Peer.Owner(cs.Key(0))
+		if _, self := owner.Peer.Owner(cs.Key(0)); self && o == owner.Addr {
+			mine = append(mine, cs)
+		}
+	}
+	var jobs []*serve.Job
+	for _, sub := range []struct {
+		n    *Node
+		spec serve.JobSpec
+	}{
+		{owner, serve.JobSpec{Name: "local", Configs: mine[:3]}},
+		{door, serve.JobSpec{Name: "forwarded", Configs: mine[3:]}},
+	} {
+		st, err := sub.n.Srv.Submit(sub.spec)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", sub.spec.Name, err)
+		}
+		j, _ := sub.n.Srv.Job(st.ID)
+		jobs = append(jobs, j)
+	}
+	for i, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatalf("job %d did not finish; cluster stats %+v", i, c.ClusterStats())
+		}
+	}
+	if st := owner.Srv.Status(jobs[0]); st.State != serve.JobDone || st.Simulated != 3 {
+		t.Fatalf("local job at the owner: %+v, want done with 3 simulated", st)
+	}
+	if st := door.Srv.Status(jobs[1]); st.State != serve.JobDone || st.Forwarded != 4 {
+		t.Fatalf("forwarded job at the front door: %+v, want done with 4 forwarded", st)
+	}
+	st := owner.Srv.Stats()
+	if st.SimulatedRuns != 7 || st.Cluster.ForwardsServed != 4 {
+		t.Fatalf("owner simulated %d and served %d forwards; want 7 and 4",
+			st.SimulatedRuns, st.Cluster.ForwardsServed)
+	}
+	if st.SimSlotsHighWater != 1 {
+		t.Errorf("owner's slot high water %d, want 1", st.SimSlotsHighWater)
+	}
+	assertSlotBound(t, c, 1)
 }

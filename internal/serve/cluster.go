@@ -110,8 +110,8 @@ func (s *Server) AttachCluster(node *cluster.Node) {
 		return
 	}
 	s.cluster = node
-	// Forwarded computes may simulate inline at the owner; the peer client
-	// timeout must cover a full run, not just a cache probe.
+	// A forwarded compute may wait for a slot and then simulate at the
+	// owner; the peer client timeout must cover that, not just a cache probe.
 	s.clusterHTTP = &http.Client{Timeout: 2 * time.Minute}
 	s.mu.Unlock()
 	s.opt.Log.Info("cluster_attached", "cluster", node.Name(), "self", node.Self(),
@@ -190,8 +190,10 @@ func clip(b []byte) string {
 // resolveLocal resolves one key on this node: cache hit, singleflight join,
 // replica recovery, or a real simulation (which then replicates to the key's
 // successors). how is "hit", "join", "recovered" or "simulated". This is the
-// owner half of compute-at-owner routing — it never forwards. The cache
-// outcome and any simulation count against tenant ("" for peer traffic).
+// owner half of compute-at-owner routing — it never forwards. A simulation
+// takes a slot like any job's, so peer computes stay inside the node's
+// budget. The cache outcome and any simulation count against tenant ("" for
+// peer traffic).
 func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*machine.Result, []byte, string, error) {
 	res, js, hit, fl, owner := s.cache.Acquire(key, tenant)
 	if hit {
@@ -211,25 +213,20 @@ func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*
 		s.cache.Fulfill(key, seed, cs.canonical(), rres, rjs)
 		return rres, rjs, "recovered", nil
 	}
-	cfg := cs.canonical().Config()
-	rs, err := s.opt.Run([]machine.Config{cfg}, nil)
-	if err == nil && (len(rs) == 0 || rs[0] == nil) {
-		err = errors.New("serve: run produced no result")
+	var err error
+	s.runInSlot(cs.canonical().Config(), nil, func(r *machine.Result, e error) { res, err = r, e })
+	if err == nil {
+		js, err = canonicalResultJSON(res)
 	}
 	if err != nil {
 		s.cache.Abort(key, err)
 		return nil, nil, "", err
 	}
-	sjs, err := canonicalResultJSON(rs[0])
-	if err != nil {
-		s.cache.Abort(key, err)
-		return nil, nil, "", err
-	}
-	s.cache.Fulfill(key, seed, cs.canonical(), rs[0], sjs)
+	s.cache.Fulfill(key, seed, cs.canonical(), res, js)
 	s.m.simRuns.With(tenant).Inc()
-	s.m.simCycles.With(tenant).Add(uint64(rs[0].Breakdown.Exec))
-	s.replicateAsync(key, seed, cs.canonical(), sjs)
-	return rs[0], sjs, "simulated", nil
+	s.m.simCycles.With(tenant).Add(uint64(res.Breakdown.Exec))
+	s.replicateAsync(key, seed, cs.canonical(), js)
+	return res, js, "simulated", nil
 }
 
 // resolveAny resolves one key from anywhere in the cluster: local cache

@@ -78,18 +78,11 @@ func TestResultEnvelopeBodyGolden(t *testing.T) {
 }
 
 // markupRunner is fakeRunner with HTML-sensitive strings in every result.
-func markupRunner(cfgs []machine.Config, onResult func(int, *machine.Result)) ([]*machine.Result, error) {
-	out := make([]*machine.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads,
-			AuditSamples: []string{`<b>"&"</b>`}}
-		res.Breakdown.Exec = sim.Time(1000 + i)
-		out[i] = res
-		if onResult != nil {
-			onResult(i, res)
-		}
-	}
-	return out, nil
+func markupRunner(cfg machine.Config) (*machine.Result, error) {
+	res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads,
+		AuditSamples: []string{`<b>"&"</b>`}}
+	res.Breakdown.Exec = 1000
+	return res, nil
 }
 
 // fig6Batch is one application's Figure-6 batch: NUMA, COMA and AGG at both
@@ -171,7 +164,7 @@ func TestIngestCanonicalizes(t *testing.T) {
 	indented, _ := json.MarshalIndent(res, "", "\t")
 	padded := append(append([]byte(" \n"), indented...), " \t\n"...)
 	key := cs.canonical().Key(0)
-	never := func([]machine.Config, func(int, *machine.Result)) ([]*machine.Result, error) {
+	never := func(machine.Config) (*machine.Result, error) {
 		t.Error("a cached config was simulated")
 		return nil, context.Canceled
 	}

@@ -27,9 +27,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files")
 
-// goldenRunner is a deterministic batch runner for the exposition goldens:
-// every config yields a fixed result, the app "fail" fails, and while gate is
-// non-nil every batch blocks on it.
+// goldenRunner is a deterministic runner for the exposition goldens: every
+// config yields a fixed result, the app "fail" fails, and while gate is
+// non-nil every run blocks on it.
 type goldenRunner struct {
 	mu   sync.Mutex
 	gate chan struct{}
@@ -48,26 +48,19 @@ func (g *goldenRunner) release() {
 	g.mu.Unlock()
 }
 
-func (g *goldenRunner) run(cfgs []machine.Config, onResult func(int, *machine.Result)) ([]*machine.Result, error) {
+func (g *goldenRunner) run(cfg machine.Config) (*machine.Result, error) {
 	g.mu.Lock()
 	gate := g.gate
 	g.mu.Unlock()
 	if gate != nil {
 		<-gate
 	}
-	out := make([]*machine.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		if cfg.App.Name == "fail" {
-			return nil, errors.New("golden: injected failure")
-		}
-		res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads}
-		res.Breakdown.Exec = sim.Time(1000 * cfg.Threads)
-		out[i] = res
-		if onResult != nil {
-			onResult(i, res)
-		}
+	if cfg.App.Name == "fail" {
+		return nil, errors.New("golden: injected failure")
 	}
-	return out, nil
+	res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads}
+	res.Breakdown.Exec = sim.Time(1000 * cfg.Threads)
+	return res, nil
 }
 
 // goldenScript drives one daemon through a fixed request sequence and returns
@@ -192,9 +185,9 @@ func (g *goldenScript) run(gr *goldenRunner, clustered bool) {
 		g.do("POST", "/api/v1/cluster/compute", "",
 			clusterComputeRequest{Spec: radix, Key: fmt.Sprintf("%016x", radix.Key(0))}, peer)
 		water := goldenSpec("", "water").Configs[0]
-		res, _ := gr.run([]machine.Config{water.canonical().Config()}, nil)
-		res[0].PerThread = make([]stats.Thread, res[0].Threads)
-		js, _ := canonicalResultJSON(res[0])
+		res, _ := gr.run(water.canonical().Config())
+		res.PerThread = make([]stats.Thread, res.Threads)
+		js, _ := canonicalResultJSON(res)
 		g.do("POST", "/api/v1/cluster/replicate", "", indexEntry{
 			Key: fmt.Sprintf("%016x", water.Key(0)), Spec: water, Result: js,
 		}, peer)
@@ -218,6 +211,7 @@ func (g *goldenScript) run(gr *goldenRunner, clustered bool) {
 	g.until("busy-a running", func(st ServerStats) bool { return st.Running == 1 })
 	g.submit("b", goldenSpec("busy-b", "cholesky"), http.StatusAccepted)
 	g.until("both running", func(st ServerStats) bool { return st.Running == 2 })
+	g.until("both simulating", func(st ServerStats) bool { return st.SimSlotsInUse == 2 })
 	g.submit("a", goldenSpec("queued", "volrend"), http.StatusAccepted)
 	if g.tenant {
 		g.submit("b", goldenSpec("rate", "dbase"), http.StatusTooManyRequests)

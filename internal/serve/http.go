@@ -677,7 +677,7 @@ func (a *API) eventsSSE(w http.ResponseWriter, r *http.Request) {
 
 // progress streams one "done/total state" line per change (plus a keepalive
 // snapshot every second) until the job reaches a terminal state — the HTTP
-// face of the Sweep.Progress/OnResult hooks that feed the job counters.
+// face of the job's done counter, which each published result advances.
 // Superseded by /api/v1/events (SSE) for watching many jobs at scale, kept
 // for single-job CLI use.
 func (a *API) progress(w http.ResponseWriter, r *http.Request) {

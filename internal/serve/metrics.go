@@ -77,6 +77,12 @@ func newMetrics(s *Server) *metrics {
 	gauge("aggsimd_queue_limit", "Admission window size.", func(st ServerStats) float64 { return float64(st.QueueLimit) })
 	gauge("aggsimd_jobs_running", "Jobs currently simulating.", func(st ServerStats) float64 { return float64(st.Running) })
 	gauge("aggsimd_workers", "Worker pool size.", func(st ServerStats) float64 { return float64(st.Workers) })
+	gauge("aggsimd_sim_slots", "Simulation budget: the most simulations this node runs at once.",
+		func(st ServerStats) float64 { return float64(st.SimSlots) })
+	gauge("aggsimd_sim_slots_in_use", "Simulation slots held now (job misses, peer computes, local fallbacks).",
+		func(st ServerStats) float64 { return float64(st.SimSlotsInUse) })
+	gauge("aggsimd_sim_slots_high_water", "Most simulation slots ever held at once.",
+		func(st ServerStats) float64 { return float64(st.SimSlotsHighWater) })
 	gauge("aggsimd_draining", "1 while the server is shutting down.", func(st ServerStats) float64 {
 		if st.Draining {
 			return 1

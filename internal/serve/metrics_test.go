@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"pimdsm/internal/cluster"
-	"pimdsm/internal/machine"
 	"pimdsm/internal/obs/svclog"
 	"pimdsm/internal/stats"
 )
@@ -233,9 +232,9 @@ func TestReplicaRecoveryCountsTenantMiss(t *testing.T) {
 		}
 	}
 	cs := spec.Configs[0]
-	res, _ := gr.run([]machine.Config{cs.canonical().Config()}, nil)
-	res[0].PerThread = make([]stats.Thread, res[0].Threads)
-	js, _ := canonicalResultJSON(res[0])
+	res, _ := gr.run(cs.canonical().Config())
+	res.PerThread = make([]stats.Thread, res.Threads)
+	js, _ := canonicalResultJSON(res)
 	body, _ := json.Marshal(indexEntry{Key: keyHex(cs.Key(0)), Spec: cs.canonical(), Result: js})
 	req, _ := http.NewRequest("POST", "http://"+addrB+"/api/v1/cluster/replicate", bytes.NewReader(body))
 	req.Header.Set(clusterHeader, "recover")

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pimdsm/internal/cluster"
@@ -16,17 +17,24 @@ import (
 	"pimdsm/internal/obs/svclog"
 )
 
-// RunBatchFunc executes a batch of configurations and returns the results in
-// input order, invoking onResult as each run completes (r is nil for a
-// failed run). The root pimdsm package wires this to Sweep.RunMany, so the
-// pool's determinism guarantee — results[i] depends only on cfgs[i], never
-// on scheduling — carries over to the service.
-type RunBatchFunc func(cfgs []machine.Config, onResult func(i int, r *machine.Result)) ([]*machine.Result, error)
+// RunFunc simulates one configuration. A result depends only on its Config,
+// never on which goroutine or slot ran it, so results are byte-identical at
+// any simulation budget.
+type RunFunc func(cfg machine.Config) (*machine.Result, error)
+
+// DefaultWorkers is the job worker count when Options.Workers is unset.
+const DefaultWorkers = 2
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the number of jobs simulated concurrently (default 2).
+	// Workers is the number of jobs in flight at once (default
+	// DefaultWorkers). It bounds jobs, not simulations: Slots does that.
 	Workers int
+	// Slots is the node's simulation budget: the most simulations running at
+	// once, whoever asked for them — a job's cache misses, a peer's forwarded
+	// compute or a front door's last-resort local run. One job may fill every
+	// free slot; concurrent jobs share them (default Workers).
+	Slots int
 	// QueueLimit is the admission window: the maximum number of jobs
 	// waiting to run. Submissions past it are rejected immediately with a
 	// retry-after hint instead of queueing without bound (default 16).
@@ -36,9 +44,9 @@ type Options struct {
 	// CachePath, when non-empty, persists the cache index there on
 	// Shutdown and reloads it in NewServer.
 	CachePath string
-	// Run executes one batch; nil means a serial loop over machine.Run.
-	// pimdsm.NewServer always wires the Sweep pool here.
-	Run RunBatchFunc
+	// Run simulates one configuration (nil means machine.Run). The server
+	// calls it only while holding a slot.
+	Run RunFunc
 	// Log receives the service's structured log lines (nil = discard).
 	// Logging is record-only: results are byte-identical with it on or off.
 	Log *slog.Logger
@@ -49,8 +57,8 @@ type Options struct {
 	Events *svclog.EventLog
 	// TelemetrySample head-samples every Nth submission into the flight
 	// recorder (as if it had set JobSpec.Telemetry); 0 disables sampling.
-	// Sampled jobs carry spans, so they run their simulations serially —
-	// the always-on observability tax is bounded by picking N.
+	// Sampled jobs carry spans, so they run their simulations one slot at a
+	// time — the always-on observability tax is bounded by picking N.
 	TelemetrySample int
 	// ArtifactDir, when non-empty, persists flight-recorder artifacts there
 	// in a bounded on-disk store whose index (like the result cache's)
@@ -74,7 +82,10 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
-		o.Workers = 2
+		o.Workers = DefaultWorkers
+	}
+	if o.Slots <= 0 {
+		o.Slots = o.Workers
 	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 16
@@ -86,24 +97,7 @@ func (o Options) withDefaults() Options {
 		o.Log = svclog.Nop()
 	}
 	if o.Run == nil {
-		o.Run = func(cfgs []machine.Config, onResult func(int, *machine.Result)) ([]*machine.Result, error) {
-			results := make([]*machine.Result, len(cfgs))
-			var firstErr error
-			for i := range cfgs {
-				r, err := machine.Run(cfgs[i])
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				results[i] = r
-				if onResult != nil {
-					onResult(i, r)
-				}
-			}
-			if firstErr != nil {
-				return nil, firstErr
-			}
-			return results, nil
-		}
+		o.Run = machine.Run
 	}
 	return o
 }
@@ -241,7 +235,8 @@ func (e *BusyError) Error() string {
 var ErrDraining = errors.New("serve: server is shutting down")
 
 // Server is the simulation service: admission control in Submit, a priority
-// queue drained by a fixed worker pool, and the content-addressed cache.
+// queue drained by a fixed worker pool, the content-addressed cache, and one
+// pool of simulation slots that every run on this node takes.
 type Server struct {
 	opt       Options
 	m         *metrics
@@ -267,6 +262,8 @@ type Server struct {
 	clusterWG     sync.WaitGroup
 	clusterHTTP   *http.Client
 	clusterClosed bool // set under mu before clusterWG.Wait; gates new Add calls
+
+	slots slotPool
 }
 
 // New starts a server: restores the cache index from Options.CachePath when
@@ -275,6 +272,7 @@ type Server struct {
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{opt: opt, jobs: make(map[string]*Job)}
+	s.slots.sem = make(chan struct{}, opt.Slots)
 	s.m = newMetrics(s)
 	s.cache = newCache(opt.CacheEntries, s.m)
 	s.cond = sync.NewCond(&s.mu)
@@ -591,6 +589,13 @@ type ServerStats struct {
 	Running    int  `json:"running"`
 	Draining   bool `json:"draining"`
 
+	// SimSlots is the node's simulation budget; SimSlotsInUse the slots
+	// held now and SimSlotsHighWater the most ever held at once, which never
+	// exceeds SimSlots.
+	SimSlots          int   `json:"sim_slots"`
+	SimSlotsInUse     int64 `json:"sim_slots_in_use"`
+	SimSlotsHighWater int64 `json:"sim_slots_high_water"`
+
 	JobsSubmitted uint64 `json:"jobs_submitted"`
 	JobsRejected  uint64 `json:"jobs_rejected"`
 	JobsDone      uint64 `json:"jobs_done"`
@@ -621,18 +626,21 @@ func (s *Server) Stats() ServerStats {
 	m := s.m
 	s.mu.Lock()
 	st := ServerStats{
-		Workers:         s.opt.Workers,
-		QueueLimit:      s.opt.QueueLimit,
-		Queued:          len(s.queue),
-		Running:         s.running,
-		Draining:        s.draining,
-		JobsSubmitted:   m.submitted.Sum(),
-		JobsRejected:    m.rejected.Sum(),
-		JobsDone:        m.done.Sum(),
-		JobsFailed:      m.failed.Sum(),
-		JobsAborted:     m.aborted.Sum(),
-		SimulatedRuns:   m.simRuns.Sum(),
-		SimulatedCycles: m.simCycles.Sum(),
+		Workers:           s.opt.Workers,
+		QueueLimit:        s.opt.QueueLimit,
+		Queued:            len(s.queue),
+		Running:           s.running,
+		Draining:          s.draining,
+		SimSlots:          s.opt.Slots,
+		SimSlotsInUse:     s.slots.inUse.Load(),
+		SimSlotsHighWater: s.slots.peak.Load(),
+		JobsSubmitted:     m.submitted.Sum(),
+		JobsRejected:      m.rejected.Sum(),
+		JobsDone:          m.done.Sum(),
+		JobsFailed:        m.failed.Sum(),
+		JobsAborted:       m.aborted.Sum(),
+		SimulatedRuns:     m.simRuns.Sum(),
+		SimulatedCycles:   m.simCycles.Sum(),
 	}
 	if s.cluster != nil {
 		st.Cluster = s.clusterStatsLocked()
@@ -716,16 +724,17 @@ func (s *Server) hitLocked(j *Job, i int, js []byte, detail string) {
 }
 
 // runJob executes one job: resolve every config against the cache, simulate
-// the misses this job owns through the batch runner, wait for flights owned
-// by other running jobs, then finalize. In cluster mode, configs whose keys
+// the misses this job owns in the node's slots, wait for flights owned by
+// other running jobs, then finalize. In cluster mode, configs whose keys
 // this node does not own are resolved through the owning peer (or its
 // replicas) instead of simulated here — the front-door half of the
 // compute-at-owner routing.
 //
 // Deadlock-freedom: flights are only ever owned by running jobs, and a job
 // always finishes its own simulations (fulfilling its flights) before
-// waiting on anyone else's, so waits form no cycle. Remote-owned configs
-// never acquire local flights at all.
+// waiting on anyone else's, so waits form no cycle. A slot is held only
+// across one run and its publish, never across a wait on a flight or a
+// peer. Remote-owned configs never acquire local flights at all.
 func (s *Server) runJob(j *Job) {
 	n := len(j.spec.Configs)
 	keys := j.keys
@@ -869,98 +878,137 @@ func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byt
 	close(j.doneCh)
 }
 
-// simulate runs the cache-missing configs this job owns and publishes each
-// result into the cache (resolving the singleflight flights) as it lands.
-// With spans attached the runs go one at a time: a span recorder is a shared
-// observer, exactly like the figure drivers' shared-trace mode.
+// simulate runs the cache-missing configs this job owns, each in its own
+// slot, and publishes each result into the cache (resolving the singleflight
+// flights) as it lands. A job claims free slots in config order, so alone it
+// fills every idle slot and beside another job it shares them. With spans
+// attached the runs go one at a time: a span recorder is a shared observer,
+// exactly like the figure drivers' shared-trace mode.
 func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine.Result, resJSON [][]byte) error {
-	batches := [][]int{toRun}
-	if j.spans != nil {
-		batches = batches[:0]
-		for _, i := range toRun {
-			batches = append(batches, []int{i})
+	errs := make([]error, len(toRun))
+	// publish lands run n (config i) in the cache, the job and the counters,
+	// or aborts its flight with the run's error so joined jobs unblock.
+	publish := func(n, i int, prof *obs.Profile, r *machine.Result, err error) {
+		var js []byte
+		if err == nil {
+			js, err = canonicalResultJSON(r)
 		}
+		if err != nil {
+			s.cache.Abort(keys[i], err)
+			errs[n] = err
+			return
+		}
+		cs := j.spec.Configs[i].canonical()
+		results[i], resJSON[i] = r, js
+		s.cache.Fulfill(keys[i], j.spec.Seed, cs, r, js)
+		s.replicateAsync(keys[i], j.spec.Seed, cs, js)
+		var snap *obs.ProfileSnapshot
+		var fb bytes.Buffer
+		if prof != nil {
+			// Fold this config's cycle attribution into the job's flight
+			// record: additive snapshot merge plus folded flamegraph stacks
+			// (concatenation is valid folded input).
+			snap = obs.SnapshotProfile(prof)
+			prof.WriteFolded(&fb)
+		}
+		s.mu.Lock()
+		if snap != nil {
+			if j.profSnap == nil {
+				j.profSnap = snap
+			} else {
+				j.profSnap.Merge(snap)
+			}
+			j.folded = append(j.folded, fb.Bytes()...)
+		}
+		j.done++
+		j.simulated++
+		s.eventLocked(j, svclog.EvSimulated, i, uint64(r.Breakdown.Exec), "")
+		s.eventLocked(j, svclog.EvPersisted, i, 0, "")
+		s.mu.Unlock()
+		s.m.simRuns.With(j.spec.Tenant).Inc()
+		s.m.simCycles.With(j.spec.Tenant).Add(uint64(r.Breakdown.Exec))
+		s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
 	}
-	var firstErr error
-	for _, batch := range batches {
-		cfgs := make([]machine.Config, len(batch))
+	var wg *sync.WaitGroup
+	if j.spans == nil {
+		wg = new(sync.WaitGroup)
+	}
+	for n, i := range toRun {
+		cfg := j.spec.Configs[i].canonical().Config()
+		cfg.Spans = j.spans
 		// Telemetry jobs attach a fresh profiler per config; machine.Run
 		// folds the run's attribution into it before returning, so by the
-		// time onResult fires the profile is complete and snapshot-safe.
-		var profs []*obs.Profile
+		// time the result is published the profile is complete.
+		var prof *obs.Profile
 		if j.telemetry {
-			profs = make([]*obs.Profile, len(batch))
+			prof = obs.NewProfile()
+			cfg.Profile = prof
 		}
-		for bi, i := range batch {
-			cfg := j.spec.Configs[i].canonical().Config()
-			cfg.Spans = j.spans
-			if profs != nil {
-				profs[bi] = obs.NewProfile()
-				cfg.Profile = profs[bi]
-			}
-			cfgs[bi] = cfg
-		}
-		onResult := func(bi int, r *machine.Result) {
-			if r == nil {
-				return // failure; flight aborted after the batch returns
-			}
-			i := batch[bi]
-			js, err := canonicalResultJSON(r)
-			if err != nil {
-				// Result not serializable: still serve it in-process but
-				// never cache it (the flight resolves with the error).
-				s.cache.Abort(keys[i], err)
-				return
-			}
-			results[i], resJSON[i] = r, js
-			s.cache.Fulfill(keys[i], j.spec.Seed, j.spec.Configs[i].canonical(), r, js)
-			s.replicateAsync(keys[i], j.spec.Seed, j.spec.Configs[i].canonical(), js)
-			if profs != nil && profs[bi] != nil {
-				// Fold this config's cycle attribution into the job's
-				// flight record: additive snapshot merge plus folded
-				// flamegraph stacks (concatenation is valid folded input).
-				snap := obs.SnapshotProfile(profs[bi])
-				var fb bytes.Buffer
-				profs[bi].WriteFolded(&fb)
-				s.mu.Lock()
-				if j.profSnap == nil {
-					j.profSnap = snap
-				} else {
-					j.profSnap.Merge(snap)
-				}
-				j.folded = append(j.folded, fb.Bytes()...)
-				s.mu.Unlock()
-			}
-			s.mu.Lock()
-			j.done++
-			j.simulated++
-			s.eventLocked(j, svclog.EvSimulated, i, uint64(r.Breakdown.Exec), "")
-			s.eventLocked(j, svclog.EvPersisted, i, 0, "")
-			s.mu.Unlock()
-			s.m.simRuns.With(j.spec.Tenant).Inc()
-			s.m.simCycles.With(j.spec.Tenant).Add(uint64(r.Breakdown.Exec))
-			s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
-		}
-		_, err := s.opt.Run(cfgs, onResult)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		// Any config that produced no result leaves an unresolved flight;
-		// abort it so joined jobs unblock with the error.
-		for _, i := range batch {
-			if results[i] == nil {
-				e := err
-				if e == nil {
-					e = errors.New("serve: run produced no result")
-				}
-				s.cache.Abort(keys[i], e)
-				if firstErr == nil {
-					firstErr = e
-				}
-			}
+		s.runInSlot(cfg, wg, func(r *machine.Result, err error) { publish(n, i, prof, r, err) })
+	}
+	if wg != nil {
+		wg.Wait()
+	}
+	// The job's error is its lowest-indexed failure, whatever order the
+	// runs finished in.
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
+}
+
+// errNoResult fails a run that returned neither a result nor an error.
+var errNoResult = errors.New("serve: run produced no result")
+
+// runInSlot is the one way into Options.Run: it takes a slot of the node's
+// simulation budget, blocking until one frees, runs cfg, hands the outcome to
+// done and only then frees the slot. With wg nil it returns after done; with
+// wg set the run goes on its own goroutine, tracked by wg, and runInSlot
+// returns as soon as the slot is held, so the caller can claim the next.
+func (s *Server) runInSlot(cfg machine.Config, wg *sync.WaitGroup, done func(*machine.Result, error)) {
+	s.slots.acquire()
+	run := func() {
+		defer s.slots.release()
+		r, err := s.opt.Run(cfg)
+		if err == nil && r == nil {
+			err = errNoResult
+		}
+		done(r, err)
+	}
+	if wg == nil {
+		run()
+		return
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		run()
+	}()
+}
+
+// slotPool is a counting semaphore over the node's simulation budget that
+// also reports how many slots are held and the most ever held at once.
+type slotPool struct {
+	sem         chan struct{}
+	inUse, peak atomic.Int64
+}
+
+func (p *slotPool) acquire() {
+	p.sem <- struct{}{}
+	n := p.inUse.Add(1)
+	for {
+		peak := p.peak.Load()
+		if n <= peak || p.peak.CompareAndSwap(peak, n) {
+			return
+		}
+	}
+}
+
+func (p *slotPool) release() {
+	p.inUse.Add(-1)
+	<-p.sem
 }
 
 // Shutdown drains the service: new submissions are rejected, queued jobs

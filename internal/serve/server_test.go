@@ -13,7 +13,6 @@ import (
 
 	"pimdsm/internal/machine"
 	"pimdsm/internal/obs/svclog"
-	"pimdsm/internal/sim"
 	"pimdsm/internal/stats"
 )
 
@@ -21,30 +20,23 @@ import (
 // every simulated config so tests can assert what actually ran.
 type fakeRunner struct {
 	mu    sync.Mutex
-	gate  chan struct{} // nil = ungated; else every batch blocks until closed
+	gate  chan struct{} // nil = ungated; else every run blocks until closed
 	ran   []string      // app names in run order
 	calls atomic.Int64
 }
 
-func (f *fakeRunner) run(cfgs []machine.Config, onResult func(int, *machine.Result)) ([]*machine.Result, error) {
+func (f *fakeRunner) run(cfg machine.Config) (*machine.Result, error) {
 	f.calls.Add(1)
 	if f.gate != nil {
 		<-f.gate
 	}
-	out := make([]*machine.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		f.mu.Lock()
-		f.ran = append(f.ran, cfg.App.Name)
-		f.mu.Unlock()
-		res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads,
-			PerThread: make([]stats.Thread, cfg.Threads)}
-		res.Breakdown.Exec = sim.Time(1000 + i)
-		out[i] = res
-		if onResult != nil {
-			onResult(i, res)
-		}
-	}
-	return out, nil
+	f.mu.Lock()
+	f.ran = append(f.ran, cfg.App.Name)
+	f.mu.Unlock()
+	res := &machine.Result{Arch: cfg.Arch, App: cfg.App.Name, Threads: cfg.Threads,
+		PerThread: make([]stats.Thread, cfg.Threads)}
+	res.Breakdown.Exec = 1000
+	return res, nil
 }
 
 func spec1(app string) JobSpec {

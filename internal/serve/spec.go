@@ -1,14 +1,15 @@
 // Package serve turns the simulator into a long-running service: a priority
 // job queue with a bounded admission window, a content-addressed LRU result
 // cache with singleflight collapsing of identical in-flight work, a worker
-// pool that drains jobs through the library's Sweep/RunMany machinery (so
-// determinism guarantees carry over), and a JSON/HTTP API mounted alongside
-// the obs.Dashboard handlers. Shutdown is graceful: running jobs drain and
-// the cache index persists to disk for the next daemon instance.
+// pool that bounds the jobs in flight, one per-node pool of simulation slots
+// that every run takes (so results, which depend only on their config, are
+// the same at any budget), and a JSON/HTTP API mounted alongside the
+// obs.Dashboard handlers. Shutdown is graceful: running jobs drain and the
+// cache index persists to disk for the next daemon instance.
 //
 // The package deliberately depends only on internal packages; the root
-// pimdsm package re-exports the public surface and wires the batch runner to
-// its Sweep pool (serve cannot import the root package without a cycle).
+// pimdsm package re-exports the public surface and resolves the slot budget
+// (serve cannot import the root package without a cycle).
 package serve
 
 import (

@@ -3,6 +3,7 @@ package pimdsm
 import (
 	"io"
 	"log/slog"
+	"runtime"
 
 	"pimdsm/internal/cluster"
 	"pimdsm/internal/obs"
@@ -20,7 +21,7 @@ import (
 type (
 	// ServerOptions configures a simulation service.
 	ServerOptions = serve.Options
-	// Server is the simulation service: queue, workers, cache.
+	// Server is the simulation service: queue, workers, cache, slots.
 	Server = serve.Server
 	// ServerStats is the service counters snapshot.
 	ServerStats = serve.ServerStats
@@ -175,16 +176,24 @@ func RunSoak(addr string, opt SoakOptions) (*SoakReport, error) {
 	return serve.RunSoak(addr, opt)
 }
 
-// NewServer starts a simulation service whose workers drain jobs through
-// this package's Sweep pool, so the pool's determinism guarantee — a
-// result depends only on its Config, never on scheduling — extends to every
-// service response. sweepWorkers bounds the simulations one job runs
-// concurrently (0 means one per CPU); opt.Workers bounds concurrent jobs.
+// NewServer starts a simulation service. Every simulation the node runs —
+// a job's cache misses, a peer's forwarded compute, a last-resort local
+// run — takes one slot of a single per-node pool, so a lone job's misses fill
+// every idle slot and concurrent jobs share them. The budget is
+// opt.Workers × sweepWorkers (sweepWorkers 0 means one per CPU) unless
+// opt.Slots sets it directly; opt.Workers still bounds the jobs in flight.
+// A result depends only on its Config, never on which slot ran it, so
+// responses are byte-identical at any budget.
 func NewServer(opt ServerOptions, sweepWorkers int) (*Server, error) {
-	if opt.Run == nil {
-		opt.Run = func(cfgs []Config, onResult func(int, *Result)) ([]*Result, error) {
-			return Sweep{Workers: sweepWorkers, OnResult: onResult}.RunMany(cfgs)
+	if opt.Slots <= 0 {
+		workers := opt.Workers
+		if workers <= 0 {
+			workers = serve.DefaultWorkers
 		}
+		if sweepWorkers <= 0 {
+			sweepWorkers = runtime.NumCPU()
+		}
+		opt.Slots = workers * sweepWorkers
 	}
 	return serve.New(opt)
 }
