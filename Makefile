@@ -21,9 +21,11 @@ race:
 # the Sweep pool the figure drivers use; internal/serve the per-node
 # simulation slot pool every service run takes, exercised by its TestPool
 # tests; sim and hashmap are what the workers hammer; obs holds the metrics
-# registry every service goroutine counts into while scrapes render it).
+# registry every service goroutine counts into while scrapes render it;
+# obs/svclog the event log every job appends to while endpoints, the SSE
+# stream and subscribers read it).
 race-hot:
-	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/obs .
+	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/obs ./internal/obs/svclog .
 	$(GO) test -race -run '^TestPool' ./internal/serve
 
 bench:

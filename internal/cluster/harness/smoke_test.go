@@ -286,7 +286,7 @@ func TestClusterImbalancedFrontDoor(t *testing.T) {
 			t.Fatalf("job did not finish; cluster stats %+v", c.ClusterStats())
 		}
 		st := door.Srv.Status(j)
-		_, raw, ok := door.Srv.Results(j)
+		raw, ok := door.Srv.Results(j)
 		if st.State != serve.JobDone || !ok || len(raw) != 1 || len(raw[0]) == 0 {
 			t.Fatalf("job %s finished %s (%s) without a result (ok=%v)", st.ID, st.State, st.Error, ok)
 		}

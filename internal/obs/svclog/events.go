@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 	"time"
+	"unique"
 
 	"pimdsm/internal/jsonwire"
 )
@@ -139,18 +141,30 @@ type subscriber struct {
 }
 
 // EventLog is the service's lifecycle event hub: a bounded global ring (the
-// SSE replay window), a per-job event chain (complete for every job the
-// server still remembers), and live subscribers. Appends assign the global
-// sequence; a subscriber that falls behind its buffer has events dropped —
-// its consumer detects the sequence gap and resyncs from the ring, exactly
-// what an SSE client reconnecting with Last-Event-ID does.
+// SSE replay window), every job's complete event chain, and live
+// subscribers. A chain packs each event without its job id, its kind and
+// tenant interned, and is trimmed to length when the terminal event lands.
+// Appends assign the global sequence; a subscriber that falls behind its
+// buffer has events dropped — its consumer detects the sequence gap and
+// resyncs from the ring, exactly what an SSE client reconnecting with
+// Last-Event-ID does.
 type EventLog struct {
 	mu      sync.Mutex
 	seq     uint64
 	ring    []JobEvent // ring[(seq-1) % len] once seq > 0
-	perJob  map[string][]JobEvent
+	perJob  map[string][]chainEvent
 	subs    map[*subscriber]struct{}
 	dropped uint64
+}
+
+// chainEvent is a JobEvent less its job id.
+type chainEvent struct {
+	seq, cycles                 uint64
+	at                          time.Time
+	sinceSubmitUS               int64
+	queueDepth, running, config int
+	detail                      string
+	kind, tenant                unique.Handle[string]
 }
 
 // NewEventLog returns an event log whose replay ring holds ringSize events
@@ -161,7 +175,7 @@ func NewEventLog(ringSize int) *EventLog {
 	}
 	return &EventLog{
 		ring:   make([]JobEvent, 0, ringSize),
-		perJob: make(map[string][]JobEvent),
+		perJob: make(map[string][]chainEvent),
 		subs:   make(map[*subscriber]struct{}),
 	}
 }
@@ -178,7 +192,13 @@ func (l *EventLog) Append(ev JobEvent) JobEvent {
 	} else {
 		l.ring[(ev.Seq-1)%uint64(cap(l.ring))] = ev
 	}
-	l.perJob[ev.Job] = append(l.perJob[ev.Job], ev)
+	chain := append(l.perJob[ev.Job], chainEvent{ev.Seq, ev.Cycles, ev.At, ev.SinceSubmitUS,
+		ev.QueueDepth, ev.Running, ev.Config, ev.Detail, unique.Make(string(ev.Kind)), unique.Make(ev.Tenant)})
+	switch ev.Kind {
+	case EvDone, EvFailed, EvAborted:
+		chain = slices.Clone(chain)
+	}
+	l.perJob[ev.Job] = chain
 	for s := range l.subs {
 		select {
 		case s.ch <- ev:
@@ -221,11 +241,18 @@ func (l *EventLog) Since(after uint64) ([]JobEvent, uint64) {
 	return out, l.seq
 }
 
-// Job returns job id's complete event chain in sequence order.
+// Job returns job id's complete event chain in sequence order, each event
+// equal to the one Append returned (empty for an unknown id).
 func (l *EventLog) Job(id string) []JobEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]JobEvent(nil), l.perJob[id]...)
+	chain := l.perJob[id]
+	out := make([]JobEvent, len(chain))
+	for i, e := range chain {
+		out[i] = JobEvent{e.seq, id, JobEventKind(e.kind.Value()), e.at, e.sinceSubmitUS,
+			e.queueDepth, e.running, e.config, e.cycles, e.tenant.Value(), e.detail}
+	}
+	return out
 }
 
 // Subscribe registers a live listener with the given channel buffer

@@ -3,6 +3,9 @@ package svclog
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -117,5 +120,152 @@ func TestWriteChromeJSON(t *testing.T) {
 	}
 	if !sawSpan {
 		t.Fatal("no job-life X span in export")
+	}
+}
+
+// TestEventLogChainRoundTrip: a packed chain rebuilds exactly the events
+// Append returned — monotonic clock reading, unknown kinds, negative configs
+// and full-width counters included — before and after its terminal event,
+// and so renders the same per-job endpoint bodies.
+func TestEventLogChainRoundTrip(t *testing.T) {
+	l := NewEventLog(4) // smaller than the chains: they must not depend on the ring
+	jobs := []struct{ id, tenant string }{{"j-000001", ""}, {"j-000002", "acme"}, {"j-000003", "globex"}}
+	kinds := []JobEventKind{EvSubmitted, EvQueued, EvStarted, EvCacheHit, EvJoined,
+		EvSimulated, EvPersisted, "rebalanced"}
+	want := map[string][]JobEvent{}
+	for k, kind := range kinds {
+		for n, j := range jobs {
+			e := JobEvent{
+				Job: j.id, Kind: kind, At: time.Now(), Tenant: j.tenant,
+				SinceSubmitUS: int64(k*1000 + n),
+				QueueDepth:    1<<40 + k, Running: math.MaxInt64 - n,
+				Config: k - 1, Cycles: uint64(k) << 40,
+			}
+			if kind == EvSubmitted || kind == "rebalanced" {
+				e.Detail = "detail " + j.id
+			}
+			want[j.id] = append(want[j.id], l.Append(e))
+		}
+	}
+	check := func(phase string) {
+		t.Helper()
+		for _, j := range jobs {
+			got := l.Job(j.id)
+			if len(got) != len(want[j.id]) {
+				t.Fatalf("%s: %s has %d events, want %d", phase, j.id, len(got), len(want[j.id]))
+			}
+			for i := range got {
+				if got[i] != want[j.id][i] {
+					t.Fatalf("%s: %s event %d:\n got %+v\nwant %+v", phase, j.id, i, got[i], want[j.id][i])
+				}
+			}
+			for _, render := range []func([]JobEvent) ([]byte, error){
+				func(evs []JobEvent) ([]byte, error) {
+					return json.Marshal(struct {
+						Job    string     `json:"job"`
+						Events []JobEvent `json:"events"`
+					}{j.id, evs})
+				},
+				func(evs []JobEvent) ([]byte, error) {
+					var buf bytes.Buffer
+					err := WriteChromeJSON(&buf, evs)
+					return buf.Bytes(), err
+				},
+			} {
+				a, errA := render(got)
+				b, errB := render(want[j.id])
+				if errA != nil || errB != nil || !bytes.Equal(a, b) {
+					t.Fatalf("%s: %s bodies differ (%v, %v)\n%s\n%s", phase, j.id, errA, errB, a, b)
+				}
+			}
+		}
+	}
+	check("before terminal")
+	for n, kind := range []JobEventKind{EvDone, EvFailed, EvAborted} {
+		j := jobs[n]
+		want[j.id] = append(want[j.id], l.Append(JobEvent{Job: j.id, Kind: kind,
+			At: time.Now(), Tenant: j.tenant, Config: -1, Detail: string(kind)}))
+	}
+	check("after terminal")
+	if got := l.Job("j-000004"); len(got) != 0 {
+		t.Fatalf("unknown job: %+v", got)
+	}
+}
+
+// TestEventLogConcurrent is for the race detector: appenders across jobs
+// while Job, Since and Subscribe readers run, then every chain is complete
+// and in sequence order.
+func TestEventLogConcurrent(t *testing.T) {
+	const appenders, perJob = 4, 200
+	l := NewEventLog(64)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(3)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				l.Job("j-0")
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		var after uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_, after = l.Since(after / 2)
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			ch, cancel := l.Subscribe(8)
+			select {
+			case <-ch:
+			case <-stop:
+				cancel()
+				return
+			}
+			cancel()
+		}
+	}()
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(job string) {
+			defer wg.Done()
+			for i := 0; i < perJob; i++ {
+				kind := EvSimulated
+				if i == perJob-1 {
+					kind = EvDone
+				}
+				l.Append(JobEvent{Job: job, Kind: kind, At: time.Now(), Config: i})
+			}
+		}("j-" + strconv.Itoa(a))
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for a := 0; a < appenders; a++ {
+		evs := l.Job("j-" + strconv.Itoa(a))
+		if len(evs) != perJob {
+			t.Fatalf("job %d: %d events, want %d", a, len(evs), perJob)
+		}
+		for i, e := range evs {
+			if e.Config != i || (i > 0 && e.Seq <= evs[i-1].Seq) {
+				t.Fatalf("job %d event %d out of order: %+v", a, i, e)
+			}
+		}
+	}
+	if st := l.Stats(); st.Appended != appenders*perJob || st.Subscribers != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -121,7 +121,7 @@ func TestHTTPResultGolden(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: HTTP %d: %s", label, resp.StatusCode, body)
 		}
-		_, js, _ := s.Results(j)
+		js, _ := s.Results(j)
 		if want := encodeEnvelopeOld(t, s.Status(j), js); !bytes.Equal(body, want) {
 			t.Errorf("%s: body differs from json.Encoder:\n got %s\nwant %s", label, body, want)
 		}
@@ -179,7 +179,7 @@ func TestIngestCanonicalizes(t *testing.T) {
 			t.Fatalf("%s: %+v, want one cache hit", label, fin)
 		}
 		j, _ := s.Job(st.ID)
-		_, js, _ := s.Results(j)
+		js, _ := s.Results(j)
 		if !bytes.Equal(js[0], want) {
 			t.Errorf("%s: Server.Results bytes are not canonical:\n%.200s", label, js[0])
 		}

@@ -409,7 +409,7 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := a.srv.Status(j)
-	_, js, done := a.srv.Results(j)
+	js, done := a.srv.Results(j)
 	if !done {
 		code := http.StatusConflict
 		if st.State == JobFailed || st.State == JobAborted {

@@ -63,7 +63,7 @@ func TestHTTPSubmitWaitResult(t *testing.T) {
 	}
 	// The wire bytes must be the cache's canonical bytes, verbatim.
 	j, _ := s.Job(st.ID)
-	_, js, _ := s.Results(j)
+	js, _ := s.Results(j)
 	if string(raw[0]) != string(js[0]) {
 		t.Fatalf("HTTP served different bytes than the cache holds:\n  %s\nvs\n  %s", raw[0], js[0])
 	}

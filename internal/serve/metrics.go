@@ -75,7 +75,7 @@ func newMetrics(s *Server) *metrics {
 
 	gauge("aggsimd_queue_depth", "Jobs waiting to run.", func(st ServerStats) float64 { return float64(st.Queued) })
 	gauge("aggsimd_queue_limit", "Admission window size.", func(st ServerStats) float64 { return float64(st.QueueLimit) })
-	gauge("aggsimd_jobs_running", "Jobs currently simulating.", func(st ServerStats) float64 { return float64(st.Running) })
+	gauge("aggsimd_jobs_running", "Jobs started and not yet finished (a running job may hold no simulation slot).", func(st ServerStats) float64 { return float64(st.Running) })
 	gauge("aggsimd_workers", "Worker pool size.", func(st ServerStats) float64 { return float64(st.Workers) })
 	gauge("aggsimd_sim_slots", "Simulation budget: the most simulations this node runs at once.",
 		func(st ServerStats) float64 { return float64(st.SimSlots) })
@@ -162,7 +162,7 @@ func newMetrics(s *Server) *metrics {
 		queued, _ := s.opt.Tenants.live(row[0])
 		return float64(queued)
 	})
-	live.Help = "Jobs currently simulating by tenant."
+	live.Help = "Jobs started and not yet finished, by tenant."
 	r.GaugeFunc("aggsimd_tenant_running", live, func(row []string) float64 {
 		_, running := s.opt.Tenants.live(row[0])
 		return float64(running)

@@ -207,7 +207,7 @@ func TestPoolResultBytesIndependentOfBudget(t *testing.T) {
 			t.Fatalf("budget %d: job finished %+v", budget, fin)
 		}
 		j, _ := s.Job(st.ID)
-		_, js, _ := s.Results(j)
+		js, _ := s.Results(j)
 		served[budget] = js
 	}
 	for i, cs := range spec.Configs {

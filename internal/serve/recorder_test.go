@@ -284,7 +284,7 @@ func TestTelemetryRecordOnly(t *testing.T) {
 	}
 	waitJob(t, plain, stP.ID)
 	jP, _ := plain.Job(stP.ID)
-	_, jsP, ok := plain.Results(jP)
+	jsP, ok := plain.Results(jP)
 	if !ok {
 		t.Fatal("plain job results unavailable")
 	}
@@ -300,7 +300,7 @@ func TestTelemetryRecordOnly(t *testing.T) {
 	}
 	waitJob(t, tele, stT.ID)
 	jT, _ := tele.Job(stT.ID)
-	_, jsT, ok := tele.Results(jT)
+	jsT, ok := tele.Results(jT)
 	if !ok {
 		t.Fatal("telemetry job results unavailable")
 	}

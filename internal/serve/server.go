@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,10 +152,11 @@ const (
 // Job is one admitted submission. All mutable fields are guarded by the
 // server mutex; read them through Status.
 type Job struct {
-	id   string
-	seq  uint64
-	spec JobSpec
-	keys []uint64 // spec.Configs' cache keys, in config order
+	id    string
+	seq   uint64
+	spec  JobSpec  // Configs dropped once finished, unless telemetry
+	keys  []uint64 // spec.Configs' cache keys, in config order; dropped with them
+	total int      // len(spec.Configs) at admission
 
 	state     JobState
 	submitted time.Time
@@ -167,7 +170,6 @@ type Job struct {
 	forwarded int // configs resolved by a cluster peer (forward or replica recovery)
 	err       error
 
-	results    []*machine.Result
 	resultJSON [][]byte
 	metrics    *obs.Registry
 	spans      *obs.Spans
@@ -246,9 +248,7 @@ type Server struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    jobQueue
-	jobs     map[string]*Job
-	order    []string // submission order, for listing
-	seq      uint64
+	jobs     []*Job // jobs[seq-1]: every job, in submission order
 	running  int
 	draining bool
 	wg       sync.WaitGroup
@@ -271,7 +271,7 @@ type Server struct {
 // launches the worker pool.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
-	s := &Server{opt: opt, jobs: make(map[string]*Job)}
+	s := &Server{opt: opt}
 	s.slots.sem = make(chan struct{}, opt.Slots)
 	s.m = newMetrics(s)
 	s.cache = newCache(opt.CacheEntries, s.m)
@@ -416,12 +416,13 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	if reg != nil {
 		reg.commit(spec.Tenant)
 	}
-	s.seq++
+	seq := uint64(len(s.jobs)) + 1
 	j := &Job{
-		id:        fmt.Sprintf("j-%06d", s.seq),
-		seq:       s.seq,
+		id:        fmt.Sprintf("j-%06d", seq),
+		seq:       seq,
 		spec:      spec,
 		keys:      keys,
+		total:     len(spec.Configs),
 		state:     JobQueued,
 		submitted: time.Now(),
 		doneCh:    make(chan struct{}),
@@ -431,15 +432,14 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	// imply the serial-run cost), and its merged record persists as
 	// artifacts when it finishes.
 	j.telemetry = spec.Telemetry ||
-		(s.opt.TelemetrySample > 0 && s.seq%uint64(s.opt.TelemetrySample) == 0)
+		(s.opt.TelemetrySample > 0 && seq%uint64(s.opt.TelemetrySample) == 0)
 	if spec.Metrics || j.telemetry {
 		j.metrics = obs.NewRegistry()
 	}
 	if spec.Spans || j.telemetry {
 		j.spans = obs.NewSpans(0)
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs = append(s.jobs, j)
 	s.eventLocked(j, svclog.EvSubmitted, -1, 0, spec.Name)
 	// An all-hit batch finishes here, with the events and counters a worker
 	// would have produced: a cache hit costs no queue hop. Telemetry jobs
@@ -489,12 +489,16 @@ func (s *Server) retryAfterLocked() time.Duration {
 	return d.Round(time.Second)
 }
 
-// Job returns the job with the given id.
+// Job returns the job with the given id. Only the canonical form j-%06d of
+// an admitted job's sequence number names it.
 func (s *Server) Job(id string) (*Job, bool) {
+	n, err := strconv.ParseUint(strings.TrimPrefix(id, "j-"), 10, 64)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if err != nil || n == 0 || n > uint64(len(s.jobs)) || s.jobs[n-1].id != id {
+		return nil, false
+	}
+	return s.jobs[n-1], true
 }
 
 // Status snapshots a job.
@@ -510,7 +514,7 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		Name:        j.spec.Name,
 		State:       j.state,
 		Priority:    j.spec.Priority,
-		Total:       len(j.spec.Configs),
+		Total:       j.total,
 		Done:        j.done,
 		CacheHits:   j.cacheHits,
 		Simulated:   j.simulated,
@@ -538,9 +542,9 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.jobs[id]))
+	out := make([]JobStatus, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, s.statusLocked(j))
 	}
 	return out
 }
@@ -548,17 +552,17 @@ func (s *Server) Jobs() []JobStatus {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
 
-// Results returns the job's results (input order) and their canonical JSON
-// encodings, or false if the job is not done. The byte slices are the exact
+// Results returns the canonical JSON encodings of the job's results (input
+// order), or false if the job is not done. The byte slices are the exact
 // bytes a cache hit serves, so equality checks against a direct run are
 // byte-for-byte.
-func (s *Server) Results(j *Job) ([]*machine.Result, [][]byte, bool) {
+func (s *Server) Results(j *Job) ([][]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.state != JobDone {
-		return nil, nil, false
+		return nil, false
 	}
-	return j.results, j.resultJSON, true
+	return j.resultJSON, true
 }
 
 // Metrics returns the job's metrics registry (nil unless JobSpec.Metrics).
@@ -583,11 +587,13 @@ func (s *Server) Spans(j *Job) *obs.Spans {
 
 // ServerStats is the service-wide counters snapshot.
 type ServerStats struct {
-	Workers    int  `json:"workers"`
-	QueueLimit int  `json:"queue_limit"`
-	Queued     int  `json:"queued"`
-	Running    int  `json:"running"`
-	Draining   bool `json:"draining"`
+	Workers    int `json:"workers"`
+	QueueLimit int `json:"queue_limit"`
+	Queued     int `json:"queued"`
+	// Running counts jobs started and not finished; such a job may hold no
+	// simulation slot (it may wait for one, a peer or a joined flight).
+	Running  int  `json:"running"`
+	Draining bool `json:"draining"`
 
 	// SimSlots is the node's simulation budget; SimSlotsInUse the slots
 	// held now and SimSlotsHighWater the most ever held at once, which never
@@ -855,7 +861,6 @@ func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byt
 		s.opt.Log.Error("job_failed", args...)
 	} else {
 		j.state = JobDone
-		j.results = results
 		j.resultJSON = resJSON
 		s.m.done.With(tenant).Inc()
 		s.eventLocked(j, svclog.EvDone, -1, 0, "")
@@ -875,6 +880,9 @@ func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byt
 		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
 	}
 	s.opt.Tenants.finished(tenant, sec)
+	if !j.telemetry { // a telemetry job's configs name its artifacts
+		j.spec.Configs, j.keys = nil, nil
+	}
 	close(j.doneCh)
 }
 

@@ -98,8 +98,8 @@ func TestServerRunsAndCaches(t *testing.T) {
 	// Byte identity between the two jobs' served results.
 	j1, _ := s.Job(st.ID)
 	j2, _ := s.Job(st2.ID)
-	_, js1, _ := s.Results(j1)
-	_, js2, _ := s.Results(j2)
+	js1, _ := s.Results(j1)
+	js2, _ := s.Results(j2)
 	if string(js1[0]) != string(js2[0]) {
 		t.Fatal("cache hit served different bytes than the original run")
 	}
@@ -169,8 +169,8 @@ func TestServerSingleflightAcrossJobs(t *testing.T) {
 	}
 	ja, _ := s.Job(a.ID)
 	jb, _ := s.Job(b.ID)
-	_, ja1, _ := s.Results(ja)
-	_, jb1, _ := s.Results(jb)
+	ja1, _ := s.Results(ja)
+	jb1, _ := s.Results(jb)
 	if string(ja1[0]) != string(jb1[0]) {
 		t.Fatal("joined job served different bytes")
 	}
@@ -289,7 +289,7 @@ func TestServerPersistsCacheAcrossRestart(t *testing.T) {
 	st, _ := s.Submit(spec1("fft"))
 	waitJob(t, s, st.ID)
 	j, _ := s.Job(st.ID)
-	_, js, _ := s.Results(j)
+	js, _ := s.Results(j)
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestServerPersistsCacheAcrossRestart(t *testing.T) {
 		t.Fatalf("restart did not serve from the persisted index: %+v, %d runner calls", fin, fr2.calls.Load())
 	}
 	j2, _ := s2.Job(st2.ID)
-	_, js2, _ := s2.Results(j2)
+	js2, _ := s2.Results(j2)
 	if string(js[0]) != string(js2[0]) {
 		t.Fatal("persisted result bytes differ from the original run")
 	}

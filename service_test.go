@@ -64,7 +64,7 @@ func TestServiceByteIdenticalToDirectRun(t *testing.T) {
 			t.Fatalf("%s: %+v, want %d hits / %d simulated", label, fin, wantHits, wantSim)
 		}
 		j, _ := s.Job(st.ID)
-		_, js, ok := s.Results(j)
+		js, ok := s.Results(j)
 		if !ok || len(js) != len(direct) {
 			t.Fatalf("%s: %d served results vs %d direct", label, len(js), len(direct))
 		}
