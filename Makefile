@@ -48,12 +48,16 @@ figures-output:
 	$(GO) run ./cmd/figures -quick > figures_output.txt
 
 # audit runs the per-transaction coherence auditor on one configuration per
-# machine type; any protocol-invariant violation fails the target.
+# machine type, plus an AGG radix run at 95% pressure on a quarter of the
+# D-nodes that pages out (about 1,500 pageouts), so D-node page mapping,
+# unmapping and SharedList reuse run under the auditor; any
+# protocol-invariant violation fails the target.
 audit:
 	$(GO) run ./cmd/aggsim -arch agg  -app ocean -scale 0.05 -threads 8 -pressure 0.75 -audit >/dev/null
 	$(GO) run ./cmd/aggsim -arch numa -app ocean -scale 0.05 -threads 8 -pressure 0.75 -audit >/dev/null
 	$(GO) run ./cmd/aggsim -arch coma -app ocean -scale 0.05 -threads 8 -pressure 0.75 -audit >/dev/null
-	@echo "audit: all three machine types clean"
+	$(GO) run ./cmd/aggsim -arch agg  -app radix -scale 0.05 -threads 8 -pressure 0.95 -dratio 4 -audit >/dev/null
+	@echo "audit: all three machine types clean, AGG also while paging out"
 
 # check-stats is the perf-regression gate: the fixed baseline matrix must
 # match testdata/golden_stats.json within per-metric tolerances, and the

@@ -12,6 +12,7 @@ package coma
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pimdsm/internal/cache"
 	"pimdsm/internal/hashmap"
@@ -35,6 +36,17 @@ type dirEntry struct {
 	state   dirState
 	master  int32
 	sharers proto.PtrVec
+	// provider is the node that last supplied the line: where a displaced
+	// master is injected first. 0 until the line is first filled.
+	provider int32
+}
+
+// homePage is a touched page's record: its directory home, fixed at first
+// touch, and the directory entries of all its lines, allocated together
+// then. A block never moves, so an entry pointer stays valid.
+type homePage struct {
+	home  int
+	lines []dirEntry
 }
 
 // Config describes a Flat COMA machine.
@@ -92,12 +104,10 @@ type Machine struct {
 	bank   []sim.Resource
 	disk   []sim.Resource
 
-	// dir is the open-addressed flat directory (line -> entry); entries come
-	// from a slab pool, so directory growth does not churn the allocator.
-	dir      hashmap.Map[*dirEntry]
-	dirPool  hashmap.Pool[dirEntry]
-	homes    hashmap.Map[int] // page -> directory home (first touch)
-	provider hashmap.Map[int] // line -> node that last supplied it (injection target)
+	// pages is the flat directory, kept by page: one probe finds a page's
+	// home and its lines' entries.
+	pages     hashmap.Map[homePage]
+	lineShift uint // log2 LineBytes: a line's index in its page's block
 
 	allNodes []int
 	st       stats.Machine
@@ -128,11 +138,12 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:   cfg,
-		net:   net,
-		trace: obs.Nop(),
-		spans: obs.NopSpans(),
-		prof:  obs.NopProfile(),
+		cfg:       cfg,
+		net:       net,
+		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
+		trace:     obs.Nop(),
+		spans:     obs.NopSpans(),
+		prof:      obs.NopProfile(),
 	}
 	m.caches = make([]*proto.CacheSet, cfg.Nodes)
 	m.am = make([]*cache.LocalMemory, cfg.Nodes)
@@ -254,11 +265,12 @@ func (m *Machine) auditFail(format string, args ...any) {
 // residual master once a line is swapped out.
 func (m *Machine) auditAccess(addr uint64) {
 	line := m.alignLine(addr)
-	e, ok := m.dir.Get(line)
+	pg, ok := m.pages.Get(m.pageOf(line))
 	if !ok {
 		m.auditFail("line %#x: no directory entry after access", line)
 		return
 	}
+	e := m.entry(pg, line)
 	switch e.state {
 	case dirUnfetched, dirSwapped:
 		if e.master != -1 {
@@ -290,25 +302,25 @@ func (m *Machine) AMOf(n int) *cache.LocalMemory { return m.am[n] }
 func (m *Machine) alignLine(addr uint64) uint64 { return addr &^ (m.cfg.LineBytes - 1) }
 func (m *Machine) pageOf(addr uint64) uint64    { return addr &^ (m.cfg.PageBytes - 1) }
 
-func (m *Machine) homeFor(p int, addr uint64) int {
+// page returns the record of addr's page, homing the page at p on first
+// touch.
+func (m *Machine) page(p int, addr uint64) homePage {
 	page := m.pageOf(addr)
-	h, ok := m.homes.Get(page)
+	pg, ok := m.pages.Get(page)
 	if !ok {
-		h = p
-		m.homes.Put(page, h)
+		pg = homePage{home: p, lines: make([]dirEntry, m.cfg.PageBytes>>m.lineShift)}
+		for i := range pg.lines {
+			pg.lines[i].master = -1
+		}
+		m.pages.Put(page, pg)
 		m.st.FirstTouches++
 	}
-	return h
+	return pg
 }
 
-func (m *Machine) entry(line uint64) *dirEntry {
-	e, ok := m.dir.Get(line)
-	if !ok {
-		e = m.dirPool.Get()
-		e.master = -1
-		m.dir.Put(line, e)
-	}
-	return e
+// entry returns the directory entry of addr's line in pg, its page's record.
+func (m *Machine) entry(pg homePage, addr uint64) *dirEntry {
+	return &pg.lines[(addr&(m.cfg.PageBytes-1))>>m.lineShift]
 }
 
 // hopClass classifies a transaction by distinct node hops: requester->home->
@@ -373,8 +385,8 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 		return memDone, proto.LatMem
 	}
 
-	home := m.homeFor(p, addr)
-	e := m.entry(line)
+	pg := m.page(p, addr)
+	home, e := pg.home, m.entry(pg, line)
 	if write {
 		return m.writeMiss(memDone, p, home, addr, line, e, hit)
 	}
@@ -473,7 +485,7 @@ func (m *Machine) readMiss(reqT sim.Time, p, home int, addr, line uint64, e *dir
 		m.spans.Mark(obs.PhaseNetReply, done)
 	}
 	class := hopClass(p, home, supplier)
-	m.fill(done, p, addr, fillState, false, supplier)
+	m.fill(done, p, addr, e, fillState, false, supplier)
 	return done, class
 }
 
@@ -578,7 +590,7 @@ func (m *Machine) writeMiss(reqT sim.Time, p, home int, addr, line uint64, e *di
 		}
 		m.caches[p].Fill(addr, true)
 	} else {
-		m.fill(done, p, addr, cache.Dirty, true, supplier)
+		m.fill(done, p, addr, e, cache.Dirty, true, supplier)
 	}
 	return done, class
 }
@@ -592,12 +604,13 @@ func (m *Machine) amLat(q int, line uint64) sim.Time {
 	return m.cfg.Timing.MemOffChip
 }
 
-// fill inserts a fetched line into p's attraction memory and caches.
+// fill inserts a fetched line into p's attraction memory and caches and
+// records supplier as the provider in e, the line's directory entry.
 // Displaced non-master shared lines are dropped silently; a displaced master
 // must be injected into another attraction memory.
-func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writable bool, supplier int) {
+func (m *Machine) fill(when sim.Time, p int, addr uint64, e *dirEntry, st cache.State, writable bool, supplier int) {
 	line := m.alignLine(addr)
-	m.provider.Put(line, supplier)
+	e.provider = int32(supplier)
 	v := m.am[p].Insert(line, st, rank)
 	m.caches[p].Fill(addr, writable)
 	if !v.Valid() {
@@ -617,12 +630,13 @@ func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writab
 // If the cascade exceeds MaxInjectHops the line is swapped out to disk at
 // its home — COMA's overflow safety valve.
 func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
-	e := m.entry(line)
+	pg := m.page(from, line)
+	e := m.entry(pg, line)
 	if int(e.master) != from {
 		panic(fmt.Sprintf("coma: injecting %#x from %d but master is %d", line, from, e.master))
 	}
 	data := m.net.DataBytes(m.cfg.LineBytes)
-	target, _ := m.provider.Get(line)
+	target := int(e.provider)
 	if target == from || target < 0 || target >= m.cfg.Nodes {
 		target = (from + 1) % m.cfg.Nodes
 	}
@@ -662,7 +676,7 @@ func (m *Machine) inject(t sim.Time, from int, line uint64, st cache.State) {
 	}
 	// Overflow: swap to disk at the home, invalidating the straggler
 	// non-master copies so no stale data survives.
-	home := m.homeFor(from, line)
+	home := pg.home
 	arrive := m.net.Send(t, cur, home, data)
 	hs := m.hproc[home].Acquire(arrive, m.cfg.Costs.WBOcc)
 	m.prof.Node(home, obs.ResProc, obs.HCPageout, m.cfg.Costs.WBOcc)

@@ -147,7 +147,7 @@ func TestInjectionOverflowSwapsToDisk(t *testing.T) {
 	// A swapped line can be faulted back in.
 	var swapped uint64
 	found := false
-	m.dir.Range(func(l uint64, e *dirEntry) bool {
+	forEachLine(m, func(l uint64, e *dirEntry) bool {
 		if e.state == dirSwapped {
 			swapped, found = l, true
 			return false
@@ -198,7 +198,7 @@ func TestCOMASingleMasterProperty(t *testing.T) {
 			})
 		}
 		ok := true
-		m.dir.Range(func(line uint64, e *dirEntry) bool {
+		forEachLine(m, func(line uint64, e *dirEntry) bool {
 			switch e.state {
 			case dirShared, dirDirty:
 				if masters[line] != 1 {
@@ -220,4 +220,17 @@ func TestCOMASingleMasterProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// forEachLine calls fn for every directory entry of every touched page until
+// fn returns false.
+func forEachLine(m *Machine, fn func(line uint64, e *dirEntry) bool) {
+	m.pages.Range(func(page uint64, pg homePage) bool {
+		for i := range pg.lines {
+			if !fn(page+uint64(i)*m.cfg.LineBytes, &pg.lines[i]) {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -104,7 +104,7 @@ type Machine struct {
 	dbank []sim.Resource
 	disk  []sim.Resource // local paging device
 
-	homes    hashmap.Map[int] // page -> D-node (first touch, round robin)
+	homes    hashmap.Map[pageHome] // page -> its home (first touch, round robin)
 	nextHome int
 	allP     []int
 
@@ -116,6 +116,13 @@ type Machine struct {
 	audit       bool
 	auditViol   uint64
 	auditSample []string
+}
+
+// pageHome is a touched page's home D-node and that D-node's record of the
+// page, so one probe finds a line's directory entry.
+type pageHome struct {
+	d  int
+	pg *dirPage
 }
 
 // New builds an AGG machine.
@@ -317,13 +324,13 @@ func (m *Machine) auditFail(format string, args ...any) {
 // protects the victim's page).
 func (m *Machine) auditAccess(addr uint64) {
 	line := m.alignLine(addr)
-	d, ok := m.homes.Get(m.pageOf(line))
+	h, ok := m.homes.Get(m.pageOf(line))
 	if !ok {
 		m.auditFail("line %#x: no home assigned after access", line)
 		return
 	}
-	dm := m.dmem[d]
-	e := dm.Entry(line)
+	d, dm := h.d, m.dmem[h.d]
+	e := dm.lineIn(h.pg, line)
 	if e == nil {
 		if !dm.PageOnDisk(m.pageOf(line)) {
 			m.auditFail("line %#x: unmapped at home D%d but not on disk", line, d)
@@ -386,23 +393,24 @@ func (m *Machine) pageOf(addr uint64) uint64    { return addr &^ (m.cfg.PageByte
 // if OS work was required.
 func (m *Machine) homeFor(t sim.Time, addr uint64) (int, *DirEntry, sim.Time) {
 	page := m.pageOf(addr)
-	d, ok := m.homes.Get(page)
+	h, ok := m.homes.Get(page)
 	if !ok {
-		d = m.nextHome % m.cfg.DNodes
+		d := m.nextHome % m.cfg.DNodes
 		m.nextHome++
-		m.homes.Put(page, d)
+		h = pageHome{d, m.dmem[d].record(page)}
+		m.homes.Put(page, h)
 		m.st.FirstTouches++
 	}
-	dm := m.dmem[d]
-	if !dm.PageMapped(page) {
+	dm := m.dmem[h.d]
+	if h.pg.lines == nil {
 		if !dm.DirRoom() {
-			t = m.pageout(t, d, addr, false)
+			t = m.pageout(t, h.d, addr, false)
 		}
 		if err := dm.MapPage(page); err != nil {
-			panic(fmt.Sprintf("core: cannot map page %#x at D%d: %v", page, d, err))
+			panic(fmt.Sprintf("core: cannot map page %#x at D%d: %v", page, h.d, err))
 		}
 	}
-	return d, dm.Entry(addr), t
+	return h.d, dm.lineIn(h.pg, addr), t
 }
 
 // ownerLat is the latency for a P-node's memory controller to read a line it
@@ -854,13 +862,12 @@ func (m *Machine) fill(when sim.Time, p int, addr uint64, st cache.State, writab
 // writeBack sends a displaced owned line home (§2.2.2: incoming lines are
 // always taken in by their home memory).
 func (m *Machine) writeBack(t sim.Time, p int, line uint64, st cache.State) {
-	page := m.pageOf(line)
-	d, ok := m.homes.Get(page)
+	h, ok := m.homes.Get(m.pageOf(line))
 	if !ok {
 		panic("core: write-back of a line with no home")
 	}
-	dm := m.dmem[d]
-	e := dm.Entry(line)
+	d, dm := h.d, m.dmem[h.d]
+	e := dm.lineIn(h.pg, line)
 	if e == nil {
 		panic("core: write-back to an unmapped page (recall should have preceded unmap)")
 	}
@@ -1125,14 +1132,14 @@ func (m *Machine) CheckInvariants() error {
 			if err != nil || !s.Owned() {
 				return
 			}
-			d, ok := m.homes.Get(m.pageOf(addr))
+			h, ok := m.homes.Get(m.pageOf(addr))
 			if !ok {
 				err = fmt.Errorf("P%d holds %#x (%v) with no home", p, addr, s)
 				return
 			}
-			e := m.dmem[d].Entry(addr)
+			e := m.dmem[h.d].lineIn(h.pg, addr)
 			if e == nil {
-				err = fmt.Errorf("P%d holds %#x (%v) but home D%d has no entry", p, addr, s, d)
+				err = fmt.Errorf("P%d holds %#x (%v) but home D%d has no entry", p, addr, s, h.d)
 				return
 			}
 			switch s {

@@ -23,6 +23,12 @@ func testMachine(t *testing.T) *Machine {
 	return m
 }
 
+// homeOf returns the home D-node of a touched page.
+func homeOf(m *Machine, page uint64) int {
+	h, _ := m.homes.Get(page)
+	return h.d
+}
+
 func TestPlacementSpreadsDNodes(t *testing.T) {
 	p, d := Placement(64, 32, 32)
 	if len(p) != 32 || len(d) != 32 {
@@ -59,7 +65,7 @@ func TestFirstWriteIsTwoHopDirty(t *testing.T) {
 	if !hit || st != cache.Dirty {
 		t.Fatalf("writer's memory state = %v/%v, want Dirty", st, hit)
 	}
-	d, _ := m.homes.Get(m.pageOf(0x1000))
+	d := homeOf(m, m.pageOf(0x1000))
 	e := m.DMemOf(d).Entry(0x1000)
 	if e.State != DirDirty || e.Master != 0 {
 		t.Fatalf("directory = %v/master=%d, want Dirty/0", e.State, e.Master)
@@ -83,7 +89,7 @@ func TestFirstReadGrantsMastership(t *testing.T) {
 	if !hit || st != cache.SharedMaster {
 		t.Fatalf("reader's state = %v/%v, want SharedMaster", st, hit)
 	}
-	d, _ := m.homes.Get(m.pageOf(0x2000))
+	d := homeOf(m, m.pageOf(0x2000))
 	dm := m.DMemOf(d)
 	e := dm.Entry(0x2000)
 	if e.State != DirShared || e.Master != 0 || !e.HasCopy() {
@@ -117,7 +123,7 @@ func TestReadOfDirtyLineIsThreeHop(t *testing.T) {
 	if st != cache.Shared {
 		t.Fatalf("reader state = %v, want Shared", st)
 	}
-	d, _ := m.homes.Get(m.pageOf(0x3000))
+	d := homeOf(m, m.pageOf(0x3000))
 	dm := m.DMemOf(d)
 	e := dm.Entry(0x3000)
 	if e.State != DirShared || e.Master != 0 {
@@ -159,7 +165,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	if st != cache.Dirty {
 		t.Fatalf("P1 state = %v, want Dirty", st)
 	}
-	d, _ := m.homes.Get(m.pageOf(0x4000))
+	d := homeOf(m, m.pageOf(0x4000))
 	e := m.DMemOf(d).Entry(0x4000)
 	if e.State != DirDirty || e.Master != 1 || e.HasCopy() {
 		t.Fatalf("directory = %+v", e)
@@ -225,7 +231,7 @@ func TestDirtyEvictionWritesBackAndHomeAccepts(t *testing.T) {
 		t.Fatalf("write-backs = %d, want 1", m.Stats().WriteBacks)
 	}
 	// The LRU victim (line 0) is now home-only with a Data slot.
-	d, _ := m.homes.Get(m.pageOf(0))
+	d := homeOf(m, m.pageOf(0))
 	e := m.DMemOf(d).Entry(0)
 	if e.State != DirHome || !e.HasCopy() || e.Master != HomeMaster {
 		t.Fatalf("written-back line directory = %+v", e)

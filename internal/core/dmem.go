@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pimdsm/internal/hashmap"
 	"pimdsm/internal/proto"
@@ -68,6 +69,15 @@ type DirEntry struct {
 // HasCopy reports whether the home currently stores the line's data.
 func (e *DirEntry) HasCopy() bool { return e.LocalPtr != nilPtr }
 
+// dirPage is a D-node's record of one page: the page's Directory entries
+// while it is mapped, and whether its data is on disk while it is not.
+type dirPage struct {
+	page   uint64
+	lines  []DirEntry // one per line, in address order; nil while unmapped
+	idx    int        // position in DMem.pages while mapped
+	onDisk bool       // a pageout wrote the page's data to disk
+}
+
 type listID uint8
 
 const (
@@ -113,7 +123,6 @@ type Census struct {
 type DMem struct {
 	dataCap   int
 	dirCap    int
-	lineBytes uint64
 	pageBytes uint64
 
 	ptrs                   []ptrEntry
@@ -126,16 +135,19 @@ type DMem struct {
 	// reusing more shared slots (the paper's threshold).
 	sharedMin int
 
-	// The Directory array is an open-addressed line->entry table (the
-	// simulator's stand-in for the paper's fully-associative hardware
-	// lookup); entries are recycled through a slab pool across page
-	// map/unmap cycles, so steady-state paging allocates nothing.
-	entries   hashmap.Map[*DirEntry]
-	entryPool hashmap.Pool[DirEntry]
-
-	pages   []uint64 // mapped pages in map order (FIFO pageout victims)
-	pageIdx hashmap.Map[int]
-	onDisk  hashmap.Set // pages whose data was written to disk
+	// The Directory array is kept by page, as the OS fills it (§2.2.2):
+	// one probe finds a page's record, and a line is an index into the
+	// record's block of entries. A record lives from the page's first
+	// touch on (it remembers a page paged out to disk); blocks are
+	// recycled through freeBlocks across map/unmap cycles, so steady-state
+	// paging allocates nothing, and a block never moves while handed out,
+	// so protocol code may hold a *DirEntry across operations.
+	recs       hashmap.Map[*dirPage]
+	pages      []*dirPage // mapped pages in map order (FIFO pageout victims)
+	freeBlocks [][]DirEntry
+	mapped     int  // directory entries in use: the lines of mapped pages
+	pageLines  int  // lines per page
+	lineShift  uint // log2 of the line size
 
 	// Set-associative mode (§2.2.2's rejected alternative, kept as an
 	// ablation): when saAssoc > 0, a line may only occupy a slot of its
@@ -159,10 +171,12 @@ func NewDMem(dataLines, dirEntries int, lineBytes, pageBytes uint64, sharedMin i
 	if pageBytes == 0 || lineBytes == 0 || pageBytes%lineBytes != 0 {
 		return nil, fmt.Errorf("core: page size %d not a multiple of line size %d", pageBytes, lineBytes)
 	}
+	if pageBytes&(pageBytes-1) != 0 || lineBytes&(lineBytes-1) != 0 {
+		return nil, fmt.Errorf("core: page size %d and line size %d must be powers of two", pageBytes, lineBytes)
+	}
 	d := &DMem{
 		dataCap:    dataLines,
 		dirCap:     dirEntries,
-		lineBytes:  lineBytes,
 		pageBytes:  pageBytes,
 		ptrs:       make([]ptrEntry, dataLines),
 		freeHead:   nilPtr,
@@ -170,6 +184,8 @@ func NewDMem(dataLines, dirEntries int, lineBytes, pageBytes uint64, sharedMin i
 		sharedHead: nilPtr,
 		sharedTail: nilPtr,
 		sharedMin:  sharedMin,
+		pageLines:  int(pageBytes / lineBytes),
+		lineShift:  uint(bits.TrailingZeros64(lineBytes)),
 	}
 	for i := range d.ptrs {
 		d.ptrs[i].prev, d.ptrs[i].next = nilPtr, nilPtr
@@ -258,15 +274,6 @@ func (d *DMem) popHead(l listID) (int32, bool) {
 
 // --- geometry / lookup ---
 
-// LineBytes returns the memory line size.
-func (d *DMem) LineBytes() uint64 { return d.lineBytes }
-
-// PageBytes returns the page size.
-func (d *DMem) PageBytes() uint64 { return d.pageBytes }
-
-// DataCap returns the number of Data slots.
-func (d *DMem) DataCap() int { return d.dataCap }
-
 // FreeLen returns the FreeList length.
 func (d *DMem) FreeLen() int { return d.freeLen }
 
@@ -276,33 +283,47 @@ func (d *DMem) SharedLen() int { return d.sharedLen }
 // PageOf returns the page address containing addr.
 func (d *DMem) PageOf(addr uint64) uint64 { return addr &^ (d.pageBytes - 1) }
 
-// AlignLine returns addr rounded down to a line boundary.
-func (d *DMem) AlignLine(addr uint64) uint64 { return addr &^ (d.lineBytes - 1) }
-
 // Entry returns the directory entry for the line containing addr, or nil if
 // its page is not mapped here.
 func (d *DMem) Entry(addr uint64) *DirEntry {
-	e, _ := d.entries.Get(d.AlignLine(addr))
-	return e
+	pg, _ := d.recs.Get(d.PageOf(addr))
+	return d.lineIn(pg, addr)
+}
+
+// lineIn returns the entry for addr's line in pg, its page's record, or nil
+// if there is no record or the page is not mapped.
+func (d *DMem) lineIn(pg *dirPage, addr uint64) *DirEntry {
+	if pg == nil || pg.lines == nil {
+		return nil
+	}
+	return &pg.lines[(addr&(d.pageBytes-1))>>d.lineShift]
+}
+
+// record returns page's record, creating an unmapped one if there is none.
+func (d *DMem) record(page uint64) *dirPage {
+	pg, ok := d.recs.Get(page)
+	if !ok {
+		pg = &dirPage{page: page}
+		d.recs.Put(page, pg)
+	}
+	return pg
 }
 
 // PageMapped reports whether page is currently mapped at this D-node.
-func (d *DMem) PageMapped(page uint64) bool { _, ok := d.pageIdx.Get(page); return ok }
+func (d *DMem) PageMapped(page uint64) bool {
+	pg, _ := d.recs.Get(page)
+	return pg != nil && pg.lines != nil
+}
 
 // PageOnDisk reports whether page was previously paged out to disk.
-func (d *DMem) PageOnDisk(page uint64) bool { return d.onDisk.Has(page) }
+func (d *DMem) PageOnDisk(page uint64) bool { pg, _ := d.recs.Get(page); return pg != nil && pg.onDisk }
 
 // DirRoom reports whether the Directory array can accept another page's
 // worth of entries.
-func (d *DMem) DirRoom() bool {
-	return d.entries.Len()+int(d.pageBytes/d.lineBytes) <= d.dirCap
-}
-
-// MappedPages returns the number of pages currently mapped.
-func (d *DMem) MappedPages() int { return len(d.pages) }
+func (d *DMem) DirRoom() bool { return d.mapped+d.pageLines <= d.dirCap }
 
 // MappedLines returns the number of directory entries in use.
-func (d *DMem) MappedLines() int { return d.entries.Len() }
+func (d *DMem) MappedLines() int { return d.mapped }
 
 // --- page mapping ---
 
@@ -315,28 +336,33 @@ func (d *DMem) MapPage(page uint64) error {
 	if page%d.pageBytes != 0 {
 		return fmt.Errorf("core: unaligned page %#x", page)
 	}
-	if d.PageMapped(page) {
+	pg := d.record(page)
+	if pg.lines != nil {
 		return fmt.Errorf("core: page %#x already mapped", page)
 	}
 	if !d.DirRoom() {
-		return fmt.Errorf("core: directory array full (%d/%d entries)", d.entries.Len(), d.dirCap)
+		return fmt.Errorf("core: directory array full (%d/%d entries)", d.mapped, d.dirCap)
 	}
-	fromDisk := d.onDisk.Has(page)
-	for a := page; a < page+d.pageBytes; a += d.lineBytes {
-		e := d.entryPool.Get()
-		*e = DirEntry{
-			Addr:      a,
+	if n := len(d.freeBlocks); n > 0 {
+		pg.lines = d.freeBlocks[n-1]
+		d.freeBlocks = d.freeBlocks[:n-1]
+	} else {
+		pg.lines = make([]DirEntry, d.pageLines)
+	}
+	for i := range pg.lines {
+		pg.lines[i] = DirEntry{
+			Addr:      pg.page + uint64(i)<<d.lineShift,
 			State:     DirHome,
 			Master:    HomeMaster,
 			LocalPtr:  nilPtr,
-			Unfetched: !fromDisk,
-			OnDisk:    fromDisk,
+			Unfetched: !pg.onDisk,
+			OnDisk:    pg.onDisk,
 		}
-		d.entries.Put(a, e)
 	}
-	d.pageIdx.Put(page, len(d.pages))
-	d.pages = append(d.pages, page)
-	d.onDisk.Remove(page)
+	pg.idx = len(d.pages)
+	d.pages = append(d.pages, pg)
+	pg.onDisk = false
+	d.mapped += d.pageLines
 	d.Stats.PagesMapped++
 	return nil
 }
@@ -344,9 +370,9 @@ func (d *DMem) MapPage(page uint64) error {
 // PageLines calls fn for each directory entry of a mapped page, in address
 // order.
 func (d *DMem) PageLines(page uint64, fn func(*DirEntry)) {
-	for a := page; a < page+d.pageBytes; a += d.lineBytes {
-		if e, ok := d.entries.Get(a); ok {
-			fn(e)
+	if pg, _ := d.recs.Get(page); pg != nil {
+		for i := range pg.lines {
+			fn(&pg.lines[i])
 		}
 	}
 }
@@ -357,33 +383,29 @@ func (d *DMem) PageLines(page uint64, fn func(*DirEntry)) {
 // (the OS "recalls the lines that are currently not in the D-node memory",
 // §2.2.2).
 func (d *DMem) UnmapPage(page uint64) error {
-	idx, ok := d.pageIdx.Get(page)
-	if !ok {
+	pg, _ := d.recs.Get(page)
+	if pg == nil || pg.lines == nil {
 		return fmt.Errorf("core: unmap of unmapped page %#x", page)
 	}
-	for a := page; a < page+d.pageBytes; a += d.lineBytes {
-		e, ok := d.entries.Get(a)
-		if !ok {
-			continue
+	for i := range pg.lines {
+		if e := &pg.lines[i]; e.State != DirHome {
+			return fmt.Errorf("core: unmap of page %#x with un-recalled line %#x in state %v", page, e.Addr, e.State)
 		}
-		if e.State != DirHome {
-			return fmt.Errorf("core: unmap of page %#x with un-recalled line %#x in state %v", page, a, e.State)
-		}
-		if e.LocalPtr != nilPtr {
-			d.releaseSlot(e)
-		}
-		d.entries.Delete(a)
-		d.entryPool.Put(e)
 	}
+	for i := range pg.lines {
+		d.releaseSlot(&pg.lines[i])
+	}
+	d.freeBlocks = append(d.freeBlocks, pg.lines)
+	pg.lines = nil
+	pg.onDisk = true
+	d.mapped -= d.pageLines
 	// Remove from the FIFO page list (swap-with-last keeps this O(1); the
 	// FIFO ordering of the remaining pages is preserved well enough for
 	// victim selection because pageout always takes from the front).
-	last := len(d.pages) - 1
-	d.pages[idx] = d.pages[last]
-	d.pageIdx.Put(d.pages[idx], idx)
-	d.pages = d.pages[:last]
-	d.pageIdx.Delete(page)
-	d.onDisk.Add(page)
+	last := d.pages[len(d.pages)-1]
+	d.pages[pg.idx] = last
+	last.idx = pg.idx
+	d.pages = d.pages[:len(d.pages)-1]
 	d.Stats.PagesUnmapped++
 	return nil
 }
@@ -393,11 +415,11 @@ func (d *DMem) UnmapPage(page uint64) error {
 func (d *DMem) PageoutCandidates(n int, protect uint64) []uint64 {
 	prot := d.PageOf(protect)
 	var out []uint64
-	for _, p := range d.pages {
-		if p == prot {
+	for _, pg := range d.pages {
+		if pg.page == prot {
 			continue
 		}
-		out = append(out, p)
+		out = append(out, pg.page)
 		if len(out) == n {
 			break
 		}
@@ -436,7 +458,7 @@ func (d *DMem) ConfigureSetAssoc(assoc int) {
 
 // saSet returns the Data set index of a line in set-associative mode.
 func (d *DMem) saSet(addr uint64) int {
-	return int((addr / d.lineBytes) % uint64(len(d.saCount)))
+	return int((addr >> d.lineShift) % uint64(len(d.saCount)))
 }
 
 // setFull reports whether e's line cannot be stored because its Data set is
@@ -479,7 +501,7 @@ func (d *DMem) EnsureSlot(e *DirEntry) (res AllocResult, dropped *DirEntry) {
 	if d.sharedLen > d.sharedMin {
 		i, ok := d.popHead(listShared)
 		if ok {
-			victim, _ := d.entries.Get(d.ptrs[i].line)
+			victim := d.Entry(d.ptrs[i].line)
 			if victim == nil || victim.LocalPtr != i {
 				panic("core: SharedList back pointer desynchronized")
 			}
@@ -513,7 +535,7 @@ func (d *DMem) reuseSharedInSet(e *DirEntry) *DirEntry {
 	want := d.saSet(e.Addr)
 	i := d.sharedHead
 	for steps := 0; i != nilPtr && steps < 64; steps++ {
-		victim, _ := d.entries.Get(d.ptrs[i].line)
+		victim := d.Entry(d.ptrs[i].line)
 		next := d.ptrs[i].next
 		if victim != nil && d.saSet(victim.Addr) == want {
 			d.unlink(i)
@@ -610,7 +632,7 @@ func (d *DMem) ForceSlot(e *DirEntry) (bool, *DirEntry) {
 	if !ok {
 		return false, nil
 	}
-	victim, _ := d.entries.Get(d.ptrs[i].line)
+	victim := d.Entry(d.ptrs[i].line)
 	if victim == nil || victim.LocalPtr != i {
 		panic("core: SharedList back pointer desynchronized")
 	}
@@ -631,19 +653,20 @@ func (d *DMem) NeedPageout() bool {
 
 // CensusAdd accumulates this D-node's Figure 8 classification into c.
 func (d *DMem) CensusAdd(c *Census) {
-	d.entries.Range(func(_ uint64, e *DirEntry) bool {
-		switch {
-		case e.State == DirDirty:
-			c.DirtyInP++
-		case e.State == DirShared:
-			c.SharedInP++
-		case e.LocalPtr != nilPtr:
-			c.DNodeOnly++
-		default:
-			c.Untouched++
+	for _, pg := range d.pages {
+		for i := range pg.lines {
+			switch e := &pg.lines[i]; {
+			case e.State == DirDirty:
+				c.DirtyInP++
+			case e.State == DirShared:
+				c.SharedInP++
+			case e.LocalPtr != nilPtr:
+				c.DNodeOnly++
+			default:
+				c.Untouched++
+			}
 		}
-		return true
-	})
+	}
 	c.FreeSlots += d.freeLen
 	c.SlotCap += d.dataCap
 }
@@ -721,7 +744,7 @@ func (d *DMem) CheckInvariants() error {
 			if !p.used {
 				return fmt.Errorf("slot %d on SharedList but free", i)
 			}
-			e, _ := d.entries.Get(p.line)
+			e := d.Entry(p.line)
 			if e == nil || e.LocalPtr != int32(i) {
 				return fmt.Errorf("slot %d SharedList back pointer broken", i)
 			}
@@ -743,47 +766,48 @@ func (d *DMem) CheckInvariants() error {
 	}
 	// Every entry with a slot is backed by it; dirty entries hold no slot.
 	slots := 0
-	var entErr error
-	d.entries.Range(func(a uint64, e *DirEntry) bool {
-		if a != e.Addr {
-			entErr = fmt.Errorf("entry key %#x != addr %#x", a, e.Addr)
-			return false
+	var counts []int
+	if d.saAssoc > 0 {
+		counts = make([]int, len(d.saCount))
+	}
+	for idx, pg := range d.pages {
+		if pg.idx != idx || len(pg.lines) != d.pageLines {
+			return fmt.Errorf("page %#x at FIFO position %d records position %d and %d lines", pg.page, idx, pg.idx, len(pg.lines))
 		}
-		if e.LocalPtr != nilPtr {
-			slots++
-			p := &d.ptrs[e.LocalPtr]
-			if !p.used || p.line != e.Addr {
-				entErr = fmt.Errorf("entry %#x slot %d back pointer broken", a, e.LocalPtr)
-				return false
+		for i := range pg.lines {
+			e := &pg.lines[i]
+			a := pg.page + uint64(i)<<d.lineShift
+			if a != e.Addr {
+				return fmt.Errorf("entry for line %#x has addr %#x", a, e.Addr)
 			}
-			if e.State == DirDirty {
-				entErr = fmt.Errorf("entry %#x dirty-in-P but holds a Data slot", a)
-				return false
+			if e.LocalPtr != nilPtr {
+				slots++
+				p := &d.ptrs[e.LocalPtr]
+				if !p.used || p.line != e.Addr {
+					return fmt.Errorf("entry %#x slot %d back pointer broken", a, e.LocalPtr)
+				}
+				if e.State == DirDirty {
+					return fmt.Errorf("entry %#x dirty-in-P but holds a Data slot", a)
+				}
+				if counts != nil {
+					counts[d.saSet(e.Addr)]++
+				}
+			}
+			if e.State == DirShared && e.Master == HomeMaster && e.LocalPtr == nilPtr {
+				return fmt.Errorf("entry %#x: home is master of a shared line but holds no copy", a)
 			}
 		}
-		if e.State == DirShared && e.Master == HomeMaster && e.LocalPtr == nilPtr {
-			entErr = fmt.Errorf("entry %#x: home is master of a shared line but holds no copy", a)
-			return false
-		}
-		return true
-	})
-	if entErr != nil {
-		return entErr
 	}
 	if slots != noList+shared {
 		return fmt.Errorf("used slots %d != entries with slots %d", noList+shared, slots)
 	}
-	if d.entries.Len() > d.dirCap {
-		return fmt.Errorf("directory overflow: %d > %d", d.entries.Len(), d.dirCap)
+	if d.mapped != len(d.pages)*d.pageLines {
+		return fmt.Errorf("mapped-line count %d != %d pages of %d lines", d.mapped, len(d.pages), d.pageLines)
 	}
-	if d.saAssoc > 0 {
-		counts := make([]int, len(d.saCount))
-		d.entries.Range(func(_ uint64, e *DirEntry) bool {
-			if e.LocalPtr != nilPtr {
-				counts[d.saSet(e.Addr)]++
-			}
-			return true
-		})
+	if d.mapped > d.dirCap {
+		return fmt.Errorf("directory overflow: %d > %d", d.mapped, d.dirCap)
+	}
+	if counts != nil {
 		for s := range counts {
 			if counts[s] != d.saCount[s] {
 				return fmt.Errorf("set %d count %d != recorded %d", s, counts[s], d.saCount[s])

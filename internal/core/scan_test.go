@@ -48,7 +48,7 @@ func TestScanRecallsDirtyLinesByDowngrade(t *testing.T) {
 	if !hit || st != cache.SharedMaster {
 		t.Fatalf("owner state after scan = %v/%v, want SharedMaster", st, hit)
 	}
-	d, _ := m.homes.Get(m.pageOf(0x9000))
+	d := homeOf(m, m.pageOf(0x9000))
 	e := m.DMemOf(d).Entry(0x9000)
 	if e.State != DirShared || !e.HasCopy() {
 		t.Fatalf("directory after scan = %+v", e)
@@ -74,8 +74,8 @@ func TestScanSpansPages(t *testing.T) {
 		t.Fatalf("scanned %d lines, want 10", m.Stats().ScanLines)
 	}
 	// Round-robin homing: the pages went to different D-nodes.
-	h0, _ := m.homes.Get(0)
-	h512, _ := m.homes.Get(512)
+	h0 := homeOf(m, 0)
+	h512 := homeOf(m, 512)
 	if h0 == h512 {
 		t.Fatal("consecutive pages homed at the same D-node")
 	}

@@ -1,16 +1,12 @@
-// Package hashmap provides the open-addressed hash table behind every
-// directory structure in the simulator. Coherence-directory lookup is the hot
-// path of all three machine models (the D-node arrays of §2.2.2, the NUMA and
-// COMA home directories, the page tables), and a Go map probe there costs an
-// interface-free but still hash-function-heavy runtime call plus pointer
-// chasing. Map is a uint64-keyed linear-probing table with Fibonacci hashing
-// and backward-shift deletion (no tombstones), so a lookup is a multiply, a
-// shift and a short linear scan over one flat array of {key, value} slots.
-//
-// The companion Pool is a chunked slab allocator with a free list: directory
-// entries are recycled across page map/unmap cycles instead of churning the
-// garbage collector, while their addresses stay stable for the lifetime of
-// the pool (entries live in fixed blocks that are never reallocated).
+// Package hashmap provides the open-addressed hash table behind the
+// simulator's page-keyed directories (the AGG machine's page homes and the
+// D-node Directory arrays of §2.2.2, the NUMA and COMA home directories) and
+// the service's result cache. Finding a page's record is on the hot path of
+// all three machine models, and a Go map probe there costs an interface-free
+// but still hash-function-heavy runtime call plus pointer chasing. Map is a
+// uint64-keyed linear-probing table with Fibonacci hashing and backward-shift
+// deletion (no tombstones), so a lookup is a multiply, a shift and a short
+// linear scan over one flat array of {key, value} slots.
 package hashmap
 
 // fibMul is 2^64 / phi, the classic Fibonacci-hashing multiplier: it spreads
@@ -36,9 +32,8 @@ const (
 // Key 0 doubles as the empty-slot marker and zeroAt remembers the one slot
 // that really holds key 0, so every uint64 is a valid key. Each key sits
 // where a table with a separate used flag per slot would put it: slot
-// indices, probe runs and Range order depend only on the operation history,
-// and simulation results depend on that order (core.DMem ranges over its
-// directory mid-run).
+// indices, probe runs and Range order depend only on the operation history.
+// Nothing depends on Range order: only tests range over a Map.
 type Map[V any] struct {
 	slots []slot[V]
 	n     int
@@ -195,20 +190,3 @@ func (m *Map[V]) grow() {
 		m.fill(j, s.key, s.val)
 	}
 }
-
-// Set is a uint64 set over the same open-addressed table.
-type Set struct {
-	m Map[struct{}]
-}
-
-// Len returns the number of members.
-func (s *Set) Len() int { return s.m.Len() }
-
-// Has reports membership.
-func (s *Set) Has(k uint64) bool { _, ok := s.m.Get(k); return ok }
-
-// Add inserts k.
-func (s *Set) Add(k uint64) { s.m.Put(k, struct{}{}) }
-
-// Remove deletes k and reports whether it was present.
-func (s *Set) Remove(k uint64) bool { return s.m.Delete(k) }

@@ -113,50 +113,6 @@ func TestMapReset(t *testing.T) {
 	}
 }
 
-func TestSet(t *testing.T) {
-	var s Set
-	if s.Has(1) {
-		t.Fatal("empty set has member")
-	}
-	s.Add(1)
-	s.Add(4096)
-	if !s.Has(1) || !s.Has(4096) || s.Has(2) {
-		t.Fatal("membership wrong")
-	}
-	if !s.Remove(1) || s.Remove(1) {
-		t.Fatal("Remove twice misbehaved")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-}
-
-func TestPoolStability(t *testing.T) {
-	var p Pool[[2]uint64]
-	ptrs := make([]*[2]uint64, 1000)
-	for i := range ptrs {
-		ptrs[i] = p.Get()
-		ptrs[i][0] = uint64(i)
-	}
-	// Growth must not move earlier records.
-	for i := range ptrs {
-		if ptrs[i][0] != uint64(i) {
-			t.Fatalf("record %d moved or corrupted: %d", i, ptrs[i][0])
-		}
-	}
-	if p.Live() != 1000 {
-		t.Fatalf("Live = %d, want 1000", p.Live())
-	}
-	p.Put(ptrs[3])
-	r := p.Get()
-	if r != ptrs[3] {
-		t.Fatal("free list did not recycle the returned record")
-	}
-	if r[0] != 0 {
-		t.Fatal("recycled record not zeroed")
-	}
-}
-
 func BenchmarkMapGet(b *testing.B) {
 	b.ReportAllocs()
 	var m Map[uint64]

@@ -139,6 +139,25 @@ type Result struct {
 	AuditSamples    []string
 }
 
+// CheckFor reports why r cannot be the result of running cfg: it is nil,
+// names another machine, application or thread count, lacks a per-thread
+// record for each thread, or ran for no cycles. A result decoded from
+// outside the process must pass it before it is trusted.
+func (r *Result) CheckFor(cfg Config) error {
+	switch {
+	case r == nil:
+		return fmt.Errorf("machine: result is null")
+	case r.Arch != cfg.Arch || r.App != cfg.App.Name || r.Threads != cfg.Threads:
+		return fmt.Errorf("machine: result is for %s/%s/%d threads, config is %s/%s/%d threads",
+			r.Arch, r.App, r.Threads, cfg.Arch, cfg.App.Name, cfg.Threads)
+	case len(r.PerThread) != r.Threads:
+		return fmt.Errorf("machine: result has %d per-thread records for %d threads", len(r.PerThread), r.Threads)
+	case r.Breakdown.Exec <= 0:
+		return fmt.Errorf("machine: result ran for no cycles")
+	}
+	return nil
+}
+
 type engine interface {
 	cpu.Memory
 	Stats() *stats.Machine

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"pimdsm/internal/cpu"
-	"pimdsm/internal/hashmap"
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
 	"pimdsm/internal/workload"
@@ -14,8 +13,11 @@ import (
 // on-chip trackers) therefore do not suffer the systematic set aliasing that
 // regularly-strided virtual layouts (e.g. several grids exactly 2 MB apart)
 // would otherwise produce.
+//
+// Virtual pages are dense from 0 (workload.Layout hands out contiguous
+// pages), so the table is a slice indexed by vpage, grown on first touch.
 type pageTable struct {
-	frames hashmap.Map[uint64] // vpage -> physical frame
+	frames []uint32 // vpage -> 1 + physical frame; 0 means not yet touched
 	next   uint64
 }
 
@@ -31,19 +33,22 @@ func newPageTable() *pageTable {
 func (pt *pageTable) translate(addr uint64) uint64 {
 	vpage := addr / workload.PageBytes
 	off := addr % workload.PageBytes
-	f, ok := pt.frames.Get(vpage)
-	if !ok {
+	if vpage >= uint64(len(pt.frames)) {
+		pt.frames = append(pt.frames, make([]uint32, vpage+1-uint64(len(pt.frames)))...)
+	}
+	f := pt.frames[vpage]
+	if f == 0 {
 		// Bijective scramble of the allocation counter: odd multiply mod
 		// 2^ptBits, then bit reversal. The reversal matters: without it the
 		// low frame bits (which select cache sets) would retain the
 		// counter's low-bit structure, and 32 threads first-touching in an
 		// interleaved order would land all of one thread's pages in the
 		// same set block.
-		f = bitrev(pt.next*2654435761&(1<<ptBits-1), ptBits)
+		f = uint32(bitrev(pt.next*2654435761&(1<<ptBits-1), ptBits)) + 1
 		pt.next++
-		pt.frames.Put(vpage, f)
+		pt.frames[vpage] = f
 	}
-	return f*workload.PageBytes + off
+	return uint64(f-1)*workload.PageBytes + off
 }
 
 // bitrev reverses the low n bits of v.

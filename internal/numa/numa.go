@@ -10,6 +10,7 @@ package numa
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pimdsm/internal/cache"
 	"pimdsm/internal/core"
@@ -34,6 +35,14 @@ type dirEntry struct {
 	state   dirState
 	owner   int32 // when dirDirty
 	sharers proto.PtrVec
+}
+
+// homePage is a touched page's record: its home node, fixed at first touch,
+// and the directory entries of all its lines, allocated together then. A
+// block never moves, so an entry pointer stays valid.
+type homePage struct {
+	home  int
+	lines []dirEntry
 }
 
 // Config describes a CC-NUMA machine.
@@ -84,11 +93,10 @@ type Machine struct {
 	hproc  []sim.Resource    // on-chip directory/protocol engine
 	bank   []sim.Resource
 
-	// dir is the open-addressed home directory (line -> entry); entries come
-	// from a slab pool, so directory growth does not churn the allocator.
-	dir     hashmap.Map[*dirEntry]
-	dirPool hashmap.Pool[dirEntry]
-	homes   hashmap.Map[int] // page -> home node (first touch)
+	// pages is the home directory, kept by page: one probe finds a page's
+	// home node and its lines' entries.
+	pages     hashmap.Map[homePage]
+	lineShift uint // log2 LineBytes: a line's index in its page's block
 
 	allNodes []int
 	st       stats.Machine
@@ -119,11 +127,12 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:   cfg,
-		net:   net,
-		trace: obs.Nop(),
-		spans: obs.NopSpans(),
-		prof:  obs.NopProfile(),
+		cfg:       cfg,
+		net:       net,
+		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
+		trace:     obs.Nop(),
+		spans:     obs.NopSpans(),
+		prof:      obs.NopProfile(),
 	}
 	m.caches = make([]*proto.CacheSet, cfg.Nodes)
 	m.onchip = make([]*cache.SetAssoc, cfg.Nodes)
@@ -232,11 +241,12 @@ func (m *Machine) auditFail(format string, args ...any) {
 // case remoteRead folds into clean-at-home).
 func (m *Machine) auditAccess(addr uint64) {
 	line := m.alignLine(addr)
-	e, ok := m.dir.Get(line)
+	pg, ok := m.pages.Get(m.pageOf(line))
 	if !ok {
 		m.auditFail("line %#x: no directory entry after access", line)
 		return
 	}
+	e := m.entry(pg, line)
 	switch e.state {
 	case dirDirty:
 		if e.owner < 0 || int(e.owner) >= m.cfg.Nodes {
@@ -264,26 +274,25 @@ func (m *Machine) auditAccess(addr uint64) {
 func (m *Machine) alignLine(addr uint64) uint64 { return addr &^ (m.cfg.LineBytes - 1) }
 func (m *Machine) pageOf(addr uint64) uint64    { return addr &^ (m.cfg.PageBytes - 1) }
 
-func (m *Machine) homeFor(p int, addr uint64) int {
+// page returns the record of addr's page, homing the page at p on first
+// touch.
+func (m *Machine) page(p int, addr uint64) homePage {
 	page := m.pageOf(addr)
-	h, ok := m.homes.Get(page)
+	pg, ok := m.pages.Get(page)
 	if !ok {
-		h = p
-		m.homes.Put(page, h)
+		pg = homePage{home: p, lines: make([]dirEntry, m.cfg.PageBytes>>m.lineShift)}
+		for i := range pg.lines {
+			pg.lines[i].owner = -1
+		}
+		m.pages.Put(page, pg)
 		m.st.FirstTouches++
 	}
-	return h
+	return pg
 }
 
-func (m *Machine) entry(addr uint64) *dirEntry {
-	line := m.alignLine(addr)
-	e, ok := m.dir.Get(line)
-	if !ok {
-		e = m.dirPool.Get()
-		e.owner = -1
-		m.dir.Put(line, e)
-	}
-	return e
+// entry returns the directory entry of addr's line in pg, its page's record.
+func (m *Machine) entry(pg homePage, addr uint64) *dirEntry {
+	return &pg.lines[(addr&(m.cfg.PageBytes-1))>>m.lineShift]
 }
 
 // memLat is node n's local-memory latency for a line, tracking the on-chip
@@ -332,8 +341,8 @@ func (m *Machine) access(now sim.Time, p int, addr uint64, write bool) (sim.Time
 		return now + lat, class
 	}
 	line := m.alignLine(addr)
-	home := m.homeFor(p, addr)
-	e := m.entry(line)
+	pg := m.page(p, addr)
+	home, e := pg.home, m.entry(pg, line)
 	upgrade := m.caches[p].Holds(addr) // readable copy present; ownership only
 
 	if home == p {
@@ -493,9 +502,9 @@ func (m *Machine) remoteRead(now sim.Time, p, h int, addr, line uint64, e *dirEn
 		m.bank[h].Acquire(hs, m.cfg.Timing.MemBankOcc)
 		lat := m.memLat(h, line)
 		if m.spans.On() {
-			m.spans.Mark(obs.PhaseDirOcc, hs+maxTime(m.cfg.Costs.ReadLat, lat))
+			m.spans.Mark(obs.PhaseDirOcc, hs+max(m.cfg.Costs.ReadLat, lat))
 		}
-		done = m.net.Send(hs+maxTime(m.cfg.Costs.ReadLat, lat), h, p, data)
+		done = m.net.Send(hs+max(m.cfg.Costs.ReadLat, lat), h, p, data)
 		if e.state == dirDirty {
 			e.state = dirShared
 		}
@@ -612,8 +621,8 @@ func (m *Machine) handleVictims(when sim.Time, p int, victims []cache.Victim) {
 			continue // other half still dirty here; defer
 		}
 		line := m.alignLine(v.Addr)
-		e := m.entry(line)
-		h := m.homeFor(p, v.Addr)
+		pg := m.page(p, v.Addr)
+		h, e := pg.home, m.entry(pg, line)
 		if e.state == dirDirty && int(e.owner) == p {
 			e.state = dirHome
 			e.owner = -1
@@ -634,13 +643,6 @@ func (m *Machine) handleVictims(when sim.Time, p int, victims []cache.Victim) {
 		m.prof.Node(h, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.WBOcc)
 		m.bank[h].Acquire(ws, m.cfg.Timing.MemBankOcc)
 	}
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Placement is trivial for NUMA (node i at mesh index i) but exported for

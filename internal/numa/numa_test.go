@@ -24,7 +24,7 @@ func TestFirstTouchPlacesPageLocally(t *testing.T) {
 	if class != proto.LatMem {
 		t.Fatalf("first touch class = %v, want Memory (local first-touch page)", class)
 	}
-	if h, _ := m.homes.Get(m.pageOf(0x10000)); h != 2 {
+	if pg, _ := m.pages.Get(m.pageOf(0x10000)); pg.home != 2 {
 		t.Fatal("page not homed at first toucher")
 	}
 }
@@ -50,7 +50,7 @@ func TestRemoteDirtyReadIsThreeHop(t *testing.T) {
 	m := testMachine(t)
 	t1, _ := m.Access(0, 0, 0x2000, true)  // P0 homes and owns
 	t2, _ := m.Access(t1, 1, 0x2080, true) // P1 dirties a line homed at 0
-	if h, ok := m.homes.Get(m.pageOf(0x2080)); !ok || h != 0 {
+	if pg, ok := m.pages.Get(m.pageOf(0x2080)); !ok || pg.home != 0 {
 		t.Fatal("test setup: page not homed at 0")
 	}
 	_, class := m.Access(t2, 2, 0x2080, false) // P2 reads P1's dirty line

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -262,14 +261,14 @@ func canonicalResultJSON(res *machine.Result) ([]byte, error) {
 // a replica. The API serves cached bytes verbatim, so they must be
 // canonicalized here, once, rather than trusted as they came — an indented
 // or padded copy would otherwise reach clients unnormalized. The result must
-// also be one that running cs can produce (checkResult): a null or empty
-// object decodes without error but is no result at all.
+// also be one that running cs can produce (machine.Result.CheckFor): a null
+// or empty object decodes without error but is no result at all.
 func ingestResult(raw []byte, cs ConfigSpec) (*machine.Result, []byte, error) {
 	var res *machine.Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, nil, err
 	}
-	if err := checkResult(res, cs); err != nil {
+	if err := res.CheckFor(cs.Config()); err != nil {
 		return nil, nil, err
 	}
 	js, err := canonicalResultJSON(res)
@@ -277,25 +276,6 @@ func ingestResult(raw []byte, cs ConfigSpec) (*machine.Result, []byte, error) {
 		return nil, nil, err
 	}
 	return res, js, nil
-}
-
-// checkResult reports why res cannot be the result of running cs: it is
-// null, names another machine, application or thread count, lacks a
-// per-thread record for each thread, or ran for no cycles.
-func checkResult(res *machine.Result, cs ConfigSpec) error {
-	c := cs.canonical()
-	switch {
-	case res == nil:
-		return errors.New("serve: result is null")
-	case string(res.Arch) != c.Arch || res.App != c.App || res.Threads != c.Threads:
-		return fmt.Errorf("serve: result is for %s/%s/%d threads, spec is %s/%s/%d threads",
-			res.Arch, res.App, res.Threads, c.Arch, c.App, c.Threads)
-	case len(res.PerThread) != res.Threads:
-		return fmt.Errorf("serve: result has %d per-thread records for %d threads", len(res.PerThread), res.Threads)
-	case res.Breakdown.Exec <= 0:
-		return errors.New("serve: result ran for no cycles")
-	}
-	return nil
 }
 
 // indexEntry is the persisted form of one cache entry.

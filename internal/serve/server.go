@@ -183,7 +183,8 @@ type Job struct {
 	folded    []byte
 	artifacts map[string][]byte
 
-	// doneCh closes when the job reaches a terminal state.
+	// doneCh closes when the job reaches a terminal state; a job that
+	// finishes inside Submit shares closedDone.
 	doneCh chan struct{}
 }
 
@@ -425,7 +426,6 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		total:     len(spec.Configs),
 		state:     JobQueued,
 		submitted: time.Now(),
-		doneCh:    make(chan struct{}),
 	}
 	// Flight recorder: an explicit opt-in, or head-sampling every Nth
 	// admission. A telemetry job carries every observer at once (the spans
@@ -450,7 +450,10 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	if !j.telemetry {
 		hits, hitJSON, allHit = s.cache.PeekAll(keys, spec.Tenant)
 	}
-	if !allHit {
+	if allHit {
+		j.doneCh = closedDone
+	} else {
+		j.doneCh = make(chan struct{})
 		s.queue.push(j)
 	}
 	s.m.submitted.With(spec.Tenant).Inc()
@@ -883,8 +886,18 @@ func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byt
 	if !j.telemetry { // a telemetry job's configs name its artifacts
 		j.spec.Configs, j.keys = nil, nil
 	}
-	close(j.doneCh)
+	if j.doneCh != closedDone {
+		close(j.doneCh)
+	}
 }
+
+// closedDone is the Done channel of every job that finishes inside Submit:
+// one shared channel, closed from the start, instead of one per job.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // simulate runs the cache-missing configs this job owns, each in its own
 // slot, and publishes each result into the cache (resolving the singleflight
