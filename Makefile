@@ -133,7 +133,7 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the nine fuzz targets for a short fixed time each on top
+# fuzz-smoke runs the eleven fuzz targets for a short fixed time each on top
 # of their checked-in seed corpora: the result-envelope decoder (one-pass
 # decoder vs json.Unmarshal), the client's JSON scanner (vs json.Valid),
 # the floor-pruned Resource calendar (vs the unpruned calendar), the packed
@@ -142,9 +142,11 @@ fmt-check:
 # strict svclog.ParsePromText to the same labels and values), the cluster
 # replicate endpoint (accepts exactly the replicas whose key re-derives and
 # whose result could come from running their spec; anything else leaves
-# the cache as it was), and the hand-written wire codecs of JobEvent,
+# the cache as it was), the hand-written wire codecs of JobEvent,
 # JobStatus and JobSpec (vs json.Marshal, json.Encoder, json.Unmarshal and
-# a DisallowUnknownFields json.Decoder).
+# a DisallowUnknownFields json.Decoder), the event log's packed per-job
+# chains (Job rebuilds == the events Append returned), and the cache key
+# (canonicalizing is idempotent; == canonical specs get equal keys).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
@@ -155,6 +157,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobEventCodec$$' -fuzztime 10s ./internal/obs/svclog
 	$(GO) test -run '^$$' -fuzz '^FuzzJobStatusCodec$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzEventLogChain$$' -fuzztime 10s ./internal/obs/svclog
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigSpecKey$$' -fuzztime 10s ./internal/serve
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"slices"
 	"sync"
 	"time"
-	"unique"
 
 	"pimdsm/internal/jsonwire"
 )
@@ -142,8 +140,9 @@ type subscriber struct {
 
 // EventLog is the service's lifecycle event hub: a bounded global ring (the
 // SSE replay window), every job's complete event chain, and live
-// subscribers. A chain packs each event without its job id, its kind and
-// tenant interned, and is trimmed to length when the terminal event lands.
+// subscribers. A chain keeps each event's time whole and varint-packs the
+// rest into one byte stream, without its job id (see chain), and is trimmed
+// to length when the terminal event lands.
 // Appends assign the global sequence; a subscriber that falls behind its
 // buffer has events dropped — its consumer detects the sequence gap and
 // resyncs from the ring, exactly what an SSE client reconnecting with
@@ -152,19 +151,9 @@ type EventLog struct {
 	mu      sync.Mutex
 	seq     uint64
 	ring    []JobEvent // ring[(seq-1) % len] once seq > 0
-	perJob  map[string][]chainEvent
+	perJob  map[string]chain
 	subs    map[*subscriber]struct{}
 	dropped uint64
-}
-
-// chainEvent is a JobEvent less its job id.
-type chainEvent struct {
-	seq, cycles                 uint64
-	at                          time.Time
-	sinceSubmitUS               int64
-	queueDepth, running, config int
-	detail                      string
-	kind, tenant                unique.Handle[string]
 }
 
 // NewEventLog returns an event log whose replay ring holds ringSize events
@@ -175,7 +164,7 @@ func NewEventLog(ringSize int) *EventLog {
 	}
 	return &EventLog{
 		ring:   make([]JobEvent, 0, ringSize),
-		perJob: make(map[string][]chainEvent),
+		perJob: make(map[string]chain),
 		subs:   make(map[*subscriber]struct{}),
 	}
 }
@@ -192,13 +181,7 @@ func (l *EventLog) Append(ev JobEvent) JobEvent {
 	} else {
 		l.ring[(ev.Seq-1)%uint64(cap(l.ring))] = ev
 	}
-	chain := append(l.perJob[ev.Job], chainEvent{ev.Seq, ev.Cycles, ev.At, ev.SinceSubmitUS,
-		ev.QueueDepth, ev.Running, ev.Config, ev.Detail, unique.Make(string(ev.Kind)), unique.Make(ev.Tenant)})
-	switch ev.Kind {
-	case EvDone, EvFailed, EvAborted:
-		chain = slices.Clone(chain)
-	}
-	l.perJob[ev.Job] = chain
+	l.perJob[ev.Job] = l.perJob[ev.Job].append(ev)
 	for s := range l.subs {
 		select {
 		case s.ch <- ev:
@@ -246,13 +229,7 @@ func (l *EventLog) Since(after uint64) ([]JobEvent, uint64) {
 func (l *EventLog) Job(id string) []JobEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	chain := l.perJob[id]
-	out := make([]JobEvent, len(chain))
-	for i, e := range chain {
-		out[i] = JobEvent{e.seq, id, JobEventKind(e.kind.Value()), e.at, e.sinceSubmitUS,
-			e.queueDepth, e.running, e.config, e.cycles, e.tenant.Value(), e.detail}
-	}
-	return out
+	return l.perJob[id].events(id)
 }
 
 // Subscribe registers a live listener with the given channel buffer
@@ -342,8 +319,7 @@ func WriteChromeJSON(w io.Writer, events []JobEvent) error {
 		}); err != nil {
 			return err
 		}
-		switch ev.Kind {
-		case EvDone, EvFailed, EvAborted:
+		if terminal(ev.Kind) {
 			if err := emit(map[string]any{
 				"name": ev.Job, "cat": "job", "ph": "X",
 				"ts": ts - float64(ev.SinceSubmitUS), "dur": float64(ev.SinceSubmitUS),

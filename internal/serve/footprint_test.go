@@ -15,7 +15,7 @@ import (
 // all-hit submission decodes into a fresh config slice, as an HTTP one does,
 // so a job that pinned its configs or decoded results would show here.
 func TestFinishedJobFootprint(t *testing.T) {
-	const jobs, warm, maxPerJob = 2000, 200, 1900
+	const jobs, warm, maxPerJob = 2000, 200, 1200
 	fr := &fakeRunner{}
 	s, err := New(Options{Workers: 1, Run: fr.run, Events: svclog.NewEventLog(0)})
 	if err != nil {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"pimdsm/internal/machine"
@@ -65,6 +67,13 @@ func TestKeyCanonicalEquivalence(t *testing.T) {
 	if n1.Key(0) != n2.Key(0) {
 		t.Error("NUMA must ignore the D-node split in its key")
 	}
+	// JSON's "-0" decodes to −0, which the simulator runs as 0.
+	z := a
+	negZero := math.Copysign(0, -1)
+	z.OnChipFraction, z.SharedMinFrac, z.HandlerScale = negZero, negZero, negZero
+	if z.Key(0) != a.Key(0) {
+		t.Error("a −0 float field must hash as the omitted field")
+	}
 }
 
 func TestKeyDiscriminates(t *testing.T) {
@@ -125,4 +134,57 @@ func TestSpecConfigRoundTrip(t *testing.T) {
 	if got := SpecOf(s.Config()); got != s {
 		t.Fatalf("round trip: got %+v want %+v", got, s)
 	}
+}
+
+// FuzzConfigSpecKey holds decode → canonicalize → key to its two
+// properties: canonicalizing a canonical spec changes no bit, and specs
+// whose canonical forms compare == get equal keys. The pairs are every two
+// configs of the decoded submission, and each config against itself with
+// the sign of every zero float flipped (JSON's "-0" decodes to −0, which
+// runs as 0). Seeds live in testdata/fuzz/FuzzConfigSpecKey.
+func FuzzConfigSpecKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		spec, err := decodeJobSpec(data)
+		if err != nil {
+			return
+		}
+		cs := spec.Configs[:min(len(spec.Configs), 16)]
+		pairs := slices.Clone(cs)
+		for _, c := range cs {
+			once := c.canonical()
+			if a, b := specBits(once), specBits(once.canonical()); a != b {
+				t.Fatalf("%+v: canonical twice changed bits:\n %+v\n %+v", c, a, b)
+			}
+			flipped := c
+			for _, p := range []*float64{&flipped.Scale, &flipped.Pressure,
+				&flipped.OnChipFraction, &flipped.SharedMinFrac, &flipped.HandlerScale} {
+				if *p == 0 {
+					*p = math.Copysign(0, -math.Copysign(1, *p))
+				}
+			}
+			pairs = append(pairs, flipped)
+		}
+		for i, a := range pairs {
+			for _, b := range pairs[i+1:] {
+				if a.canonical() == b.canonical() && a.Key(seed) != b.Key(seed) {
+					t.Fatalf("canonical specs compare == but keys differ:\n %+v: %#016x\n %+v: %#016x",
+						a, a.Key(seed), b, b.Key(seed))
+				}
+			}
+		}
+	})
+}
+
+// bitSpec is a ConfigSpec with its floats moved out as their bits, so ==
+// tells −0 from +0.
+type bitSpec struct {
+	ConfigSpec
+	floats [5]uint64
+}
+
+func specBits(s ConfigSpec) bitSpec {
+	b := bitSpec{s, [5]uint64{math.Float64bits(s.Scale), math.Float64bits(s.Pressure),
+		math.Float64bits(s.OnChipFraction), math.Float64bits(s.SharedMinFrac), math.Float64bits(s.HandlerScale)}}
+	b.Scale, b.Pressure, b.OnChipFraction, b.SharedMinFrac, b.HandlerScale = 0, 0, 0, 0, 0
+	return b
 }

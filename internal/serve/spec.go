@@ -87,11 +87,17 @@ func (s ConfigSpec) Config() machine.Config {
 
 // canonical resolves the "zero means default" conventions the simulator
 // applies, so that e.g. Scale 0 and Scale 1.0 — which run the identical
-// simulation — also hash to the identical key.
+// simulation — also hash to the identical key. Likewise a float field of
+// −0 (which JSON's "-0" decodes to) runs as 0 and becomes +0, since Key
+// hashes the float's bits.
 func (s ConfigSpec) canonical() ConfigSpec {
 	if s.Scale == 0 {
 		s.Scale = 1.0
 	}
+	s.Pressure = plusZero(s.Pressure)
+	s.OnChipFraction = plusZero(s.OnChipFraction)
+	s.SharedMinFrac = plusZero(s.SharedMinFrac)
+	s.HandlerScale = plusZero(s.HandlerScale)
 	if s.Arch == string(machine.AGG) {
 		if s.DNodes != 0 {
 			s.DRatio = 0 // DNodes overrides DRatio; its value is irrelevant
@@ -104,6 +110,14 @@ func (s ConfigSpec) canonical() ConfigSpec {
 		s.DMemTotal = 0
 	}
 	return s
+}
+
+// plusZero returns f, with −0 as +0.
+func plusZero(f float64) float64 {
+	if f == 0 {
+		return 0
+	}
+	return f
 }
 
 // Key derives the 64-bit content address of this configuration (canonical
