@@ -48,16 +48,19 @@ figures-output:
 	$(GO) run ./cmd/figures -quick > figures_output.txt
 
 # audit runs the per-transaction coherence auditor on one configuration per
-# machine type, plus an AGG radix run at 95% pressure on a quarter of the
-# D-nodes that pages out (about 1,500 pageouts), so D-node page mapping,
-# unmapping and SharedList reuse run under the auditor; any
-# protocol-invariant violation fails the target.
+# machine type, plus two AGG runs: radix at 95% pressure on a quarter of the
+# D-nodes, which pages out (about 1,500 pageouts), so D-node page mapping,
+# unmapping and SharedList reuse run under the auditor; and swim at 25%
+# pressure on 32 D-nodes, which ends with 57,600 of its 65,536 Data slots
+# never used, so slots are handed out from the never-used tail under the
+# auditor. Any protocol-invariant violation fails the target.
 audit:
 	$(GO) run ./cmd/aggsim -arch agg  -app ocean -scale 0.05 -threads 8 -pressure 0.75 -audit >/dev/null
 	$(GO) run ./cmd/aggsim -arch numa -app ocean -scale 0.05 -threads 8 -pressure 0.75 -audit >/dev/null
 	$(GO) run ./cmd/aggsim -arch coma -app ocean -scale 0.05 -threads 8 -pressure 0.75 -audit >/dev/null
 	$(GO) run ./cmd/aggsim -arch agg  -app radix -scale 0.05 -threads 8 -pressure 0.95 -dratio 4 -audit >/dev/null
-	@echo "audit: all three machine types clean, AGG also while paging out"
+	$(GO) run ./cmd/aggsim -arch agg  -app swim -scale 0.3 -threads 32 -pressure 0.25 -audit >/dev/null
+	@echo "audit: all three machine types clean, AGG also while paging out and with most Data slots never used"
 
 # check-stats is the perf-regression gate: the fixed baseline matrix must
 # match testdata/golden_stats.json within per-metric tolerances, and the
@@ -133,7 +136,7 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the eleven fuzz targets for a short fixed time each on top
+# fuzz-smoke runs the twelve fuzz targets for a short fixed time each on top
 # of their checked-in seed corpora: the result-envelope decoder (one-pass
 # decoder vs json.Unmarshal), the client's JSON scanner (vs json.Valid),
 # the floor-pruned Resource calendar (vs the unpruned calendar), the packed
@@ -145,8 +148,10 @@ fmt-check:
 # the cache as it was), the hand-written wire codecs of JobEvent,
 # JobStatus and JobSpec (vs json.Marshal, json.Encoder, json.Unmarshal and
 # a DisallowUnknownFields json.Decoder), the event log's packed per-job
-# chains (Job rebuilds == the events Append returned), and the cache key
-# (canonicalizing is idempotent; == canonical specs get equal keys).
+# chains (Job rebuilds == the events Append returned), the cache key
+# (canonicalizing is idempotent; == canonical specs get equal keys), and the
+# D-node Data-slot order (lazily created slots vs an eager FreeList holding
+# every slot from the start).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
@@ -159,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLogChain$$' -fuzztime 10s ./internal/obs/svclog
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigSpecKey$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDMemSlots$$' -fuzztime 10s ./internal/core
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'

@@ -370,7 +370,7 @@ func (m *Machine) auditAccess(addr uint64) {
 			m.auditFail("unfetched line %#x holds a Data slot", line)
 		}
 	}
-	if err := dm.AuditEntry(e); err != nil {
+	if err := dm.AuditEntry(line, e); err != nil {
 		m.auditFail("line %#x at D%d: %v", line, d, err)
 	}
 	if err := dm.AuditFreeList(); err != nil {
@@ -547,7 +547,7 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 		e.Sharers.Clear()
 		e.Sharers.Add(owner)
 		e.Sharers.Add(p)
-		if res, _ := m.dmem[d].EnsureSlot(e); res != AllocFailed {
+		if res, _ := m.dmem[d].EnsureSlot(line, e); res != AllocFailed {
 			m.dbank[d].Acquire(ws, m.cfg.Timing.MemBankOcc)
 			m.profD(d, obs.ResMem, obs.HCListOps, m.cfg.Timing.MemBankOcc)
 			m.dmem[d].LinkShared(e)
@@ -607,7 +607,7 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 			wbArr := m.net.Send(ms+lat, m.pMesh[master], m.dMesh[d], data)
 			ws := m.dproc[d].Acquire(wbArr, m.cfg.Costs.AckOcc)
 			m.profD(d, obs.ResProc, obs.HCWriteBack, m.cfg.Costs.AckOcc)
-			if res, _ := m.dmem[d].EnsureSlot(e); res != AllocFailed {
+			if res, _ := m.dmem[d].EnsureSlot(line, e); res != AllocFailed {
 				m.dbank[d].Acquire(ws, m.cfg.Timing.MemBankOcc)
 				m.profD(d, obs.ResMem, obs.HCListOps, m.cfg.Timing.MemBankOcc)
 				m.dmem[d].LinkShared(e)
@@ -630,7 +630,7 @@ func (m *Machine) remoteRead(reqT sim.Time, p, d int, addr uint64, e *DirEntry) 
 			}
 		}
 		var stored bool
-		t, stored = m.ensureSlot(t, d, e)
+		t, stored = m.ensureSlot(t, d, line, e)
 		m.dbank[d].Acquire(t, m.cfg.Timing.MemBankOcc)
 		m.profD(d, obs.ResMem, obs.HCListOps, m.cfg.Timing.MemBankOcc)
 		if m.spans.On() {
@@ -885,9 +885,9 @@ func (m *Machine) writeBack(t sim.Time, p int, line uint64, st cache.State) {
 			panic(fmt.Sprintf("core: dirty write-back of %#x by P%d but directory says %v/master=%d", line, p, e.State, e.Master))
 		}
 		var stored bool
-		hs, stored = m.ensureSlot(hs, d, e)
+		hs, stored = m.ensureSlot(hs, d, line, e)
 		if !stored {
-			m.spill(hs, d, e)
+			m.spill(hs, d, line, e)
 			return
 		}
 		m.dbank[d].Acquire(hs, m.cfg.Timing.MemBankOcc)
@@ -903,9 +903,9 @@ func (m *Machine) writeBack(t sim.Time, p int, line uint64, st cache.State) {
 			dm.UnlinkShared(e)
 		} else {
 			var stored bool
-			hs, stored = m.ensureSlot(hs, d, e)
+			hs, stored = m.ensureSlot(hs, d, line, e)
 			if !stored {
-				m.spill(hs, d, e)
+				m.spill(hs, d, line, e)
 				return
 			}
 			m.dbank[d].Acquire(hs, m.cfg.Timing.MemBankOcc)
@@ -921,7 +921,7 @@ func (m *Machine) writeBack(t sim.Time, p int, line uint64, st cache.State) {
 	}
 }
 
-// ensureSlot obtains a Data slot for e. Incoming lines are always taken in
+// ensureSlot obtains a Data slot for e, the entry of line. Incoming lines are always taken in
 // (§2.2.2); when free space falls to the low-water threshold, the OS pages
 // out in the *background* (the triggering transaction reuses a SharedList
 // slot and does not wait). Only when both lists are exhausted — the paper's
@@ -930,48 +930,48 @@ func (m *Machine) writeBack(t sim.Time, p int, line uint64, st cache.State) {
 // ablation, where the line's set can stay full no matter how much the home
 // pages out (the situation whose COMA-style injections the paper's
 // fully-associative organization exists to avoid).
-func (m *Machine) ensureSlot(t sim.Time, d int, e *DirEntry) (sim.Time, bool) {
+func (m *Machine) ensureSlot(t sim.Time, d int, line uint64, e *DirEntry) (sim.Time, bool) {
 	dm := m.dmem[d]
-	if res, _ := dm.EnsureSlot(e); res != AllocFailed {
+	if res, _ := dm.EnsureSlot(line, e); res != AllocFailed {
 		// The FreeList drain toward the pageout threshold is the curve the
 		// paper's crisis analysis cares about; sample it per allocation.
 		if m.trace.On() {
 			m.trace.Emit(obs.EvOcc, t, 0, m.dnode(d), 0, uint64(dm.FreeLen()))
 		}
 		if dm.NeedPageout() {
-			m.pageout(t, d, e.Addr, true) // background refill of the FreeList
+			m.pageout(t, d, line, true) // background refill of the FreeList
 		}
 		return t, true
 	}
-	if forced, _ := dm.ForceSlot(e); forced {
+	if forced, _ := dm.ForceSlot(line, e); forced {
 		return t, true
 	}
 	// Crisis: nothing reusable. Stall on pageouts — the effect of the
 	// paper's high-priority pause interrupt.
 	m.st.CrisisPauses++
 	if m.trace.On() {
-		m.trace.Emit(obs.EvCrisis, t, 0, m.dnode(d), e.Addr, uint64(dm.FreeLen()))
+		m.trace.Emit(obs.EvCrisis, t, 0, m.dnode(d), line, uint64(dm.FreeLen()))
 	}
 	for attempt := 0; attempt < 4; attempt++ {
-		t = m.pageout(t, d, e.Addr, true)
-		if res, _ := dm.EnsureSlot(e); res != AllocFailed {
+		t = m.pageout(t, d, line, true)
+		if res, _ := dm.EnsureSlot(line, e); res != AllocFailed {
 			return t, true
 		}
-		if forced, _ := dm.ForceSlot(e); forced {
+		if forced, _ := dm.ForceSlot(line, e); forced {
 			return t, true
 		}
 	}
 	if m.cfg.DMemSetAssoc > 0 {
 		return t, false // the caller spills the line (Overflows)
 	}
-	panic(fmt.Sprintf("core: D%d out of memory for line %#x", d, e.Addr))
+	panic(fmt.Sprintf("core: D%d out of memory for line %#x", d, line))
 }
 
-// spill records that the home could not store an incoming line (only
+// spill records that the home could not store an incoming line, entry e (only
 // possible in the set-associative ablation): the data goes straight to the
 // paging device, read-only copies elsewhere stay valid, and the next use
 // pays a disk fault.
-func (m *Machine) spill(t sim.Time, d int, e *DirEntry) {
+func (m *Machine) spill(t sim.Time, d int, line uint64, e *DirEntry) {
 	m.disk[d].Acquire(t, m.cfg.Timing.DiskLat)
 	m.profD(d, obs.ResDisk, obs.HCPageout, m.cfg.Timing.DiskLat)
 	e.State = DirHome
@@ -981,7 +981,7 @@ func (m *Machine) spill(t sim.Time, d int, e *DirEntry) {
 	e.OnDisk = true
 	m.st.Overflows++
 	if m.trace.On() {
-		m.trace.Emit(obs.EvOverflow, t, 0, m.dnode(d), e.Addr, 0)
+		m.trace.Emit(obs.EvOverflow, t, 0, m.dnode(d), line, 0)
 	}
 }
 
@@ -1005,7 +1005,7 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 		}
 		page := cands[0]
 		var lastArrive sim.Time
-		dm.PageLines(page, func(e *DirEntry) {
+		dm.PageLines(page, func(line uint64, e *DirEntry) {
 			t += m.cfg.Costs.AckOcc // per-entry OS processing
 			switch e.State {
 			case DirDirty:
@@ -1013,15 +1013,15 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 				owner := int(e.Master)
 				rq := m.net.Send(t, m.dMesh[d], m.pMesh[owner], ctrl)
 				ms := m.pbank[owner].Acquire(rq, m.cfg.Timing.MemBankOcc)
-				back := m.net.Send(ms+m.ownerLat(owner, e.Addr), m.pMesh[owner], m.dMesh[d], data)
+				back := m.net.Send(ms+m.ownerLat(owner, line), m.pMesh[owner], m.dMesh[d], data)
 				if back > lastArrive {
 					lastArrive = back
 				}
-				m.pmem[owner].Invalidate(e.Addr)
-				m.caches[owner].InvalidateMemLine(e.Addr)
+				m.pmem[owner].Invalidate(line)
+				m.caches[owner].InvalidateMemLine(line)
 				m.st.Recalls++
 				if m.trace.On() {
-					m.trace.Emit(obs.EvRecall, rq, 0, int32(owner), e.Addr, 0)
+					m.trace.Emit(obs.EvRecall, rq, 0, int32(owner), line, 0)
 				}
 			case DirShared:
 				// Recall the master copy if the home dropped its own, and
@@ -1030,13 +1030,13 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 					master := int(e.Master)
 					rq := m.net.Send(t, m.dMesh[d], m.pMesh[master], ctrl)
 					ms := m.pbank[master].Acquire(rq, m.cfg.Timing.MemBankOcc)
-					back := m.net.Send(ms+m.ownerLat(master, e.Addr), m.pMesh[master], m.dMesh[d], data)
+					back := m.net.Send(ms+m.ownerLat(master, line), m.pMesh[master], m.dMesh[d], data)
 					if back > lastArrive {
 						lastArrive = back
 					}
 					m.st.Recalls++
 					if m.trace.On() {
-						m.trace.Emit(obs.EvRecall, rq, 0, int32(master), e.Addr, 0)
+						m.trace.Emit(obs.EvRecall, rq, 0, int32(master), line, 0)
 					}
 				}
 				for _, q := range e.Sharers.Targets(nil, m.allP, -1) {
@@ -1044,11 +1044,11 @@ func (m *Machine) pageout(t sim.Time, d int, protect uint64, wantSlots bool) sim
 					if iv > lastArrive {
 						lastArrive = iv
 					}
-					m.pmem[q].Invalidate(e.Addr)
-					m.caches[q].InvalidateMemLine(e.Addr)
+					m.pmem[q].Invalidate(line)
+					m.caches[q].InvalidateMemLine(line)
 					m.st.Invalidations++
 					if m.trace.On() {
-						m.trace.Emit(obs.EvInval, iv, 0, int32(q), e.Addr, 0)
+						m.trace.Emit(obs.EvInval, iv, 0, int32(q), line, 0)
 					}
 				}
 			}

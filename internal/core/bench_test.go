@@ -54,7 +54,7 @@ func BenchmarkDMemAllocRelease(b *testing.B) {
 		addr := uint64(i%1024) * 128
 		e := d.Entry(addr)
 		if e.LocalPtr == nilPtr {
-			d.EnsureSlot(e)
+			d.EnsureSlot(addr, e)
 			e.State = DirShared
 			e.Master = 1
 			d.LinkShared(e)

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"pimdsm/internal/hashmap"
@@ -50,14 +51,16 @@ const HomeMaster = -1
 const nilPtr = int32(-1)
 
 // DirEntry is one entry of the Directory array: directory state plus the
-// Local Pointer into the Data array (§2.2.2, Figure 3).
+// Local Pointer into the Data array (§2.2.2, Figure 3). It does not store its
+// line's address: an entry sits at its line's index in its page's block, so
+// the address is the page plus that index, and every caller already holds
+// it. Without it an entry is 28 bytes, 4-byte fields first.
 type DirEntry struct {
-	Addr    uint64 // line-aligned address
-	State   DirState
 	Master  int32        // P-node with the master copy, or HomeMaster
 	Sharers proto.PtrVec // P-nodes caching the line (limited 3-pointer vector)
 	// LocalPtr indexes the Data array; nilPtr when the home keeps no copy.
 	LocalPtr int32
+	State    DirState
 	// Unfetched marks a line that has never been materialized: a first
 	// write is satisfied with zero-fill and needs no Data slot.
 	Unfetched bool
@@ -87,12 +90,13 @@ const (
 )
 
 // ptrEntry is one entry of the Pointer array: a back pointer to the
-// Directory (the line address) and Prev/Next links tying the associated Data
-// entry to the FreeList or SharedList (§2.2.2).
+// Directory (the line number, address >> log2 line size; MapPage keeps every
+// mapped line inside uint32) and Prev/Next links tying the associated Data
+// entry to the FreeList or SharedList (§2.2.2). 16 bytes.
 type ptrEntry struct {
-	line       uint64 // back pointer (DirPtr); meaningful only when used
-	used       bool
+	line       uint32 // back pointer (DirPtr); meaningful only when used
 	prev, next int32
+	used       bool
 	list       listID
 }
 
@@ -125,8 +129,14 @@ type DMem struct {
 	dirCap    int
 	pageBytes uint64
 
+	// ptrs holds the Pointer entries of the Data slots handed out so far,
+	// slots 0..len(ptrs)-1; the other dataCap-len(ptrs) slots are free and
+	// have never been used. Allocation takes the next never-used slot
+	// before the FreeList head (see takeFree), which is the order of a
+	// FreeList that starts out holding every slot. ptrs grows by
+	// reallocation, so no *ptrEntry is held across an allocation.
 	ptrs                   []ptrEntry
-	freeHead, freeTail     int32
+	freeHead, freeTail     int32 // the FreeList: released slots only
 	sharedHead, sharedTail int32
 	freeLen, sharedLen     int
 
@@ -178,7 +188,6 @@ func NewDMem(dataLines, dirEntries int, lineBytes, pageBytes uint64, sharedMin i
 		dataCap:    dataLines,
 		dirCap:     dirEntries,
 		pageBytes:  pageBytes,
-		ptrs:       make([]ptrEntry, dataLines),
 		freeHead:   nilPtr,
 		freeTail:   nilPtr,
 		sharedHead: nilPtr,
@@ -186,10 +195,6 @@ func NewDMem(dataLines, dirEntries int, lineBytes, pageBytes uint64, sharedMin i
 		sharedMin:  sharedMin,
 		pageLines:  int(pageBytes / lineBytes),
 		lineShift:  uint(bits.TrailingZeros64(lineBytes)),
-	}
-	for i := range d.ptrs {
-		d.ptrs[i].prev, d.ptrs[i].next = nilPtr, nilPtr
-		d.pushTail(listFree, int32(i))
 	}
 	return d, nil
 }
@@ -272,10 +277,35 @@ func (d *DMem) popHead(l listID) (int32, bool) {
 	return h, true
 }
 
+// takeFree hands out a free Data slot: the lowest never-used slot while one
+// is left, else the FreeList head. A FreeList that starts out holding every
+// slot in index order, and takes released slots at its tail, hands out the
+// same slots in the same order.
+func (d *DMem) takeFree() (int32, bool) {
+	n := len(d.ptrs)
+	if n == d.dataCap {
+		return d.popHead(listFree)
+	}
+	if n == cap(d.ptrs) {
+		grown := make([]ptrEntry, n, min(max(2*n, 64), d.dataCap))
+		copy(grown, d.ptrs)
+		d.ptrs = grown
+	}
+	d.ptrs = append(d.ptrs, ptrEntry{prev: nilPtr, next: nilPtr})
+	return int32(n), true
+}
+
+// lineNo is the Pointer array's back pointer for the line at addr.
+func (d *DMem) lineNo(addr uint64) uint32 { return uint32(addr >> d.lineShift) }
+
+// slotLine is the address of the line Data slot i backs.
+func (d *DMem) slotLine(i int32) uint64 { return uint64(d.ptrs[i].line) << d.lineShift }
+
 // --- geometry / lookup ---
 
-// FreeLen returns the FreeList length.
-func (d *DMem) FreeLen() int { return d.freeLen }
+// FreeLen returns the number of free Data slots: the FreeList plus the
+// slots never used.
+func (d *DMem) FreeLen() int { return d.freeLen + d.dataCap - len(d.ptrs) }
 
 // SharedLen returns the SharedList length.
 func (d *DMem) SharedLen() int { return d.sharedLen }
@@ -340,6 +370,9 @@ func (d *DMem) MapPage(page uint64) error {
 	if pg.lines != nil {
 		return fmt.Errorf("core: page %#x already mapped", page)
 	}
+	if (page>>d.lineShift)+uint64(d.pageLines) > math.MaxUint32+1 {
+		return fmt.Errorf("core: page %#x lies beyond the %d-line back-pointer range", page, uint64(math.MaxUint32)+1)
+	}
 	if !d.DirRoom() {
 		return fmt.Errorf("core: directory array full (%d/%d entries)", d.mapped, d.dirCap)
 	}
@@ -351,7 +384,6 @@ func (d *DMem) MapPage(page uint64) error {
 	}
 	for i := range pg.lines {
 		pg.lines[i] = DirEntry{
-			Addr:      pg.page + uint64(i)<<d.lineShift,
 			State:     DirHome,
 			Master:    HomeMaster,
 			LocalPtr:  nilPtr,
@@ -367,12 +399,12 @@ func (d *DMem) MapPage(page uint64) error {
 	return nil
 }
 
-// PageLines calls fn for each directory entry of a mapped page, in address
-// order.
-func (d *DMem) PageLines(page uint64, fn func(*DirEntry)) {
+// PageLines calls fn with each line address and directory entry of a mapped
+// page, in address order.
+func (d *DMem) PageLines(page uint64, fn func(line uint64, e *DirEntry)) {
 	if pg, _ := d.recs.Get(page); pg != nil {
 		for i := range pg.lines {
-			fn(&pg.lines[i])
+			fn(pg.page+uint64(i)<<d.lineShift, &pg.lines[i])
 		}
 	}
 }
@@ -389,7 +421,7 @@ func (d *DMem) UnmapPage(page uint64) error {
 	}
 	for i := range pg.lines {
 		if e := &pg.lines[i]; e.State != DirHome {
-			return fmt.Errorf("core: unmap of page %#x with un-recalled line %#x in state %v", page, e.Addr, e.State)
+			return fmt.Errorf("core: unmap of page %#x with un-recalled line %#x in state %v", page, page+uint64(i)<<d.lineShift, e.State)
 		}
 	}
 	for i := range pg.lines {
@@ -449,64 +481,66 @@ func (d *DMem) ConfigureSetAssoc(assoc int) {
 	if assoc <= 0 || d.dataCap%assoc != 0 {
 		panic(fmt.Sprintf("core: invalid D-memory associativity %d for %d slots", assoc, d.dataCap))
 	}
-	if d.freeLen != d.dataCap {
+	if d.FreeLen() != d.dataCap {
 		panic("core: ConfigureSetAssoc on a non-empty D-memory")
 	}
 	d.saAssoc = assoc
 	d.saCount = make([]int, d.dataCap/assoc)
 }
 
-// saSet returns the Data set index of a line in set-associative mode.
-func (d *DMem) saSet(addr uint64) int {
-	return int((addr >> d.lineShift) % uint64(len(d.saCount)))
+// saSet returns the Data set index of line number ln in set-associative
+// mode.
+func (d *DMem) saSet(ln uint32) int {
+	return int(uint64(ln) % uint64(len(d.saCount)))
 }
 
-// setFull reports whether e's line cannot be stored because its Data set is
-// full (set-associative mode only).
-func (d *DMem) setFull(e *DirEntry) bool {
-	return d.saAssoc > 0 && d.saCount[d.saSet(e.Addr)] >= d.saAssoc
+// setFull reports whether the line at addr cannot be stored because its
+// Data set is full (set-associative mode only).
+func (d *DMem) setFull(addr uint64) bool {
+	return d.saAssoc > 0 && d.saCount[d.saSet(d.lineNo(addr))] >= d.saAssoc
 }
 
-// EnsureSlot makes e hold a Data slot, following the paper's policy: take
-// the FreeList head; if exhausted, reuse the SharedList head unless that
-// would drop SharedList below the threshold. dropped is the directory entry
-// whose home copy was discarded on reuse (nil otherwise). In the
-// set-associative ablation an allocation additionally fails when the line's
-// set is full — first trying to reuse a *same-set* SharedList resident.
-func (d *DMem) EnsureSlot(e *DirEntry) (res AllocResult, dropped *DirEntry) {
+// EnsureSlot makes e, the entry of the line at addr, hold a Data slot,
+// following the paper's policy: take a free slot; if none is left, reuse the
+// SharedList head unless that would drop SharedList below the threshold.
+// dropped is the directory entry whose home copy was discarded on reuse (nil
+// otherwise). In the set-associative ablation an allocation additionally
+// fails when the line's set is full — first trying to reuse a *same-set*
+// SharedList resident.
+func (d *DMem) EnsureSlot(addr uint64, e *DirEntry) (res AllocResult, dropped *DirEntry) {
 	if e.LocalPtr != nilPtr {
 		return AllocFree, nil
 	}
 	if d.saAssoc > 0 {
 		// Set-associative mode: only this line's set can hold it.
-		if !d.setFull(e) {
-			if i, ok := d.popHead(listFree); ok {
-				d.attach(e, i)
+		if !d.setFull(addr) {
+			if i, ok := d.takeFree(); ok {
+				d.attach(addr, e, i)
 				d.Stats.SlotAllocs++
 				return AllocFree, nil
 			}
 		}
-		if victim := d.reuseSharedInSet(e); victim != nil {
+		if victim := d.reuseSharedInSet(addr, e); victim != nil {
 			return AllocSharedReuse, victim
 		}
 		d.Stats.SetConflicts++
 		d.Stats.PageoutsAsked++
 		return AllocFailed, nil
 	}
-	if i, ok := d.popHead(listFree); ok {
-		d.attach(e, i)
+	if i, ok := d.takeFree(); ok {
+		d.attach(addr, e, i)
 		d.Stats.SlotAllocs++
 		return AllocFree, nil
 	}
 	if d.sharedLen > d.sharedMin {
 		i, ok := d.popHead(listShared)
 		if ok {
-			victim := d.Entry(d.ptrs[i].line)
+			victim := d.Entry(d.slotLine(i))
 			if victim == nil || victim.LocalPtr != i {
 				panic("core: SharedList back pointer desynchronized")
 			}
 			d.dropCopy(victim)
-			d.attach(e, i)
+			d.attach(addr, e, i)
 			d.Stats.SlotAllocs++
 			d.Stats.SharedReuses++
 			return AllocSharedReuse, victim
@@ -519,28 +553,28 @@ func (d *DMem) EnsureSlot(e *DirEntry) (res AllocResult, dropped *DirEntry) {
 // dropCopy releases victim's slot bookkeeping after its Pointer entry was
 // unlinked for reuse.
 func (d *DMem) dropCopy(victim *DirEntry) {
-	if d.saAssoc > 0 {
-		d.saCount[d.saSet(victim.Addr)]--
-	}
 	i := victim.LocalPtr
+	if d.saAssoc > 0 {
+		d.saCount[d.saSet(d.ptrs[i].line)]--
+	}
 	victim.LocalPtr = nilPtr
 	d.ptrs[i].used = false
 }
 
 // reuseSharedInSet searches the SharedList (FIFO order, bounded walk) for a
-// droppable home copy in the same Data set as e, the only legal reuse in
-// set-associative mode. It performs the swap and returns the dropped entry,
-// or nil.
-func (d *DMem) reuseSharedInSet(e *DirEntry) *DirEntry {
-	want := d.saSet(e.Addr)
+// droppable home copy in the same Data set as the line at addr, the only
+// legal reuse in set-associative mode. It performs the swap and returns the
+// dropped entry, or nil.
+func (d *DMem) reuseSharedInSet(addr uint64, e *DirEntry) *DirEntry {
+	want := d.saSet(d.lineNo(addr))
 	i := d.sharedHead
 	for steps := 0; i != nilPtr && steps < 64; steps++ {
-		victim := d.Entry(d.ptrs[i].line)
+		victim := d.Entry(d.slotLine(i))
 		next := d.ptrs[i].next
-		if victim != nil && d.saSet(victim.Addr) == want {
+		if victim != nil && d.saSet(d.ptrs[i].line) == want {
 			d.unlink(i)
 			d.dropCopy(victim)
-			d.attach(e, i)
+			d.attach(addr, e, i)
 			d.Stats.SlotAllocs++
 			d.Stats.SharedReuses++
 			return victim
@@ -550,20 +584,20 @@ func (d *DMem) reuseSharedInSet(e *DirEntry) *DirEntry {
 	return nil
 }
 
-// attach binds Data slot i to entry e (not on any list yet; LinkShared or
-// leaving it unlinked reflects mastership).
-func (d *DMem) attach(e *DirEntry, i int32) {
+// attach binds Data slot i to entry e of the line at addr (not on any list
+// yet; LinkShared or leaving it unlinked reflects mastership).
+func (d *DMem) attach(addr uint64, e *DirEntry, i int32) {
 	p := &d.ptrs[i]
 	if p.used || p.list != listNone {
 		panic("core: attaching a busy pointer entry")
 	}
 	p.used = true
-	p.line = e.Addr
+	p.line = d.lineNo(addr)
 	e.LocalPtr = i
 	e.Unfetched = false
 	e.OnDisk = false
 	if d.saAssoc > 0 {
-		d.saCount[d.saSet(e.Addr)]++
+		d.saCount[d.saSet(p.line)]++
 	}
 }
 
@@ -610,20 +644,20 @@ func (d *DMem) UnlinkShared(e *DirEntry) {
 // ForceSlot is EnsureSlot's crisis fallback: it reuses the SharedList head
 // even below the threshold (the paper's "high-priority pause" region). It
 // reports success and the entry whose home copy was dropped.
-func (d *DMem) ForceSlot(e *DirEntry) (bool, *DirEntry) {
+func (d *DMem) ForceSlot(addr uint64, e *DirEntry) (bool, *DirEntry) {
 	if e.LocalPtr != nilPtr {
 		return true, nil
 	}
 	if d.saAssoc > 0 {
 		// Set-associative mode: only a same-set resident can be displaced.
-		if !d.setFull(e) {
-			if i, ok := d.popHead(listFree); ok {
-				d.attach(e, i)
+		if !d.setFull(addr) {
+			if i, ok := d.takeFree(); ok {
+				d.attach(addr, e, i)
 				d.Stats.SlotAllocs++
 				return true, nil
 			}
 		}
-		if victim := d.reuseSharedInSet(e); victim != nil {
+		if victim := d.reuseSharedInSet(addr, e); victim != nil {
 			return true, victim
 		}
 		return false, nil
@@ -632,12 +666,12 @@ func (d *DMem) ForceSlot(e *DirEntry) (bool, *DirEntry) {
 	if !ok {
 		return false, nil
 	}
-	victim := d.Entry(d.ptrs[i].line)
+	victim := d.Entry(d.slotLine(i))
 	if victim == nil || victim.LocalPtr != i {
 		panic("core: SharedList back pointer desynchronized")
 	}
 	d.dropCopy(victim)
-	d.attach(e, i)
+	d.attach(addr, e, i)
 	d.Stats.SlotAllocs++
 	d.Stats.SharedReuses++
 	return true, victim
@@ -646,7 +680,7 @@ func (d *DMem) ForceSlot(e *DirEntry) (bool, *DirEntry) {
 // NeedPageout reports that free space is low enough that the OS should page
 // out (FreeList empty and SharedList at or below the threshold).
 func (d *DMem) NeedPageout() bool {
-	return d.freeLen == 0 && d.sharedLen <= d.sharedMin
+	return d.FreeLen() == 0 && d.sharedLen <= d.sharedMin
 }
 
 // --- accounting / verification ---
@@ -667,46 +701,54 @@ func (d *DMem) CensusAdd(c *Census) {
 			}
 		}
 	}
-	c.FreeSlots += d.freeLen
+	c.FreeSlots += d.FreeLen()
 	c.SlotCap += d.dataCap
 }
 
-// AuditEntry checks one directory entry's slot-and-list discipline — the
-// per-transaction slice of CheckInvariants the coherence auditor runs at
-// span retirement. O(1): a dirty line must hold no Data slot; a held slot's
-// Pointer entry must back-reference the line, must not sit on the FreeList,
-// and must be on the SharedList exactly when mastership is held by a remote
-// P-node (a droppable home copy).
-func (d *DMem) AuditEntry(e *DirEntry) error {
+// AuditEntry checks the slot-and-list discipline of e, the entry of the line
+// at addr — the per-transaction slice of CheckInvariants the coherence
+// auditor runs at span retirement. O(1): a dirty line must hold no Data
+// slot; a held slot must have been handed out, and its Pointer entry must
+// back-reference the line, must not sit on the FreeList, and must be on the
+// SharedList exactly when mastership is held by a remote P-node (a droppable
+// home copy).
+func (d *DMem) AuditEntry(addr uint64, e *DirEntry) error {
 	if e.State == DirDirty && e.HasCopy() {
-		return fmt.Errorf("dirty line %#x holds Data slot %d", e.Addr, e.LocalPtr)
+		return fmt.Errorf("dirty line %#x holds Data slot %d", addr, e.LocalPtr)
 	}
 	if !e.HasCopy() {
 		return nil
 	}
+	if e.LocalPtr < 0 || int(e.LocalPtr) >= len(d.ptrs) {
+		return fmt.Errorf("line %#x points at slot %d, not one of the %d handed out", addr, e.LocalPtr, len(d.ptrs))
+	}
 	p := &d.ptrs[e.LocalPtr]
 	if !p.used {
-		return fmt.Errorf("line %#x points at unused slot %d", e.Addr, e.LocalPtr)
+		return fmt.Errorf("line %#x points at unused slot %d", addr, e.LocalPtr)
 	}
-	if p.line != e.Addr {
-		return fmt.Errorf("slot %d back-pointer %#x does not match line %#x", e.LocalPtr, p.line, e.Addr)
+	if p.line != d.lineNo(addr) {
+		return fmt.Errorf("slot %d back-pointer %#x does not match line %#x", e.LocalPtr, d.slotLine(e.LocalPtr), addr)
 	}
 	if p.list == listFree {
-		return fmt.Errorf("line %#x holds slot %d that dangles on the FreeList", e.Addr, e.LocalPtr)
+		return fmt.Errorf("line %#x holds slot %d that dangles on the FreeList", addr, e.LocalPtr)
 	}
 	wantShared := e.State == DirShared && e.Master != HomeMaster
 	if got := p.list == listShared; got != wantShared {
 		return fmt.Errorf("line %#x (state %v, master %d): slot %d SharedList membership %v, want %v",
-			e.Addr, e.State, e.Master, e.LocalPtr, got, wantShared)
+			addr, e.State, e.Master, e.LocalPtr, got, wantShared)
 	}
 	return nil
 }
 
 // AuditFreeList is the O(1) FreeList sanity check run at span retirement:
-// the head must agree with the length accounting, carry the FreeList tag,
-// and reference an unused slot (a used slot reachable from the FreeList is
-// the "dangling FreeList entry" corruption).
+// the slots handed out must not exceed the Data array, and the FreeList head
+// must agree with the length accounting, carry the FreeList tag, and
+// reference an unused slot (a used slot reachable from the FreeList is the
+// "dangling FreeList entry" corruption).
 func (d *DMem) AuditFreeList() error {
+	if len(d.ptrs) > d.dataCap || d.freeLen > len(d.ptrs) {
+		return fmt.Errorf("%d slots handed out, %d of them on the FreeList, of %d", len(d.ptrs), d.freeLen, d.dataCap)
+	}
 	if (d.freeHead == nilPtr) != (d.freeLen == 0) {
 		return fmt.Errorf("FreeList head %d disagrees with length %d", d.freeHead, d.freeLen)
 	}
@@ -718,7 +760,7 @@ func (d *DMem) AuditFreeList() error {
 		return fmt.Errorf("FreeList head %d tagged %d, not FreeList", d.freeHead, p.list)
 	}
 	if p.used {
-		return fmt.Errorf("dangling FreeList entry: head slot %d is in use by line %#x", d.freeHead, p.line)
+		return fmt.Errorf("dangling FreeList entry: head slot %d is in use by line %#x", d.freeHead, d.slotLine(d.freeHead))
 	}
 	if p.prev != nilPtr {
 		return fmt.Errorf("FreeList head %d has predecessor %d", d.freeHead, p.prev)
@@ -744,7 +786,7 @@ func (d *DMem) CheckInvariants() error {
 			if !p.used {
 				return fmt.Errorf("slot %d on SharedList but free", i)
 			}
-			e := d.Entry(p.line)
+			e := d.Entry(d.slotLine(int32(i)))
 			if e == nil || e.LocalPtr != int32(i) {
 				return fmt.Errorf("slot %d SharedList back pointer broken", i)
 			}
@@ -761,8 +803,8 @@ func (d *DMem) CheckInvariants() error {
 	if free != d.freeLen || shared != d.sharedLen {
 		return fmt.Errorf("list lengths: free %d/%d shared %d/%d", free, d.freeLen, shared, d.sharedLen)
 	}
-	if free+shared+noList != d.dataCap {
-		return fmt.Errorf("slots don't add up: %d+%d+%d != %d", free, shared, noList, d.dataCap)
+	if free+shared+noList != len(d.ptrs) || len(d.ptrs) > d.dataCap {
+		return fmt.Errorf("slots don't add up: %d+%d+%d != %d handed out of %d", free, shared, noList, len(d.ptrs), d.dataCap)
 	}
 	// Every entry with a slot is backed by it; dirty entries hold no slot.
 	slots := 0
@@ -777,20 +819,20 @@ func (d *DMem) CheckInvariants() error {
 		for i := range pg.lines {
 			e := &pg.lines[i]
 			a := pg.page + uint64(i)<<d.lineShift
-			if a != e.Addr {
-				return fmt.Errorf("entry for line %#x has addr %#x", a, e.Addr)
-			}
 			if e.LocalPtr != nilPtr {
 				slots++
+				if e.LocalPtr < 0 || int(e.LocalPtr) >= len(d.ptrs) {
+					return fmt.Errorf("entry %#x holds slot %d, not one of the %d handed out", a, e.LocalPtr, len(d.ptrs))
+				}
 				p := &d.ptrs[e.LocalPtr]
-				if !p.used || p.line != e.Addr {
+				if !p.used || p.line != d.lineNo(a) {
 					return fmt.Errorf("entry %#x slot %d back pointer broken", a, e.LocalPtr)
 				}
 				if e.State == DirDirty {
 					return fmt.Errorf("entry %#x dirty-in-P but holds a Data slot", a)
 				}
 				if counts != nil {
-					counts[d.saSet(e.Addr)]++
+					counts[d.saSet(p.line)]++
 				}
 			}
 			if e.State == DirShared && e.Master == HomeMaster && e.LocalPtr == nilPtr {

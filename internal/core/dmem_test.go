@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // newDMem returns a small D-memory: 8 Data slots, 12 directory entries
@@ -16,6 +17,18 @@ func newDMem(t *testing.T) *DMem {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestDMemEntrySizes pins the per-line bytes of the Directory and Pointer
+// arrays: a directory entry derives its line's address from its page and
+// index, and a Pointer entry's back pointer is a uint32 line number.
+func TestDMemEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(DirEntry{}); n > 28 {
+		t.Errorf("DirEntry is %d B, want <= 28", n)
+	}
+	if n := unsafe.Sizeof(ptrEntry{}); n > 16 {
+		t.Errorf("ptrEntry is %d B, want <= 16", n)
+	}
 }
 
 func TestNewDMemValidation(t *testing.T) {
@@ -76,7 +89,7 @@ func TestEnsureSlotFreeList(t *testing.T) {
 	d := newDMem(t)
 	d.MapPage(0x0)
 	e := d.Entry(0x0)
-	res, dropped := d.EnsureSlot(e)
+	res, dropped := d.EnsureSlot(0x0, e)
 	if res != AllocFree || dropped != nil || !e.HasCopy() {
 		t.Fatalf("EnsureSlot = %v/%v, entry %+v", res, dropped, e)
 	}
@@ -87,7 +100,7 @@ func TestEnsureSlotFreeList(t *testing.T) {
 		t.Fatalf("FreeLen = %d, want 7", d.FreeLen())
 	}
 	// Idempotent.
-	if res, _ := d.EnsureSlot(e); res != AllocFree || d.FreeLen() != 7 {
+	if res, _ := d.EnsureSlot(0x0, e); res != AllocFree || d.FreeLen() != 7 {
 		t.Fatal("second EnsureSlot changed state")
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -103,7 +116,7 @@ func TestSharedListFIFOReuse(t *testing.T) {
 	var lines []uint64
 	for a := uint64(0); a < 1024; a += 128 {
 		e := d.Entry(a)
-		if res, _ := d.EnsureSlot(e); res != AllocFree {
+		if res, _ := d.EnsureSlot(a, e); res != AllocFree {
 			t.Fatalf("slot alloc for %#x: %v", a, res)
 		}
 		e.State = DirShared
@@ -117,12 +130,12 @@ func TestSharedListFIFOReuse(t *testing.T) {
 	}
 	d.MapPage(1024)
 	e := d.Entry(1024)
-	res, dropped := d.EnsureSlot(e)
+	res, dropped := d.EnsureSlot(1024, e)
 	if res != AllocSharedReuse {
 		t.Fatalf("reuse result = %v", res)
 	}
 	// FIFO: the first inserted shared line loses its home copy.
-	if dropped == nil || dropped.Addr != lines[0] {
+	if dropped == nil || dropped != d.Entry(lines[0]) {
 		t.Fatalf("dropped %+v, want line %#x", dropped, lines[0])
 	}
 	if dropped.HasCopy() {
@@ -142,13 +155,13 @@ func TestSharedListThresholdStopsReuse(t *testing.T) {
 	d.MapPage(0)
 	for _, a := range []uint64{0, 128} {
 		e := d.Entry(a)
-		d.EnsureSlot(e)
+		d.EnsureSlot(a, e)
 		e.State = DirShared
 		e.Master = 1
 		d.LinkShared(e)
 	}
 	e := d.Entry(256)
-	res, _ := d.EnsureSlot(e)
+	res, _ := d.EnsureSlot(256, e)
 	if res != AllocFailed {
 		t.Fatalf("allocation below threshold = %v, want AllocFailed", res)
 	}
@@ -164,7 +177,7 @@ func TestReleaseSlotReturnsToFreeList(t *testing.T) {
 	d := newDMem(t)
 	d.MapPage(0)
 	e := d.Entry(0)
-	d.EnsureSlot(e)
+	d.EnsureSlot(0, e)
 	e.State = DirDirty
 	e.Master = 3
 	d.ReleaseSlot(e)
@@ -180,7 +193,7 @@ func TestMastershipLinkUnlink(t *testing.T) {
 	d := newDMem(t)
 	d.MapPage(0)
 	e := d.Entry(0)
-	d.EnsureSlot(e)
+	d.EnsureSlot(0, e)
 	e.State = DirShared
 	e.Master = 2
 	d.LinkShared(e)
@@ -206,7 +219,7 @@ func TestUnmapPageToDisk(t *testing.T) {
 	d := newDMem(t)
 	d.MapPage(0)
 	e := d.Entry(128)
-	d.EnsureSlot(e)
+	d.EnsureSlot(128, e)
 	if err := d.UnmapPage(0); err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +276,13 @@ func TestCensus(t *testing.T) {
 	e.Master = 1
 	// line 1: shared with home copy.
 	e = d.Entry(128)
-	d.EnsureSlot(e)
+	d.EnsureSlot(128, e)
 	e.State = DirShared
 	e.Master = 2
 	d.LinkShared(e)
 	// line 2: D-node only.
 	e = d.Entry(256)
-	d.EnsureSlot(e)
+	d.EnsureSlot(256, e)
 	// line 3 stays untouched.
 	var c Census
 	d.CensusAdd(&c)
@@ -301,11 +314,12 @@ func TestDMemInvariantProperty(t *testing.T) {
 				if !d.PageMapped(pg) {
 					continue
 				}
-				e := d.Entry(pg + uint64(rng.IntN(4))*128)
+				a := pg + uint64(rng.IntN(4))*128
+				e := d.Entry(a)
 				if e.State == DirDirty {
 					continue
 				}
-				if res, _ := d.EnsureSlot(e); res == AllocFailed {
+				if res, _ := d.EnsureSlot(a, e); res == AllocFailed {
 					continue
 				}
 				e.State = DirShared
@@ -326,11 +340,12 @@ func TestDMemInvariantProperty(t *testing.T) {
 				if !d.PageMapped(pg) {
 					continue
 				}
-				e := d.Entry(pg + uint64(rng.IntN(4))*128)
+				a := pg + uint64(rng.IntN(4))*128
+				e := d.Entry(a)
 				if e.State != DirDirty {
 					continue
 				}
-				if res, _ := d.EnsureSlot(e); res == AllocFailed {
+				if res, _ := d.EnsureSlot(a, e); res == AllocFailed {
 					continue
 				}
 				e.State = DirHome
@@ -340,7 +355,7 @@ func TestDMemInvariantProperty(t *testing.T) {
 				if !d.PageMapped(pg) {
 					continue
 				}
-				d.PageLines(pg, func(e *DirEntry) {
+				d.PageLines(pg, func(_ uint64, e *DirEntry) {
 					d.UnlinkShared(e)
 					e.State = DirHome
 					e.Master = HomeMaster
@@ -371,17 +386,17 @@ func TestSetAssociativeMode(t *testing.T) {
 	// line 4 (addr 512) both map to set 0.
 	e0 := d.Entry(0)
 	e4 := d.Entry(512)
-	if r, _ := d.EnsureSlot(e0); r == AllocFailed {
+	if r, _ := d.EnsureSlot(0, e0); r == AllocFailed {
 		t.Fatal("first same-set alloc failed")
 	}
-	if r, _ := d.EnsureSlot(e4); r == AllocFailed {
+	if r, _ := d.EnsureSlot(512, e4); r == AllocFailed {
 		t.Fatal("second same-set alloc failed")
 	}
 	// Third line of set 0 (line 8 would be page 2; use a mapped one):
 	// addr 0 and 512 used set 0; entry at 512+... pick line index 8 ≡ 0 mod 4
 	d.MapPage(1024)
 	e8 := d.Entry(1024)
-	r, _ := d.EnsureSlot(e8)
+	r, _ := d.EnsureSlot(1024, e8)
 	if r != AllocFailed {
 		t.Fatalf("set over-subscription allowed: %v", r)
 	}
@@ -396,7 +411,7 @@ func TestSetAssociativeMode(t *testing.T) {
 	e0.State = DirShared
 	e0.Master = 3
 	d.LinkShared(e0)
-	r, dropped := d.EnsureSlot(e8)
+	r, dropped := d.EnsureSlot(1024, e8)
 	if r != AllocSharedReuse || dropped != e0 {
 		t.Fatalf("same-set reuse: %v %v", r, dropped)
 	}
@@ -407,7 +422,7 @@ func TestSetAssociativeMode(t *testing.T) {
 	e8.State = DirDirty
 	e8.Master = 1
 	d.ReleaseSlot(e8)
-	if r, _ := d.EnsureSlot(d.Entry(0)); r == AllocFailed {
+	if r, _ := d.EnsureSlot(0, d.Entry(0)); r == AllocFailed {
 		t.Fatal("set not freed by release")
 	}
 	if err := d.CheckInvariants(); err != nil {

@@ -42,33 +42,34 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 		tl := hs
 		var lastRecall sim.Time
 		for i := 0; i < inPage; i++ {
-			e := dm.Entry(cur + uint64(i)*m.cfg.LineBytes)
+			line := cur + uint64(i)*m.cfg.LineBytes
+			e := dm.Entry(line)
 			needRecall := !e.HasCopy() && !e.Unfetched &&
 				(e.State == DirDirty || (e.State == DirShared && e.Master != HomeMaster))
 			if needRecall {
 				owner := int(e.Master)
 				rq := m.net.Send(tl, m.dMesh[d], m.pMesh[owner], ctrl)
 				os := m.pbank[owner].Acquire(rq, m.cfg.Timing.MemBankOcc)
-				back := m.net.Send(os+m.ownerLat(owner, e.Addr), m.pMesh[owner], m.dMesh[d], m.net.DataBytes(m.cfg.LineBytes))
+				back := m.net.Send(os+m.ownerLat(owner, line), m.pMesh[owner], m.dMesh[d], m.net.DataBytes(m.cfg.LineBytes))
 				if back > lastRecall {
 					lastRecall = back
 				}
 				m.st.Recalls++
 				if m.trace.On() {
-					m.trace.Emit(obs.EvRecall, rq, 0, int32(owner), e.Addr, 0)
+					m.trace.Emit(obs.EvRecall, rq, 0, int32(owner), line, 0)
 				}
 				// Downgrade the owner; it keeps a shared-master copy and
 				// stays the master, so the home's new copy is droppable.
 				if e.State == DirDirty {
-					m.pmem[owner].SetState(e.Addr, cache.SharedMaster)
-					m.caches[owner].DowngradeMemLine(e.Addr)
+					m.pmem[owner].SetState(line, cache.SharedMaster)
+					m.caches[owner].DowngradeMemLine(line)
 					e.State = DirShared
 					e.Sharers.Add(owner)
 				}
 				// Keep the data at the home only if a slot is available
 				// without paging out; otherwise the scan consumed the line
 				// in flight and the master remains the only holder.
-				if res, _ := dm.EnsureSlot(e); res != AllocFailed {
+				if res, _ := dm.EnsureSlot(line, e); res != AllocFailed {
 					dm.LinkShared(e)
 				}
 			}
@@ -78,11 +79,11 @@ func (m *Machine) Scan(now sim.Time, p int, addr uint64, lines int, selBytes uin
 				tl = ds + m.cfg.Timing.DiskLat
 				m.st.DiskFaults++
 				if m.trace.On() {
-					m.trace.Emit(obs.EvDiskFault, ds, 0, m.dnode(d), e.Addr, 0)
+					m.trace.Emit(obs.EvDiskFault, ds, 0, m.dnode(d), line, 0)
 				}
 				// Keep the faulted data if room exists; otherwise it is
 				// consumed in flight and the line stays on disk.
-				if res, _ := dm.EnsureSlot(e); res != AllocFailed {
+				if res, _ := dm.EnsureSlot(line, e); res != AllocFailed {
 					if e.State == DirShared && e.Master != HomeMaster {
 						dm.LinkShared(e)
 					}

@@ -216,10 +216,14 @@ const MaxHandlerScale = 1000
 const MaxOverrideFootprints = 16
 
 // MaxDRAMBytes bounds the machine DRAM a run sizes from its footprint,
-// footprint/Pressure. Every memory's tag array is allocated up front in
-// proportion to it, so a tiny pressure or a huge footprint would otherwise
+// footprint/Pressure. The memories' tag arrays (AGG P-node memories, COMA
+// attraction memories, NUMA on-chip memory) are allocated up front in
+// proportion to it, and an AGG D-node's Data/Pointer arrays grow with use up
+// to its share of it, so a tiny pressure or a huge footprint would otherwise
 // ask the host for an array it cannot make (an out-of-range makeslice, or an
-// out-of-memory abort no recover can catch). The largest paper
+// out-of-memory abort no recover can catch). It also bounds a run's line
+// numbers at 2^23 (of 128-byte lines), far inside the uint32 back pointers
+// of the D-nodes' Pointer arrays. The largest paper
 // configuration, dbase at scale 1 and 25% pressure, sizes 64 MB; the bound
 // is 16 times that.
 const MaxDRAMBytes = 1 << 30

@@ -208,50 +208,22 @@ func (m *Mesh) Send(now sim.Time, src, dst int, bytes uint64) sim.Time {
 	}
 	sx, sy := m.Coord(src)
 	dx, dy := m.Coord(dst)
+	// X dimension first, then Y (deterministic, deadlock-free). A node's
+	// output links sit at node*4+dir, so each hop east or west moves the
+	// link index by ±4 and each hop south or north by ±4·Width.
 	t := now
-	hops := 0
-	// X dimension first, then Y (deterministic, deadlock-free).
-	x, y := sx, sy
-	for x != dx {
-		dir := dirEast
-		nx := x + 1
-		if dx < x {
-			dir = dirWest
-			nx = x - 1
-		}
-		li := m.NodeAt(x, y)*4 + dir
-		start := m.links[li].Acquire(t, ser)
-		m.stats.Queued += start - t
-		if m.spans.On() {
-			m.spans.AddQueued(start - t)
-		}
-		if m.prof.On() && m.prof.MeshHop(li, start-t) {
-			m.prof.MeshSample(li, start, start-t, m.links[li].QueueDepth(start))
-		}
-		t = start + m.cfg.RouterDelay
-		x = nx
-		hops++
+	if dx > sx {
+		t = m.walk(t, src*4+dirEast, 4, dx-sx, ser)
+	} else if dx < sx {
+		t = m.walk(t, src*4+dirWest, -4, sx-dx, ser)
 	}
-	for y != dy {
-		dir := dirSouth
-		ny := y + 1
-		if dy < y {
-			dir = dirNorth
-			ny = y - 1
-		}
-		li := m.NodeAt(x, y)*4 + dir
-		start := m.links[li].Acquire(t, ser)
-		m.stats.Queued += start - t
-		if m.spans.On() {
-			m.spans.AddQueued(start - t)
-		}
-		if m.prof.On() && m.prof.MeshHop(li, start-t) {
-			m.prof.MeshSample(li, start, start-t, m.links[li].QueueDepth(start))
-		}
-		t = start + m.cfg.RouterDelay
-		y = ny
-		hops++
+	turn := src + dx - sx // the node at (dx, sy)
+	if dy > sy {
+		t = m.walk(t, turn*4+dirSouth, 4*m.cfg.Width, dy-sy, ser)
+	} else if dy < sy {
+		t = m.walk(t, turn*4+dirNorth, -4*m.cfg.Width, sy-dy, ser)
 	}
+	hops := abs(dx-sx) + abs(dy-sy)
 	arrive := t + ser
 	m.stats.HopsTotal += uint64(hops)
 	m.stats.LatencySum += arrive - now
@@ -259,6 +231,26 @@ func (m *Mesh) Send(now sim.Time, src, dst int, bytes uint64) sim.Time {
 		m.trace.Emit(obs.EvMsg, now, arrive-now, int32(src), uint64(dst), uint64(hops)<<32|bytes)
 	}
 	return arrive
+}
+
+// walk takes a message of serialization time ser that reaches its first
+// router at t over n consecutive links along one dimension, the first at
+// link index li and each next one step further, and returns the time it
+// leaves the last router.
+func (m *Mesh) walk(t sim.Time, li, step, n int, ser sim.Time) sim.Time {
+	for ; n > 0; n-- {
+		start := m.links[li].Acquire(t, ser)
+		m.stats.Queued += start - t
+		if m.spans.On() {
+			m.spans.AddQueued(start - t)
+		}
+		if m.prof.On() && m.prof.MeshHop(li, start-t) {
+			m.prof.MeshSample(li, start, start-t, m.links[li].QueueDepth(start))
+		}
+		t = start + m.cfg.RouterDelay
+		li += step
+	}
+	return t
 }
 
 // Stats returns a copy of the traffic counters.
