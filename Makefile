@@ -18,15 +18,17 @@ race:
 	$(GO) test -race ./...
 
 # race-hot covers the packages with real concurrency (the root package holds
-# the Sweep pool the figure drivers use; internal/serve the per-node
-# simulation slot pool every service run takes, exercised by its TestPool
-# tests; sim and hashmap are what the workers hammer; obs holds the metrics
-# registry every service goroutine counts into while scrapes render it;
-# obs/svclog the event log every job appends to while endpoints, the SSE
+# the Sweep pool the figure drivers use; internal/serve runs every admitted
+# job on its own goroutine against one priority-ordered slot queue, so its
+# TestPool, TestServer, TestSlotQueue, TestAllHit and TestPartialHit tests
+# put admission, slot grants by priority and shutdown aborts under the race
+# detector; sim and hashmap are what the simulations hammer; obs holds the
+# metrics registry every service goroutine counts into while scrapes render
+# it; obs/svclog the event log every job appends to while endpoints, the SSE
 # stream and subscribers read it).
 race-hot:
 	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/obs ./internal/obs/svclog .
-	$(GO) test -race -run '^TestPool' ./internal/serve
+	$(GO) test -race -run '^Test(Pool|Server|SlotQueue|AllHit|PartialHit)' ./internal/serve
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

@@ -1,14 +1,14 @@
 // Command aggsimd is the simulation service daemon: a long-running process
 // that accepts simulation jobs over a JSON/HTTP API, deduplicates them
-// through a content-addressed result cache, schedules them on a bounded
-// worker pool behind an admission window, runs every simulation in one
-// per-node pool of slots, and serves results, metrics and span artifacts —
+// through a content-addressed result cache, admits them through a bounded
+// window, runs every simulation in one per-node pool of slots served by
+// priority, and serves results, metrics and span artifacts —
 // so repeated evaluations of the paper's configuration matrix stop paying
 // for re-simulation.
 //
 // Usage:
 //
-//	aggsimd [-addr localhost:8977] [-workers 2] [-sweep-workers 0]
+//	aggsimd [-addr localhost:8977] [-slots 0]
 //	        [-queue 16] [-cache-entries 512] [-cache-file aggsimd.cache]
 //	        [-telemetry-sample 0] [-artifact-dir DIR] [-artifact-bytes 64MiB]
 //	        [-drain-timeout 30s] [-log stderr|off|PATH] [-log-level info]
@@ -16,15 +16,17 @@
 //	        [-tenants-reload 0] [-cluster-name NAME -peers host:port,...]
 //	        [-advertise host:port] [-replicas 2]
 //
-// -workers bounds the jobs in flight. The node's simulation budget is
-// workers × sweep-workers slots (sweep-workers 0 = GOMAXPROCS), capped at
+// -slots is the node's simulation budget (0 = GOMAXPROCS), capped at
 // GOMAXPROCS because every simulation is a CPU-bound serial coherence run;
-// an explicit product above it is capped with a startup warning. Every
+// an explicit value above it is capped with a startup warning. Every
 // simulation takes a slot — a job's cache misses, a peer's forwarded
-// compute, a last-resort local run — so one job alone fills every idle slot
-// and concurrent jobs share them.
-// -queue is the admission window: submissions beyond it receive HTTP 429
-// with a Retry-After hint instead of queueing without bound. -cache-file
+// compute, a last-resort local run — and the slots are the node's only
+// queue: an admitted job starts at once and waits only for slots, served by
+// job priority, so one job alone fills every idle slot and concurrent jobs
+// share them.
+// -queue is the admission window: once -queue + -slots jobs are unfinished,
+// submissions receive HTTP 429 with a Retry-After hint instead of queueing
+// without bound. -cache-file
 // persists the result-cache index across restarts (written atomically on
 // graceful shutdown, verified and reloaded on start).
 //
@@ -78,9 +80,9 @@
 // GET /api/v1/events (SSE; resume with Last-Event-ID) and per-job under
 // /api/v1/jobs/{id}/events (add ?format=chrome for a chrome://tracing
 // export); GET /metrics.prom exposes Prometheus text metrics. SIGINT or
-// SIGTERM starts a graceful drain: running jobs finish (up to
-// -drain-timeout), queued jobs abort, the cache index is persisted, then
-// the process exits.
+// SIGTERM starts a graceful drain: started jobs finish (up to
+// -drain-timeout), jobs not yet started abort, the cache index is
+// persisted, then the process exits.
 //
 // Submit with the pimdsm tool:
 //
@@ -115,26 +117,22 @@ func main() {
 // from here instead of scraping stderr.
 var notifyListening = func(addr string) {}
 
-// effectiveSweepWorkers resolves the node's simulation budget: the slots
-// every simulation on this node takes, whichever job or peer asked for it.
-// The budget is workers × sweepWorkers, with sweepWorkers 0 meaning
-// maxProcs, capped at maxProcs: each simulation is one CPU-bound goroutine
-// (the coherence path is serial), so more slots than procs only add
-// scheduler churn. An explicit product above maxProcs is capped and the
-// returned warning says so (empty when nothing was changed).
-func effectiveSweepWorkers(workers, sweepWorkers, maxProcs int) (int, string) {
-	if workers < 1 {
-		workers = 1
-	}
-	if sweepWorkers <= 0 {
+// effectiveSlots resolves the node's simulation budget: the slots every
+// simulation on this node takes, whichever job or peer asked for it. slots 0
+// means maxProcs, and the budget is capped at maxProcs: each simulation is
+// one CPU-bound goroutine (the coherence path is serial), so more slots than
+// procs only add scheduler churn. An explicit value above maxProcs is capped
+// and the returned warning says so (empty when nothing was changed).
+func effectiveSlots(slots, maxProcs int) (int, string) {
+	if slots <= 0 {
 		return maxProcs, ""
 	}
-	if workers*sweepWorkers > maxProcs {
+	if slots > maxProcs {
 		return maxProcs, fmt.Sprintf(
-			"%d jobs x %d simulations oversubscribes GOMAXPROCS=%d; capping the simulation budget to %d",
-			workers, sweepWorkers, maxProcs, maxProcs)
+			"-slots %d oversubscribes GOMAXPROCS=%d; capping the simulation budget to %d",
+			slots, maxProcs, maxProcs)
 	}
-	return workers * sweepWorkers, ""
+	return slots, ""
 }
 
 // realMain runs the daemon until a signal arrives on stop (tests send one
@@ -143,9 +141,8 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 	fs := flag.NewFlagSet("aggsimd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "localhost:8977", "listen address (host:port, :0 for an ephemeral port)")
-	workers := fs.Int("workers", 2, "jobs in flight at once")
-	sweepWorkers := fs.Int("sweep-workers", 0, "simulation slots per job worker: the node runs at most workers x sweep-workers simulations at once, capped at GOMAXPROCS (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 16, "admission window: max jobs waiting to run")
+	slotsFlag := fs.Int("slots", 0, "simulation budget: the most simulations this node runs at once, capped at GOMAXPROCS (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 16, "admission window: max jobs waiting for their first slot beyond -slots")
 	cacheEntries := fs.Int("cache-entries", 512, "result cache LRU bound")
 	cacheFile := fs.String("cache-file", "", "persist the cache index to this file across restarts")
 	telemetrySample := fs.Int("telemetry-sample", 0, "head-sample every Nth job into the flight recorder (0 = off)")
@@ -220,13 +217,12 @@ func realMain(args []string, stderr io.Writer, stop <-chan os.Signal) int {
 		svcLog = pimdsm.NewServiceLogger(f, *logLevel, false)
 	}
 
-	slots, warn := effectiveSweepWorkers(*workers, *sweepWorkers, runtime.GOMAXPROCS(0))
+	slots, warn := effectiveSlots(*slotsFlag, runtime.GOMAXPROCS(0))
 	if warn != "" {
 		fmt.Fprintln(stderr, "aggsimd:", warn)
 	}
 
 	srv, err := pimdsm.NewServer(pimdsm.ServerOptions{
-		Workers:         *workers,
 		Slots:           slots,
 		QueueLimit:      *queue,
 		CacheEntries:    *cacheEntries,

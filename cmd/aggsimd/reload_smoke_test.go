@@ -51,7 +51,7 @@ func TestTenantsReloadPoll(t *testing.T) {
 	tmp := t.TempDir()
 	tenantsFile := writeTenantsFile(t, tmp) // quiet + noisy
 	d := startDaemon(t,
-		"-addr", "127.0.0.1:0", "-workers", "1", "-sweep-workers", "1",
+		"-addr", "127.0.0.1:0", "-slots", "1",
 		"-tenants-file", tenantsFile, "-tenants-reload", "20ms", "-log", "off")
 	defer d.shutdown(t)
 
@@ -104,7 +104,7 @@ func TestTenantsReloadSIGHUP(t *testing.T) {
 	tmp := t.TempDir()
 	tenantsFile := writeTenantsFile(t, tmp) // quiet + noisy
 	d := startDaemon(t,
-		"-addr", "127.0.0.1:0", "-workers", "1", "-sweep-workers", "1",
+		"-addr", "127.0.0.1:0", "-slots", "1",
 		"-tenants-file", tenantsFile, "-log", "off")
 	defer d.shutdown(t)
 

@@ -93,13 +93,12 @@ func wait(t *testing.T, c *pimdsm.ServiceClient, id string) pimdsm.JobStatus {
 func TestServeSmoke(t *testing.T) {
 	const window = 2
 	cacheFile := filepath.Join(t.TempDir(), "aggsimd.cache")
-	// -workers 1 -sweep-workers 1 is a budget of 1 simulation slot, so a
-	// storm job's wall time is the sum of its simulations — the queue
-	// genuinely fills even on a machine with many cores.
+	// -slots 1 is a budget of 1 simulation slot, so a storm job's wall time
+	// is the sum of its simulations — the queue genuinely fills even on a
+	// machine with many cores.
 	d := startDaemon(t,
 		"-addr", "127.0.0.1:0",
-		"-workers", "1",
-		"-sweep-workers", "1",
+		"-slots", "1",
 		"-queue", fmt.Sprint(window),
 		"-cache-file", cacheFile,
 	)
@@ -153,7 +152,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// 3. Submit storm: 4x the admission window of distinct (uncached) jobs.
-	// A slower blocker job pins the single worker first, so the storm can
+	// A slower blocker job pins the single slot first, so the storm can
 	// only queue — and past the window it must be rejected immediately with
 	// a typed retry-after.
 	// The blocker is a 10-run serial batch, long enough that it is still
@@ -169,7 +168,7 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Don't start the storm until the blocker provably holds the worker.
+	// Don't start the storm until the blocker provably holds the slot.
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		st, err := c.Stats()
 		if err != nil {
@@ -184,7 +183,7 @@ func TestServeSmoke(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// The storm is a concurrent burst: all submissions hit the daemon while
-	// the blocker still holds the one worker, so nothing can drain between
+	// the blocker still holds the one slot, so nothing can drain between
 	// them and the window bound is exact.
 	storm := 4 * window
 	type outcome struct {
@@ -220,9 +219,9 @@ func TestServeSmoke(t *testing.T) {
 		}
 		rejected++
 	}
-	// The blocker holds the worker for the whole burst, so at most the
-	// window can be accepted (one slot of slack if the blocker retires
-	// mid-burst and a queued job is popped).
+	// The blocker holds the slot for the whole burst, so at most the
+	// window can be accepted (one job of slack if the blocker retires
+	// mid-burst).
 	if rejected < storm-window-1 || len(accepted) > window+1 {
 		st, _ := c.Stats()
 		t.Fatalf("storm of %d: %d accepted, %d rejected — admission window not bounding the queue (stats %+v)",
@@ -244,7 +243,7 @@ func TestServeSmoke(t *testing.T) {
 
 	// 5. A restarted daemon serves the same batch from the reloaded index
 	// without simulating anything.
-	d2 := startDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1", "-cache-file", cacheFile)
+	d2 := startDaemon(t, "-addr", "127.0.0.1:0", "-cache-file", cacheFile)
 	c2 := pimdsm.NewServiceClient(d2.addr)
 	third, err := c2.Submit(fig6)
 	if err != nil {
@@ -272,7 +271,7 @@ func TestServeSmoke(t *testing.T) {
 // TestSmokeMetricsArtifact: a metrics job serves a registry artifact over
 // HTTP even when every result came from the cache.
 func TestSmokeMetricsArtifact(t *testing.T) {
-	d := startDaemon(t, "-addr", "127.0.0.1:0", "-workers", "1")
+	d := startDaemon(t, "-addr", "127.0.0.1:0")
 	defer d.shutdown(t)
 	c := pimdsm.NewServiceClient(d.addr)
 	spec := pimdsm.JobSpec{
@@ -323,7 +322,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	cacheFile := filepath.Join(tmp, "aggsimd.cache")
 	artDir := filepath.Join(tmp, "artifacts")
 	flags := []string{
-		"-addr", "127.0.0.1:0", "-workers", "1",
+		"-addr", "127.0.0.1:0",
 		"-telemetry-sample", "1",
 		"-cache-file", cacheFile, "-artifact-dir", artDir,
 	}

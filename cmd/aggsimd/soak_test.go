@@ -15,7 +15,6 @@ import (
 func TestSoakSmoke(t *testing.T) {
 	d := startDaemon(t,
 		"-addr", "127.0.0.1:0",
-		"-workers", "2",
 		"-queue", "4",
 		"-log", "off",
 	)

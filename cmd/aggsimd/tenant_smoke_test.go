@@ -67,8 +67,7 @@ func TestTenantSmoke(t *testing.T) {
 	usageFile := filepath.Join(tmp, "aggsimd.usage")
 	flags := []string{
 		"-addr", "127.0.0.1:0",
-		"-workers", "1",
-		"-sweep-workers", "1",
+		"-slots", "1",
 		"-queue", "8",
 		"-tenants-file", tenantsFile,
 		"-usage-file", usageFile,

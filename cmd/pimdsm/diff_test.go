@@ -140,7 +140,7 @@ func TestDiffBench(t *testing.T) {
 // that names the dominant phase; a job without flight-recorder artifacts is
 // an actionable error.
 func TestDiffJobs(t *testing.T) {
-	srv, err := pimdsm.NewServer(pimdsm.ServerOptions{Workers: 1}, 1)
+	srv, err := pimdsm.NewServer(pimdsm.ServerOptions{Slots: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

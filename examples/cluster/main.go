@@ -52,12 +52,12 @@ func main() {
 		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 
-	// 2. Start the nodes: each is a complete aggsimd (workers, queue, cache)
+	// 2. Start the nodes: each is a complete aggsimd (slots, window, cache)
 	// plus a membership node gossiping over the shared seed list. A fast
 	// heartbeat keeps the demo snappy; real daemons default to 500ms.
 	nodes := make([]*node, N)
 	start := func(i int) *node {
-		srv, err := pimdsm.NewServer(pimdsm.ServerOptions{Workers: 1, QueueLimit: 8}, 1)
+		srv, err := pimdsm.NewServer(pimdsm.ServerOptions{Slots: 1, QueueLimit: 8}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

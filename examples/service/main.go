@@ -21,16 +21,16 @@ import (
 )
 
 func main() {
-	// 1. Start the service: 1 concurrent job, an admission window of 2, a
-	// persistent cache index. This is exactly what `aggsimd -workers 1
+	// 1. Start the service: 1 simulation slot, an admission window of 2, a
+	// persistent cache index. This is exactly what `aggsimd -slots 1
 	// -queue 2 -cache-file ...` wires, minus the signal handling.
 	cacheFile := "service-example.cache"
 	defer os.Remove(cacheFile)
-	// Workers 1 × sweep-workers 1 is a budget of 1 simulation slot, so a
-	// job's wall time is the sum of its runs — which is what lets the
-	// submit storm below actually fill the queue on a fast machine.
+	// A budget of 1 simulation slot makes a job's wall time the sum of its
+	// runs — which is what lets the submit storm below actually fill the
+	// queue on a fast machine.
 	srv, err := pimdsm.NewServer(pimdsm.ServerOptions{
-		Workers:    1,
+		Slots:      1,
 		QueueLimit: 2,
 		CachePath:  cacheFile,
 	}, 1)
@@ -84,7 +84,7 @@ func main() {
 
 	// 5. Overload the admission window to see bounded-queue rejection: the
 	// server answers 429 with a Retry-After hint instead of queueing
-	// without bound. A long multi-run job pins the single worker first so
+	// without bound. A long multi-run job pins the single slot first so
 	// the storm can only queue behind it.
 	var blockerCfgs []pimdsm.ConfigSpec
 	for p := 0; p < 8; p++ {

@@ -27,8 +27,8 @@ type Options struct {
 	// Heartbeat is the gossip period. Tests want it fast (default 25ms);
 	// suspect/dead cutoffs scale from it inside internal/cluster.
 	Heartbeat time.Duration
-	// Workers and QueueLimit are per-node serve options (defaults 2 and 16).
-	Workers    int
+	// Slots and QueueLimit are per-node serve options (defaults 2 and 16).
+	Slots      int
 	QueueLimit int
 	// Log receives every node's structured log lines (nil = discard).
 	Log *slog.Logger
@@ -44,8 +44,8 @@ func (o Options) withDefaults() Options {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 25 * time.Millisecond
 	}
-	if o.Workers <= 0 {
-		o.Workers = 2
+	if o.Slots <= 0 {
+		o.Slots = 2
 	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 16
@@ -106,7 +106,7 @@ func Start(name string, opt Options) (*Cluster, error) {
 
 func (c *Cluster) startNode(i int, ln net.Listener) (*Node, error) {
 	srv, err := serve.New(serve.Options{
-		Workers:    c.opt.Workers,
+		Slots:      c.opt.Slots,
 		QueueLimit: c.opt.QueueLimit,
 		Log:        c.opt.Log,
 	})

@@ -235,13 +235,13 @@ func TestClusterSmoke(t *testing.T) {
 	assertSlotBound(t, c, 2)
 }
 
-// TestClusterImbalancedFrontDoor sends every job to one single-worker node
+// TestClusterImbalancedFrontDoor sends every job to one single-slot node
 // while its peers sit idle. Ownership alone spreads the load: node 0
 // forwards each config it does not own to the key's owner, so every node
 // simulates exactly the keys the ring assigns to it, and the cluster as a
 // whole simulates each distinct key once.
 func TestClusterImbalancedFrontDoor(t *testing.T) {
-	c, err := Start("imbalanced", Options{N: 3, Workers: 1})
+	c, err := Start("imbalanced", Options{N: 3, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func assertSlotBound(t *testing.T, c *Cluster, budget int) {
 // with one slot node 1 never runs two simulations at once, and still
 // simulates every one of the 7 keys exactly once.
 func TestClusterOwnerSlotBound(t *testing.T) {
-	c, err := Start("slots", Options{N: 3, Workers: 1})
+	c, err := Start("slots", Options{N: 3, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,17 +73,18 @@ func chainOf(events []svclog.JobEvent) []string {
 // TestAllHitBatchCompletesInSubmit: a batch whose configs are all cached
 // comes back done from Submit itself, its whole event chain recorded and
 // its done channel closed, and it moves exactly the counters, events and
-// tenant accounting the same all-hit batch moves when a worker resolves it.
+// tenant accounting the same all-hit batch moves when its own goroutine
+// resolves it.
 //
 // Both runs submit the fft+lu batch while a gated simulation holds the one
-// worker. In the first, lu is not cached at admission, so the batch queues;
-// lu then enters the cache (with no counter moving) before the worker takes
-// the batch, which the worker then resolves as two hits. In the second, lu
+// slot. In the first, lu is not cached at admission, so the batch queues for
+// the slot; lu then enters the cache (with no counter moving) before the
+// batch is granted the slot and resolves it as two hits. In the second, lu
 // is cached at admission.
 func TestAllHitBatchCompletesInSubmit(t *testing.T) {
 	fr := &fakeRunner{}
 	events := svclog.NewEventLog(0)
-	s, err := New(Options{Workers: 1, Run: fr.run, Events: events,
+	s, err := New(Options{Slots: 1, Run: fr.run, Events: events,
 		Tenants: twoTenants(t, []Tenant{{Name: "t", Key: "t-key-000000001"}})})
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +181,12 @@ func TestAllHitBatchCompletesInSubmit(t *testing.T) {
 }
 
 // TestPartialHitQueuesAndSimulatesOnlyTheMiss: one uncached config sends
-// the whole batch to a worker, which serves the cached config as a hit and
-// simulates only the other, once; the cached key counts one hit, not one at
-// admission and another on the worker.
+// the whole batch to its own goroutine, which serves the cached config as a
+// hit and simulates only the other, once; the cached key counts one hit, not
+// one at admission and another on the goroutine.
 func TestPartialHitQueuesAndSimulatesOnlyTheMiss(t *testing.T) {
 	fr := &fakeRunner{}
-	s, err := New(Options{Workers: 1, Run: fr.run,
+	s, err := New(Options{Slots: 1, Run: fr.run,
 		Tenants: twoTenants(t, []Tenant{{Name: "t", Key: "t-key-000000001"}})})
 	if err != nil {
 		t.Fatal(err)
@@ -221,11 +222,12 @@ func TestPartialHitQueuesAndSimulatesOnlyTheMiss(t *testing.T) {
 }
 
 // TestAllHitTelemetryJobRunsOnWorker: a telemetry job records a flight, so
-// even with every config cached it queues for a worker, and its artifacts
+// even with every config cached it leaves Submit queued and runs on its own
+// goroutine, and its artifacts
 // are served once it is done.
 func TestAllHitTelemetryJobRunsOnWorker(t *testing.T) {
 	fr := &fakeRunner{}
-	s, err := New(Options{Workers: 1, Run: fr.run})
+	s, err := New(Options{Slots: 1, Run: fr.run})
 	if err != nil {
 		t.Fatal(err)
 	}

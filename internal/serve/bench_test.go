@@ -34,7 +34,7 @@ func fig6Results(tb testing.TB) (JobSpec, [][]byte) {
 // results are real simulator output, so the response is full size (about
 // 4 KB per config at this scale).
 func BenchmarkResultHit(b *testing.B) {
-	s, err := New(Options{Workers: 1})
+	s, err := New(Options{Slots: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

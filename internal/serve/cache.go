@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pimdsm/internal/cluster"
 	"pimdsm/internal/hashmap"
 	"pimdsm/internal/machine"
 )
@@ -140,8 +141,8 @@ func (c *Cache) Peek(key uint64, tenant string) (*machine.Result, []byte, bool) 
 // PeekAll resolves every key under one lock, all or nothing: when all are
 // cached it counts a hit of tenant for each, refreshes their LRU recency and
 // returns the results in key order; when any is missing it counts and
-// touches nothing, so the worker that later resolves the batch counts each
-// key once.
+// touches nothing, so the job that later resolves the batch counts each key
+// once.
 func (c *Cache) PeekAll(keys []uint64, tenant string) ([]*machine.Result, [][]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -168,6 +169,21 @@ func (c *Cache) Contains(key uint64) bool {
 	defer c.mu.Unlock()
 	_, ok := c.m.Get(key)
 	return ok
+}
+
+// needsRun reports whether resolving keys here would start a simulation: a
+// key node owns (any, when nil) is neither cached nor in flight. A pure read.
+func (c *Cache) needsRun(keys []uint64, node *cluster.Node) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		_, hit := c.m.Get(k)
+		_, join := c.inflight.Get(k)
+		if !hit && !join && owns(node, k) {
+			return true
+		}
+	}
+	return false
 }
 
 // Fulfill resolves the caller-owned flight for key with a computed result

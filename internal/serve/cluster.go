@@ -119,6 +119,16 @@ func (s *Server) AttachCluster(node *cluster.Node) {
 	node.Start()
 }
 
+// owns reports whether node owns key; outside cluster mode (nil) every key
+// is this node's.
+func owns(node *cluster.Node, key uint64) bool {
+	if node == nil {
+		return true
+	}
+	_, self := node.Owner(key)
+	return self
+}
+
 // clusterNode returns the attached node (nil outside cluster mode).
 func (s *Server) clusterNode() *cluster.Node {
 	s.mu.Lock()
@@ -191,9 +201,9 @@ func clip(b []byte) string {
 // replica recovery, or a real simulation (which then replicates to the key's
 // successors). how is "hit", "join", "recovered" or "simulated". This is the
 // owner half of compute-at-owner routing — it never forwards. A simulation
-// takes a slot like any job's, so peer computes stay inside the node's
-// budget. The cache outcome and any simulation count against tenant ("" for
-// peer traffic).
+// waits in the slot queue at priority 0 like a job admitted on its arrival,
+// so peer computes stay inside the node's budget. The cache outcome and any
+// simulation count against tenant ("" for peer traffic).
 func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*machine.Result, []byte, string, error) {
 	res, js, hit, fl, owner := s.cache.Acquire(key, tenant)
 	if hit {
@@ -214,7 +224,8 @@ func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*
 		return rres, rjs, "recovered", nil
 	}
 	var err error
-	s.runInSlot(cs.canonical().Config(), nil, func(r *machine.Result, e error) { res, err = r, e })
+	s.acquireSlot(nil)
+	s.runInSlot(cs.canonical().Config(), func(r *machine.Result, e error) { res, err = r, e })
 	if err == nil {
 		js, err = canonicalResultJSON(res)
 	}
@@ -239,13 +250,10 @@ func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec, tenant string) (*ma
 		return res, js, "hit", nil
 	}
 	node := s.clusterNode()
-	if node == nil {
+	if owns(node, key) {
 		return s.resolveLocal(key, seed, cs, tenant)
 	}
-	owner, self := node.Owner(key)
-	if self {
-		return s.resolveLocal(key, seed, cs, tenant)
-	}
+	owner, _ := node.Owner(key)
 	targets := append([]string{owner}, node.Successors(key, node.Replicas())...)
 	var lastErr error
 	for _, peer := range targets {
@@ -374,44 +382,47 @@ func (s *Server) replicateAsync(key, seed uint64, cs ConfigSpec, js []byte) {
 	}()
 }
 
-// resolveRemote resolves a job's peer-owned configs (bounded fan-out) and
-// folds each outcome into the job's counters and events.
-func (s *Server) resolveRemote(j *Job, keys []uint64, remote []int, results []*machine.Result, resJSON [][]byte) error {
+// remoteFanOut bounds the forwards one job has open at once: connections and
+// goroutines, not simulations, which each owner's slot queue bounds.
+const remoteFanOut = 4
+
+// resolveRemote resolves a job's peer-owned configs, remoteFanOut at a time,
+// handing each outcome to resolved; it returns the first error.
+func (s *Server) resolveRemote(j *Job, remote []int, resolved func(int, *machine.Result, []byte, string)) error {
 	var (
-		rmu      sync.Mutex
+		mu       sync.Mutex
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	sem := make(chan struct{}, 4)
+	sem := make(chan struct{}, remoteFanOut)
 	for _, i := range remote {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, js, how, err := s.resolveAny(keys[i], j.spec.Seed, j.spec.Configs[i], j.spec.Tenant)
-			rmu.Lock()
-			defer rmu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
+			res, js, how, err := s.resolveAny(j.keys[i], j.spec.Seed, j.spec.Configs[i], j.spec.Tenant)
+			if err == nil {
+				resolved(i, res, js, how)
 				return
 			}
-			results[i], resJSON[i] = res, js
-			s.accountResolved(j, i, res, js, how)
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
 		}(i)
 	}
 	wg.Wait()
 	return firstErr
 }
 
-// accountResolved attributes one cluster-resolved config to the job using
-// only the pre-cluster lifecycle event kinds, so every chain still satisfies
-// ValidateEventChain: peer-resolved configs surface as cache_hit events with
-// a "cluster:…" detail (from this node's perspective, the cluster's
-// replicated cache answered). The cache outcome and any simulation were
-// counted where they happened (resolveAny/resolveLocal).
+// accountResolved attributes one resolved config to the job, how being
+// resolveAny's vocabulary. It uses only the pre-cluster lifecycle event
+// kinds, so every chain still satisfies ValidateEventChain: peer-resolved
+// configs surface as cache_hit events with a "cluster:…" detail (from this
+// node's perspective, the cluster's replicated cache answered). The cache
+// outcome and any simulation were counted where they happened.
 func (s *Server) accountResolved(j *Job, i int, res *machine.Result, js []byte, how string) {
 	s.mu.Lock()
 	j.done++

@@ -23,7 +23,7 @@ import (
 // endpoints under test accept may simulate.
 func peerHandler(tb testing.TB, name string) (*Server, http.Handler) {
 	tb.Helper()
-	s, err := New(Options{Workers: 1, Run: func(machine.Config) (*machine.Result, error) {
+	s, err := New(Options{Slots: 1, Run: func(machine.Config) (*machine.Result, error) {
 		return nil, errors.New("peer endpoint simulated")
 	}})
 	if err != nil {

@@ -101,7 +101,7 @@ func fig6Batch(app string, threads int, scale float64) []ConfigSpec {
 // equal what the previous json.Encoder writer produced, and Content-Length
 // must be the body's length.
 func TestHTTPResultGolden(t *testing.T) {
-	s, c := startAPI(t, Options{Workers: 1, Run: markupRunner, Tenants: twoTenants(t, []Tenant{
+	s, c := startAPI(t, Options{Slots: 1, Run: markupRunner, Tenants: twoTenants(t, []Tenant{
 		{Name: `t<&>"`, Key: "markup-key-0001"},
 	})})
 	c.APIKey = "markup-key-0001"
@@ -207,7 +207,7 @@ func TestIngestCanonicalizes(t *testing.T) {
 			if err := os.WriteFile(path, bytes.Replace(idx, want, in.result, 1), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s, c := startAPI(t, Options{Workers: 1, CachePath: path, Run: never})
+			s, c := startAPI(t, Options{Slots: 1, CachePath: path, Run: never})
 			if s.Cache().Len() != 1 {
 				t.Fatalf("restored %d entries, want 1", s.Cache().Len())
 			}
@@ -216,7 +216,7 @@ func TestIngestCanonicalizes(t *testing.T) {
 	}
 
 	t.Run("replica", func(t *testing.T) {
-		s, c := startAPI(t, Options{Workers: 1, Run: never})
+		s, c := startAPI(t, Options{Slots: 1, Run: never})
 		node, err := cluster.New(cluster.Config{Name: "ingest", Self: c.Base, HeartbeatEvery: time.Hour})
 		if err != nil {
 			t.Fatal(err)

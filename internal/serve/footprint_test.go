@@ -17,7 +17,7 @@ import (
 func TestFinishedJobFootprint(t *testing.T) {
 	const jobs, warm, maxPerJob = 2000, 200, 1200
 	fr := &fakeRunner{}
-	s, err := New(Options{Workers: 1, Run: fr.run, Events: svclog.NewEventLog(0)})
+	s, err := New(Options{Slots: 1, Run: fr.run, Events: svclog.NewEventLog(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFinishedJobFootprint(t *testing.T) {
 // sequence number names it, in Server.Job and over HTTP.
 func TestJobLookupRejectsNonCanonicalID(t *testing.T) {
 	fr := &fakeRunner{}
-	s, c := startAPI(t, Options{Workers: 1, Run: fr.run})
+	s, c := startAPI(t, Options{Slots: 1, Run: fr.run})
 	for _, app := range []string{"fft", "lu"} {
 		st, err := s.Submit(spec1(app))
 		if err != nil {
@@ -88,7 +88,7 @@ func TestJobLookupRejectsNonCanonicalID(t *testing.T) {
 // holds what it serves and no decoded result outlives the cache's bound.
 func TestEvictedJobServesSameBytes(t *testing.T) {
 	fr := &fakeRunner{}
-	s, c := startAPI(t, Options{Workers: 1, Run: fr.run, CacheEntries: 1})
+	s, c := startAPI(t, Options{Slots: 1, Run: fr.run, CacheEntries: 1})
 	spec := batchOf(0, "fft", "lu", "radix")
 	st, err := s.Submit(spec)
 	if err != nil {

@@ -204,7 +204,7 @@ func (g *goldenScript) run(gr *goldenRunner, clustered bool) {
 	g.wait(ja)
 	g.wait(jb)
 
-	// Saturate both workers and the one-slot window, collect rejections,
+	// Saturate both slots and the one-job window, collect rejections,
 	// then drain: the queued job aborts, late submissions bounce.
 	gr.hold()
 	g.submit("a", goldenSpec("busy-a", "mp3d"), http.StatusAccepted)
@@ -243,7 +243,7 @@ func TestExpositionGolden(t *testing.T) {
 	for _, mode := range []string{"anonymous", "tenants", "cluster"} {
 		t.Run(mode, func(t *testing.T) {
 			gr := &goldenRunner{}
-			opt := Options{Workers: 2, QueueLimit: 1, Run: gr.run, Events: svclog.NewEventLog(0)}
+			opt := Options{Slots: 2, QueueLimit: 1, Run: gr.run, Events: svclog.NewEventLog(0)}
 			keys := map[string]string{}
 			if mode != "anonymous" {
 				reg, err := NewTenants([]Tenant{

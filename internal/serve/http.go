@@ -271,10 +271,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		var fe *ForbiddenError
 		switch e := err.(type) {
 		case *BusyError:
-			sec := int(e.RetryAfter / time.Second)
-			if sec < 1 {
-				sec = 1
-			}
+			sec := int(e.RetryAfter / time.Second) // at least 1: every gate floors it
 			// Header and body must agree: clients honor either.
 			w.Header().Set("Retry-After", strconv.Itoa(sec))
 			a.writeJSON(w, r, http.StatusTooManyRequests, errorBody{

@@ -38,7 +38,7 @@ func startAPI(t *testing.T, opt Options) (*Server, *Client) {
 
 func TestHTTPSubmitWaitResult(t *testing.T) {
 	fr := &fakeRunner{}
-	s, c := startAPI(t, Options{Workers: 1, Run: fr.run})
+	s, c := startAPI(t, Options{Slots: 1, Run: fr.run})
 
 	spec := spec1("fft")
 	spec.Name = "http-roundtrip"
@@ -91,7 +91,7 @@ func TestHTTPSubmitWaitResult(t *testing.T) {
 
 func TestHTTPResultConflictWhileRunning(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, c := startAPI(t, Options{Workers: 1, Run: fr.run})
+	s, c := startAPI(t, Options{Slots: 1, Run: fr.run})
 	st, err := c.Submit(spec1("fft"))
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestHTTPResultConflictWhileRunning(t *testing.T) {
 
 func TestHTTPAdmissionRejection(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, c := startAPI(t, Options{Workers: 1, QueueLimit: 1, Run: fr.run})
+	s, c := startAPI(t, Options{Slots: 1, QueueLimit: 1, Run: fr.run})
 	if _, err := c.Submit(spec1("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestHTTPAdmissionRejection(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	_, c := startAPI(t, Options{Workers: 1, Run: (&fakeRunner{}).run})
+	_, c := startAPI(t, Options{Slots: 1, Run: (&fakeRunner{}).run})
 	post := func(body string) int {
 		resp, err := http.Post("http://"+c.Base+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -176,7 +176,7 @@ func TestHTTPBadRequests(t *testing.T) {
 
 func TestHTTPHealthzAndProgress(t *testing.T) {
 	fr := &fakeRunner{}
-	_, c := startAPI(t, Options{Workers: 1, Run: fr.run})
+	_, c := startAPI(t, Options{Slots: 1, Run: fr.run})
 	resp, err := http.Get("http://" + c.Base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestHTTPHealthzAndProgress(t *testing.T) {
 // either get the same hint — and the body carries the request id.
 func TestHTTP429HeaderBodyAgree(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, c := startAPI(t, Options{Workers: 1, QueueLimit: 1, Run: fr.run})
+	s, c := startAPI(t, Options{Slots: 1, QueueLimit: 1, Run: fr.run})
 	defer close(fr.gate)
 	if _, err := c.Submit(spec1("a")); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestHTTP429HeaderBodyAgree(t *testing.T) {
 // saturated or the server is draining.
 func TestHTTPReadyz(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, c := startAPI(t, Options{Workers: 1, QueueLimit: 1, Run: fr.run})
+	s, c := startAPI(t, Options{Slots: 1, QueueLimit: 1, Run: fr.run})
 
 	getReady := func() (int, string) {
 		resp, err := http.Get("http://" + c.Base + "/readyz")
@@ -327,7 +327,7 @@ func TestHTTPReadyz(t *testing.T) {
 func TestHTTPSSEReplayAfterReconnect(t *testing.T) {
 	fr := &fakeRunner{}
 	_, c := startAPI(t, Options{
-		Workers: 1, Run: fr.run,
+		Slots: 1, Run: fr.run,
 		Events: svclog.NewEventLog(256),
 	})
 
@@ -400,7 +400,7 @@ func TestHTTPSSEReplayAfterReconnect(t *testing.T) {
 // gets in once the window clears.
 func TestHTTPSubmitRetryHonorsPushback(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, c := startAPI(t, Options{Workers: 1, QueueLimit: 1, Run: fr.run})
+	s, c := startAPI(t, Options{Slots: 1, QueueLimit: 1, Run: fr.run})
 	if _, err := c.Submit(spec1("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestHTTPSubmitRetryHonorsPushback(t *testing.T) {
 	if _, err := c.Submit(spec1("c")); err == nil {
 		t.Fatal("over-window submit accepted")
 	}
-	// Free the worker shortly; the retrying submit should then get in.
+	// Free the slot shortly; the retrying submit should then get in.
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		close(fr.gate)
@@ -445,7 +445,7 @@ func jobChain(events []svclog.JobEvent, id string) []svclog.JobEvent {
 // as JSON and as a Chrome trace_event document.
 func TestHTTPJobEventsEndpoint(t *testing.T) {
 	fr := &fakeRunner{}
-	_, c := startAPI(t, Options{Workers: 1, Run: fr.run, Events: svclog.NewEventLog(64)})
+	_, c := startAPI(t, Options{Slots: 1, Run: fr.run, Events: svclog.NewEventLog(64)})
 	st, err := c.Submit(spec1("fft"))
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +480,7 @@ func TestHTTPJobEventsEndpoint(t *testing.T) {
 // strict parser, including after traffic on routes with {id} patterns.
 func TestHTTPMetricsPromParses(t *testing.T) {
 	fr := &fakeRunner{}
-	_, c := startAPI(t, Options{Workers: 1, Run: fr.run, Events: svclog.NewEventLog(64)})
+	_, c := startAPI(t, Options{Slots: 1, Run: fr.run, Events: svclog.NewEventLog(64)})
 	st, err := c.Submit(spec1("fft"))
 	if err != nil {
 		t.Fatal(err)
@@ -516,9 +516,9 @@ func TestHTTPMetricsPromParses(t *testing.T) {
 
 // TestHTTPBadSpecFailsJob: a spec the machine rejects ends its job in the
 // failed state carrying the machine's error, and the same daemon then serves
-// a valid job (a panic in the worker would have taken the process down).
+// a valid job (a panic in the job's goroutine would have taken the process down).
 func TestHTTPBadSpecFailsJob(t *testing.T) {
-	s, c := startAPI(t, Options{Workers: 1})
+	s, c := startAPI(t, Options{Slots: 1})
 	good := ConfigSpec{Arch: "agg", App: "fft", Scale: 0.02, Threads: 8, Pressure: 0.75, DRatio: 1}
 	for _, tc := range []struct {
 		name string
@@ -577,7 +577,7 @@ func TestHTTPBadSpecFailsJob(t *testing.T) {
 // encoding/json fallback (the escaped name); a second value is 400 and
 // admits nothing.
 func TestSubmitRejectsTrailingValue(t *testing.T) {
-	s, c := startAPI(t, Options{Workers: 1, Run: (&fakeRunner{}).run})
+	s, c := startAPI(t, Options{Slots: 1, Run: (&fakeRunner{}).run})
 	one := `{"configs":[{"arch":"agg","app":"fft","threads":8,"pressure":0.75,"dratio":1}]}`
 	escaped := `{"name":"a\"b","configs":[{"arch":"agg","app":"fft","threads":8,"pressure":0.75,"dratio":1}]}`
 	for _, body := range []string{one + " " + one, escaped + "\n" + escaped, one + "x"} {
@@ -602,7 +602,7 @@ func TestSubmitRejectsTrailingValue(t *testing.T) {
 // its event, for a job name the fast path writes and for one that needs
 // escaping. The resubmission of a cached batch is answered done.
 func TestHTTPStatusBodiesMatchEncodingJSON(t *testing.T) {
-	s, c := startAPI(t, Options{Workers: 1, Run: (&fakeRunner{}).run, Events: svclog.NewEventLog(0)})
+	s, c := startAPI(t, Options{Slots: 1, Run: (&fakeRunner{}).run, Events: svclog.NewEventLog(0)})
 	indented := func(body []byte) {
 		t.Helper()
 		var st JobStatus

@@ -76,7 +76,6 @@ func newMetrics(s *Server) *metrics {
 	gauge("aggsimd_queue_depth", "Jobs waiting to run.", func(st ServerStats) float64 { return float64(st.Queued) })
 	gauge("aggsimd_queue_limit", "Admission window size.", func(st ServerStats) float64 { return float64(st.QueueLimit) })
 	gauge("aggsimd_jobs_running", "Jobs started and not yet finished (a running job may hold no simulation slot).", func(st ServerStats) float64 { return float64(st.Running) })
-	gauge("aggsimd_workers", "Worker pool size.", func(st ServerStats) float64 { return float64(st.Workers) })
 	gauge("aggsimd_sim_slots", "Simulation budget: the most simulations this node runs at once.",
 		func(st ServerStats) float64 { return float64(st.SimSlots) })
 	gauge("aggsimd_sim_slots_in_use", "Simulation slots held now (job misses, peer computes, local fallbacks).",

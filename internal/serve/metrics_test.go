@@ -77,7 +77,7 @@ func TestTenantFamiliesSumToGlobals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Workers: 2, QueueLimit: 3, Run: gr.run, Tenants: reg})
+	s, err := New(Options{Slots: 2, QueueLimit: 3, Run: gr.run, Tenants: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestReplicaRecoveryCountsTenantMiss(t *testing.T) {
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
 	gr := &goldenRunner{}
 	start := func(ln net.Listener, self, peer string, tenants *Tenants) *Server {
-		s, err := New(Options{Workers: 1, Run: gr.run, Tenants: tenants})
+		s, err := New(Options{Slots: 1, Run: gr.run, Tenants: tenants})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,11 +113,11 @@ func checkSlots(t *testing.T, s *Server, budget int, peak int64) {
 	}
 }
 
-// TestPoolOneJobFillsEverySlot: with one job worker and a budget of 2, a
-// lone job's 7 misses run two at a time, never three.
+// TestPoolOneJobFillsEverySlot: with a budget of 2, a lone job's 7 misses
+// run two at a time, never three.
 func TestPoolOneJobFillsEverySlot(t *testing.T) {
 	b := newBarrierRunner()
-	s := newPoolServer(t, Options{Workers: 1, Slots: 2, Run: b.run}, b)
+	s := newPoolServer(t, Options{Slots: 2, Run: b.run}, b)
 	st, err := s.Submit(missBatch("seven", 1, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestPoolOneJobFillsEverySlot(t *testing.T) {
 // of 2 never have more than 2 runs in flight between them.
 func TestPoolConcurrentJobsShareSlots(t *testing.T) {
 	b := newBarrierRunner()
-	s := newPoolServer(t, Options{Workers: 2, Slots: 2, Run: b.run}, b)
+	s := newPoolServer(t, Options{Slots: 2, Run: b.run}, b)
 	var ids []string
 	for i, spec := range []JobSpec{missBatch("a", 1, 4), missBatch("b", 5, 4)} {
 		st, err := s.Submit(spec)
@@ -164,7 +164,7 @@ func TestPoolObservedJobsRunOneAtATime(t *testing.T) {
 	for _, mode := range []string{"spans", "telemetry"} {
 		t.Run(mode, func(t *testing.T) {
 			b := newBarrierRunner()
-			s := newPoolServer(t, Options{Workers: 1, Slots: 2, Run: b.run}, b)
+			s := newPoolServer(t, Options{Slots: 2, Run: b.run}, b)
 			spec := missBatch(mode, 1, 3)
 			spec.Spans = mode == "spans"
 			spec.Telemetry = mode == "telemetry"
@@ -198,7 +198,7 @@ func TestPoolResultBytesIndependentOfBudget(t *testing.T) {
 	spec := missBatch("bytes", 1, 7)
 	served := map[int][][]byte{}
 	for _, budget := range []int{1, 2} {
-		s := newPoolServer(t, Options{Workers: 1, Slots: budget, Run: shuffledRun}, nil)
+		s := newPoolServer(t, Options{Slots: budget, Run: shuffledRun}, nil)
 		st, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ func TestPoolResultBytesIndependentOfBudget(t *testing.T) {
 // and the terminal event last.
 func TestPoolEventChainPerConfig(t *testing.T) {
 	events := svclog.NewEventLog(0)
-	s := newPoolServer(t, Options{Workers: 1, Slots: 2, Run: shuffledRun, Events: events}, nil)
+	s := newPoolServer(t, Options{Slots: 2, Run: shuffledRun, Events: events}, nil)
 	const n = 7
 	st, err := s.Submit(missBatch("chain", 1, n))
 	if err != nil {
@@ -266,7 +266,7 @@ func TestPoolEventChainPerConfig(t *testing.T) {
 // slot a local job holds instead of simulating beside it.
 func TestPoolClusterComputeTakesASlot(t *testing.T) {
 	b := newBarrierRunner()
-	s := newPoolServer(t, Options{Workers: 1, Slots: 1, Run: b.run}, b)
+	s := newPoolServer(t, Options{Slots: 1, Run: b.run}, b)
 	node, err := cluster.New(cluster.Config{Name: "pool", Self: "pool-node:1", HeartbeatEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)

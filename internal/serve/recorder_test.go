@@ -25,7 +25,7 @@ func telemetrySpec(app string) JobSpec {
 // parity behavior.
 func TestTelemetryJobRecordsArtifacts(t *testing.T) {
 	fr := &fakeRunner{}
-	s, err := New(Options{Workers: 1, Run: fr.run})
+	s, err := New(Options{Slots: 1, Run: fr.run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTelemetryJobRecordsArtifacts(t *testing.T) {
 // submission as if it had asked for telemetry itself.
 func TestTelemetryHeadSampling(t *testing.T) {
 	fr := &fakeRunner{}
-	s, err := New(Options{Workers: 1, Run: fr.run, TelemetrySample: 2})
+	s, err := New(Options{Slots: 1, Run: fr.run, TelemetrySample: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTelemetryHeadSampling(t *testing.T) {
 // metrics/spans 404s.
 func TestHTTPArtifactEndpoints(t *testing.T) {
 	fr := &fakeRunner{}
-	_, c := startAPI(t, Options{Workers: 1, Run: fr.run})
+	_, c := startAPI(t, Options{Slots: 1, Run: fr.run})
 
 	st, err := c.Submit(telemetrySpec("fft"))
 	if err != nil {
@@ -165,7 +165,7 @@ func TestHTTPArtifactEvicted(t *testing.T) {
 	// A 1-byte bound: after recordFlight's three puts only the last written
 	// artifact is resident, the other two are evicted.
 	s, c := startAPI(t, Options{
-		Workers: 1, Run: fr.run,
+		Slots: 1, Run: fr.run,
 		ArtifactDir: t.TempDir(), ArtifactBytes: 1,
 	})
 	st, err := c.Submit(telemetrySpec("fft"))
@@ -215,7 +215,7 @@ func TestTelemetryStoreSurvivesRestart(t *testing.T) {
 	cache := dir + "/cache.json"
 	art := dir + "/artifacts"
 	fr := &fakeRunner{}
-	opt := Options{Workers: 1, Run: fr.run, CachePath: cache, ArtifactDir: art}
+	opt := Options{Slots: 1, Run: fr.run, CachePath: cache, ArtifactDir: art}
 
 	s1, err := New(opt)
 	if err != nil {
@@ -273,7 +273,7 @@ func TestTelemetryStoreSurvivesRestart(t *testing.T) {
 func TestTelemetryRecordOnly(t *testing.T) {
 	cfg := ConfigSpec{Arch: "agg", App: "fft", Scale: 0.02, Threads: 4, Pressure: 0.75, DRatio: 1}
 
-	plain, err := New(Options{Workers: 1})
+	plain, err := New(Options{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestTelemetryRecordOnly(t *testing.T) {
 		t.Fatal("plain job results unavailable")
 	}
 
-	tele, err := New(Options{Workers: 1})
+	tele, err := New(Options{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

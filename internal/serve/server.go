@@ -7,10 +7,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pimdsm/internal/cluster"
@@ -24,22 +25,20 @@ import (
 // any simulation budget.
 type RunFunc func(cfg machine.Config) (*machine.Result, error)
 
-// DefaultWorkers is the job worker count when Options.Workers is unset.
-const DefaultWorkers = 2
+// DefaultSlots is the simulation budget when Options.Slots is unset.
+const DefaultSlots = 2
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the number of jobs in flight at once (default
-	// DefaultWorkers). It bounds jobs, not simulations: Slots does that.
-	Workers int
 	// Slots is the node's simulation budget: the most simulations running at
 	// once, whoever asked for them — a job's cache misses, a peer's forwarded
 	// compute or a front door's last-resort local run. One job may fill every
-	// free slot; concurrent jobs share them (default Workers).
+	// free slot; concurrent jobs share them, served by priority (default
+	// DefaultSlots).
 	Slots int
-	// QueueLimit is the admission window: the maximum number of jobs
-	// waiting to run. Submissions past it are rejected immediately with a
-	// retry-after hint instead of queueing without bound (default 16).
+	// QueueLimit is the admission window: once QueueLimit + Slots jobs are
+	// unfinished, submissions are rejected immediately with a retry-after
+	// hint instead of queueing without bound (default 16).
 	QueueLimit int
 	// CacheEntries bounds the LRU result cache (default 512).
 	CacheEntries int
@@ -83,11 +82,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = DefaultWorkers
-	}
 	if o.Slots <= 0 {
-		o.Slots = o.Workers
+		o.Slots = DefaultSlots
 	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 16
@@ -145,7 +141,7 @@ const (
 	JobRunning JobState = "running"
 	JobDone    JobState = "done"
 	JobFailed  JobState = "failed"
-	// JobAborted marks jobs still queued when the server shut down.
+	// JobAborted marks jobs that had not started when the server shut down.
 	JobAborted JobState = "aborted"
 )
 
@@ -212,7 +208,7 @@ type JobStatus struct {
 }
 
 // BusyError is the admission-control rejection. RetryAfter estimates when a
-// slot frees up (EWMA job time scaled by the backlog per worker). With a
+// slot frees up (EWMA job time scaled by the backlog per slot). With a
 // tenant registry configured, Tenant names who was pushed back and Reason
 // which gate rejected — the shared window (RejectWindow) or one of the
 // tenant's own limits (RejectRate, RejectQueueQuota, RejectActiveQuota),
@@ -237,9 +233,9 @@ func (e *BusyError) Error() string {
 // ErrDraining rejects submissions during shutdown.
 var ErrDraining = errors.New("serve: server is shutting down")
 
-// Server is the simulation service: admission control in Submit, a priority
-// queue drained by a fixed worker pool, the content-addressed cache, and one
-// pool of simulation slots that every run on this node takes.
+// Server is the simulation service: admission control in Submit, one
+// goroutine per admitted job, the content-addressed cache, and the pool of
+// simulation slots every run on this node takes, the node's only queue.
 type Server struct {
 	opt       Options
 	m         *metrics
@@ -247,12 +243,11 @@ type Server struct {
 	artifacts *ArtifactStore
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    jobQueue
 	jobs     []*Job // jobs[seq-1]: every job, in submission order
-	running  int
+	queued   int    // admitted jobs not started
+	running  int    // started jobs not finished
 	draining bool
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // job goroutines
 
 	ewmaJobSec float64
 
@@ -268,15 +263,12 @@ type Server struct {
 }
 
 // New starts a server: restores the cache index from Options.CachePath when
-// present (a missing file is a fresh start, a corrupt one an error) and
-// launches the worker pool.
+// present (a missing file is a fresh start, a corrupt one an error).
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{opt: opt}
-	s.slots.sem = make(chan struct{}, opt.Slots)
 	s.m = newMetrics(s)
 	s.cache = newCache(opt.CacheEntries, s.m)
-	s.cond = sync.NewCond(&s.mu)
 	if opt.CachePath != "" {
 		if _, err := s.loadCache(opt.CachePath); err != nil {
 			return nil, err
@@ -293,10 +285,6 @@ func New(opt Options) (*Server, error) {
 		if err := s.loadUsage(opt.UsagePath); err != nil {
 			return nil, err
 		}
-	}
-	s.wg.Add(opt.Workers)
-	for i := 0; i < opt.Workers; i++ {
-		go s.worker()
 	}
 	return s, nil
 }
@@ -322,10 +310,16 @@ func (s *Server) Ready() (bool, string) {
 	if s.draining {
 		return false, "draining"
 	}
-	if len(s.queue) >= s.opt.QueueLimit {
+	if s.windowFullLocked() {
 		return false, "admission window saturated"
 	}
 	return true, ""
+}
+
+// windowFullLocked reports whether the admission window is full: QueueLimit
+// + Slots jobs unfinished. s.mu must be held.
+func (s *Server) windowFullLocked() bool {
+	return s.queued+s.running >= s.opt.QueueLimit+s.opt.Slots
 }
 
 // eventLocked appends one lifecycle event for j; s.mu must be held (the
@@ -339,7 +333,7 @@ func (s *Server) eventLocked(j *Job, kind svclog.JobEventKind, config int, cycle
 	s.opt.Events.Append(svclog.JobEvent{
 		Job: j.id, Kind: kind, At: now,
 		SinceSubmitUS: now.Sub(j.submitted).Microseconds(),
-		QueueDepth:    len(s.queue),
+		QueueDepth:    s.queued,
 		Running:       s.running,
 		Config:        config,
 		Cycles:        cycles,
@@ -379,15 +373,11 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	defer s.mu.Unlock()
 	if s.draining {
 		s.m.rejected.With(spec.Tenant, "window").Inc()
-		if reg != nil {
-			s.opt.Log.Warn("job_rejected", "reason", "draining", "name", spec.Name, "tenant", spec.Tenant)
-		} else {
-			s.opt.Log.Warn("job_rejected", "reason", "draining", "name", spec.Name)
-		}
+		s.opt.Log.Warn("job_rejected", withTenant(spec.Tenant, "reason", "draining", "name", spec.Name)...)
 		return JobStatus{}, ErrDraining
 	}
 	if reg != nil {
-		if err := reg.gate(spec.Tenant, spec.Priority, s.opt.Workers, s.ewmaJobSec); err != nil {
+		if err := reg.gate(spec.Tenant, spec.Priority, s.opt.Slots, s.ewmaJobSec); err != nil {
 			var be *BusyError
 			switch {
 			case errors.As(err, &be):
@@ -401,17 +391,17 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 			return JobStatus{}, err
 		}
 	}
-	if len(s.queue) >= s.opt.QueueLimit {
+	if s.windowFullLocked() {
 		s.m.rejected.With(spec.Tenant, "window").Inc()
-		retry := s.retryAfterLocked()
+		retry := retryAfter(s.ewmaJobSec, s.queued+s.running, s.opt.Slots)
 		if reg != nil {
 			s.opt.Log.Warn("job_rejected", "reason", RejectWindow,
 				"name", spec.Name, "tenant", spec.Tenant,
-				"queue_depth", len(s.queue), "retry_after_sec", int(retry/time.Second))
+				"queue_depth", s.queued, "retry_after_sec", int(retry/time.Second))
 			return JobStatus{}, &BusyError{RetryAfter: retry, Tenant: spec.Tenant, Reason: RejectWindow}
 		}
 		s.opt.Log.Warn("job_rejected", "reason", "admission window full",
-			"name", spec.Name, "queue_depth", len(s.queue), "retry_after_sec", int(retry/time.Second))
+			"name", spec.Name, "queue_depth", s.queued, "retry_after_sec", int(retry/time.Second))
 		return JobStatus{}, &BusyError{RetryAfter: retry}
 	}
 	if reg != nil {
@@ -441,9 +431,9 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.jobs = append(s.jobs, j)
 	s.eventLocked(j, svclog.EvSubmitted, -1, 0, spec.Name)
-	// An all-hit batch finishes here, with the events and counters a worker
-	// would have produced: a cache hit costs no queue hop. Telemetry jobs
-	// still take a worker, which records their flight.
+	// An all-hit batch finishes here, with the events and counters its own
+	// goroutine would have produced: a cache hit costs no goroutine. Telemetry
+	// jobs still take one, which records their flight.
 	var hits []*machine.Result
 	var hitJSON [][]byte
 	allHit := false
@@ -454,42 +444,52 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		j.doneCh = closedDone
 	} else {
 		j.doneCh = make(chan struct{})
-		s.queue.push(j)
+		s.queued++
 	}
 	s.m.submitted.With(spec.Tenant).Inc()
 	s.eventLocked(j, svclog.EvQueued, -1, 0, "")
 	if spec.Tenant != "" {
 		s.opt.Log.Info("job_submitted", "job", j.id, "name", spec.Name, "tenant", spec.Tenant,
-			"configs", len(spec.Configs), "priority", spec.Priority, "queue_depth", len(s.queue))
+			"configs", len(spec.Configs), "priority", spec.Priority, "queue_depth", s.queued)
 	} else {
 		s.opt.Log.Info("job_submitted", "job", j.id, "name", spec.Name,
-			"configs", len(spec.Configs), "priority", spec.Priority, "queue_depth", len(s.queue))
+			"configs", len(spec.Configs), "priority", spec.Priority, "queue_depth", s.queued)
 	}
 	if allHit {
 		s.startLocked(j)
 		for i, js := range hitJSON {
-			s.hitLocked(j, i, js, "")
+			s.hitLocked(j, i, js)
 		}
 		s.finishLocked(j, hits, hitJSON, nil)
 		return s.statusLocked(j), nil
 	}
-	s.cond.Signal()
+	// A job that will simulate here takes its place in the slot queue now,
+	// so its priority counts against every later submission.
+	var w *slotWaiter
+	if s.cache.needsRun(keys, s.cluster) {
+		w = s.requestSlotLocked(j)
+	}
+	s.wg.Add(1)
+	go s.runJob(j, w)
 	return s.statusLocked(j), nil
 }
 
-// retryAfterLocked estimates the wait for a queue slot: backlog per worker
-// times the EWMA job duration, floored at one second.
-func (s *Server) retryAfterLocked() time.Duration {
-	per := s.ewmaJobSec
-	if per <= 0 {
-		per = 1
+// retryAfter estimates when jobs queued or started clear slots at perSec
+// each (1 s when no job has finished yet), floored at one second.
+func retryAfter(perSec float64, jobs, slots int) time.Duration {
+	if perSec <= 0 {
+		perSec = 1
 	}
-	backlog := float64(len(s.queue)+s.running) / float64(s.opt.Workers)
-	d := time.Duration(per * backlog * float64(time.Second))
-	if d < time.Second {
-		d = time.Second
+	d := time.Duration(perSec * (float64(jobs) / float64(slots)) * float64(time.Second))
+	return max(d, time.Second).Round(time.Second)
+}
+
+// ewma folds sample into the average avg (0: no sample yet).
+func ewma(avg, sample float64) float64 {
+	if avg == 0 {
+		return sample
 	}
-	return d.Round(time.Second)
+	return 0.7*avg + 0.3*sample
 }
 
 // Job returns the job with the given id. Only the canonical form j-%06d of
@@ -590,9 +590,9 @@ func (s *Server) Spans(j *Job) *obs.Spans {
 
 // ServerStats is the service-wide counters snapshot.
 type ServerStats struct {
-	Workers    int `json:"workers"`
 	QueueLimit int `json:"queue_limit"`
-	Queued     int `json:"queued"`
+	// Queued counts admitted jobs not yet started (DESIGN.md §10).
+	Queued int `json:"queued"`
 	// Running counts jobs started and not finished; such a job may hold no
 	// simulation slot (it may wait for one, a peer or a joined flight).
 	Running  int  `json:"running"`
@@ -635,14 +635,13 @@ func (s *Server) Stats() ServerStats {
 	m := s.m
 	s.mu.Lock()
 	st := ServerStats{
-		Workers:           s.opt.Workers,
 		QueueLimit:        s.opt.QueueLimit,
-		Queued:            len(s.queue),
+		Queued:            s.queued,
 		Running:           s.running,
 		Draining:          s.draining,
 		SimSlots:          s.opt.Slots,
-		SimSlotsInUse:     s.slots.inUse.Load(),
-		SimSlotsHighWater: s.slots.peak.Load(),
+		SimSlotsInUse:     int64(s.slots.inUse),
+		SimSlotsHighWater: int64(s.slots.peak),
 		JobsSubmitted:     m.submitted.Sum(),
 		JobsRejected:      m.rejected.Sum(),
 		JobsDone:          m.done.Sum(),
@@ -691,25 +690,6 @@ func (s *Server) tenantSnapshot(name string) (TenantSnapshot, bool) {
 	return TenantSnapshot{}, false
 }
 
-// worker pulls the highest-priority queued job and runs it to completion.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.draining {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		j := s.queue.pop()
-		s.startLocked(j)
-		s.mu.Unlock()
-		s.runJob(j)
-	}
-}
-
 // startLocked moves an admitted job to running; s.mu must be held.
 func (s *Server) startLocked(j *Job) {
 	j.state = JobRunning
@@ -719,32 +699,39 @@ func (s *Server) startLocked(j *Job) {
 	s.eventLocked(j, svclog.EvStarted, -1, 0, "")
 }
 
-// hitLocked counts config i of j as served from a cache (detail "" for this
-// node's cache, "cluster:recovered" for a replica's); s.mu must be held.
-func (s *Server) hitLocked(j *Job, i int, js []byte, detail string) {
+// hitLocked counts config i of j as served from this node's cache; s.mu
+// must be held.
+func (s *Server) hitLocked(j *Job, i int, js []byte) {
 	j.done++
-	if detail == "" {
-		j.cacheHits++
-	} else {
-		j.forwarded++
-	}
-	s.eventLocked(j, svclog.EvCacheHit, i, 0, detail)
+	j.cacheHits++
+	s.eventLocked(j, svclog.EvCacheHit, i, 0, "")
 	s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
 }
 
-// runJob executes one job: resolve every config against the cache, simulate
-// the misses this job owns in the node's slots, wait for flights owned by
-// other running jobs, then finalize. In cluster mode, configs whose keys
-// this node does not own are resolved through the owning peer (or its
-// replicas) instead of simulated here — the front-door half of the
-// compute-at-owner routing.
-//
-// Deadlock-freedom: flights are only ever owned by running jobs, and a job
-// always finishes its own simulations (fulfilling its flights) before
-// waiting on anyone else's, so waits form no cycle. A slot is held only
-// across one run and its publish, never across a wait on a flight or a
-// peer. Remote-owned configs never acquire local flights at all.
-func (s *Server) runJob(j *Job) {
+// runJob runs one admitted job on its own goroutine, tracked by s.wg: queued
+// until it holds w's slot (w nil: at once), it resolves every config against
+// the cache, simulates the misses it owns (the first in that slot) while
+// peer-owned configs resolve at their owners, then waits for flights other
+// jobs own. A queued job owns no flight and a slot is never held across a
+// wait, so waits form no cycle (DESIGN.md §10).
+func (s *Server) runJob(j *Job, w *slotWaiter) {
+	defer s.wg.Done()
+	held := w != nil && <-w.grant
+	s.mu.Lock()
+	node, aborted := s.cluster, j.state == JobAborted
+	if !aborted {
+		s.queued--
+		s.startLocked(j)
+	}
+	s.mu.Unlock()
+	if held && (aborted || node != nil) {
+		s.releaseSlot() // in cluster mode the replica lookups below hold no slot
+		held = false
+	}
+	if aborted {
+		return
+	}
+
 	n := len(j.spec.Configs)
 	keys := j.keys
 	results := make([]*machine.Result, n)
@@ -756,33 +743,28 @@ func (s *Server) runJob(j *Job) {
 	}
 	var joins []join
 	var remote []int
-	node := s.clusterNode()
 
 	tenant := j.spec.Tenant
-	recordHit := func(i int, res *machine.Result, js []byte, detail string) {
+	resolved := func(i int, res *machine.Result, js []byte, how string) {
 		results[i], resJSON[i] = res, js
-		s.mu.Lock()
-		s.hitLocked(j, i, js, detail)
-		s.mu.Unlock()
+		s.accountResolved(j, i, res, js, how)
 	}
 
 	for i, cs := range j.spec.Configs {
-		if node != nil {
-			if _, self := node.Owner(keys[i]); !self {
-				// A replicated or previously forwarded copy serves locally;
-				// otherwise the owner resolves it (never a local flight).
-				if res, js, ok := s.cache.Peek(keys[i], tenant); ok {
-					recordHit(i, res, js, "")
-				} else {
-					remote = append(remote, i)
-				}
-				continue
+		if !owns(node, keys[i]) {
+			// A replicated or previously forwarded copy serves locally;
+			// otherwise the owner resolves it (never a local flight).
+			if res, js, ok := s.cache.Peek(keys[i], tenant); ok {
+				resolved(i, res, js, "hit")
+			} else {
+				remote = append(remote, i)
 			}
+			continue
 		}
 		res, js, hit, fl, owner := s.cache.Acquire(keys[i], tenant)
 		switch {
 		case hit:
-			recordHit(i, res, js, "")
+			resolved(i, res, js, "hit")
 		case owner:
 			if node != nil {
 				// Owned key, no cached copy: ask the replica set before
@@ -791,42 +773,34 @@ func (s *Server) runJob(j *Job) {
 				// kill/restart, even through its own front door).
 				if res, js, ok := s.recoverFromReplicas(keys[i], cs); ok {
 					s.cache.Fulfill(keys[i], j.spec.Seed, cs.canonical(), res, js)
-					recordHit(i, res, js, "cluster:recovered")
+					resolved(i, res, js, "recovered")
 					continue
 				}
 			}
-			toRun = append(toRun, i)
-			_ = fl // resolved via cache.Fulfill/Abort below
+			toRun = append(toRun, i) // resolved via cache.Fulfill/Abort below
 		default:
 			joins = append(joins, join{i: i, fl: fl})
 		}
 	}
-
-	var jobErr error
-	if len(remote) > 0 {
-		jobErr = s.resolveRemote(j, keys, remote, results, resJSON)
-	}
-	if len(toRun) > 0 {
-		if err := s.simulate(j, keys, toRun, results, resJSON); err != nil && jobErr == nil {
-			jobErr = err
-		}
+	if held && len(toRun) == 0 {
+		s.releaseSlot()
+		held = false
 	}
 
-	for _, w := range joins {
-		<-w.fl.done
-		if w.fl.err != nil {
-			if jobErr == nil {
-				jobErr = w.fl.err
-			}
-			continue
+	remoteErr := make(chan error, 1)
+	go func() { remoteErr <- s.resolveRemote(j, remote, resolved) }()
+	jobErr := s.simulate(j, keys, toRun, held, results, resJSON)
+	if err := <-remoteErr; err != nil {
+		jobErr = err
+	}
+
+	for _, jn := range joins {
+		<-jn.fl.done
+		if jn.fl.err == nil {
+			resolved(jn.i, jn.fl.res, jn.fl.js, "join")
+		} else if jobErr == nil {
+			jobErr = jn.fl.err
 		}
-		results[w.i], resJSON[w.i] = w.fl.res, w.fl.js
-		s.mu.Lock()
-		j.done++
-		j.joins++
-		s.eventLocked(j, svclog.EvJoined, w.i, 0, "")
-		s.mu.Unlock()
-		s.m.resultBytes.With(tenant).Add(uint64(len(w.fl.js)))
 	}
 
 	if jobErr == nil && j.telemetry {
@@ -856,31 +830,24 @@ func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byt
 		j.err = jobErr
 		s.m.failed.With(tenant).Inc()
 		s.eventLocked(j, svclog.EvFailed, -1, 0, jobErr.Error())
-		args := []any{"job", j.id, "name", j.spec.Name,
-			"err", jobErr.Error(), "wall_us", j.finished.Sub(j.submitted).Microseconds()}
-		if j.spec.Tenant != "" {
-			args = append(args, "tenant", j.spec.Tenant)
-		}
-		s.opt.Log.Error("job_failed", args...)
+		s.opt.Log.Error("job_failed", withTenant(tenant, "job", j.id, "name", j.spec.Name,
+			"err", jobErr.Error(), "wall_us", j.finished.Sub(j.submitted).Microseconds())...)
 	} else {
 		j.state = JobDone
 		j.resultJSON = resJSON
 		s.m.done.With(tenant).Inc()
 		s.eventLocked(j, svclog.EvDone, -1, 0, "")
-		args := []any{"job", j.id, "name", j.spec.Name,
+		s.opt.Log.Info("job_done", withTenant(tenant, "job", j.id, "name", j.spec.Name,
 			"cache_hits", j.cacheHits, "simulated", j.simulated, "joins", j.joins,
-			"wall_us", j.finished.Sub(j.submitted).Microseconds()}
-		if j.spec.Tenant != "" {
-			args = append(args, "tenant", j.spec.Tenant)
-		}
-		s.opt.Log.Info("job_done", args...)
+			"wall_us", j.finished.Sub(j.submitted).Microseconds())...)
 	}
-	// EWMA of job wall time feeds the retry-after estimate.
-	sec := j.finished.Sub(j.started).Seconds()
-	if s.ewmaJobSec == 0 {
-		s.ewmaJobSec = sec
-	} else {
-		s.ewmaJobSec = 0.7*s.ewmaJobSec + 0.3*sec
+	// EWMA of job wall time feeds the retry-after estimates; a job finished
+	// inside Submit took microseconds and feeds neither the server's nor its
+	// tenant's.
+	sec := -1.0
+	if j.doneCh != closedDone {
+		sec = j.finished.Sub(j.started).Seconds()
+		s.ewmaJobSec = ewma(s.ewmaJobSec, sec)
 	}
 	s.opt.Tenants.finished(tenant, sec)
 	if !j.telemetry { // a telemetry job's configs name its artifacts
@@ -889,6 +856,14 @@ func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byt
 	if j.doneCh != closedDone {
 		close(j.doneCh)
 	}
+}
+
+// withTenant appends the tenant to log args, when there is one.
+func withTenant(tenant string, args ...any) []any {
+	if tenant != "" {
+		args = append(args, "tenant", tenant)
+	}
+	return args
 }
 
 // closedDone is the Done channel of every job that finishes inside Submit:
@@ -901,11 +876,12 @@ var closedDone = func() chan struct{} {
 
 // simulate runs the cache-missing configs this job owns, each in its own
 // slot, and publishes each result into the cache (resolving the singleflight
-// flights) as it lands. A job claims free slots in config order, so alone it
-// fills every idle slot and beside another job it shares them. With spans
+// flights) as it lands. held says the first run's slot is already held. A
+// job asks for slots in config order, one at a time, so alone it fills every
+// idle slot and beside another job it shares them by priority. With spans
 // attached the runs go one at a time: a span recorder is a shared observer,
 // exactly like the figure drivers' shared-trace mode.
-func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine.Result, resJSON [][]byte) error {
+func (s *Server) simulate(j *Job, keys []uint64, toRun []int, held bool, results []*machine.Result, resJSON [][]byte) error {
 	errs := make([]error, len(toRun))
 	// publish lands run n (config i) in the cache, the job and the counters,
 	// or aborts its flight with the run's error so joined jobs unblock.
@@ -950,10 +926,7 @@ func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine
 		s.m.simCycles.With(j.spec.Tenant).Add(uint64(r.Breakdown.Exec))
 		s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
 	}
-	var wg *sync.WaitGroup
-	if j.spans == nil {
-		wg = new(sync.WaitGroup)
-	}
+	var wg sync.WaitGroup
 	for n, i := range toRun {
 		cfg := j.spec.Configs[i].canonical().Config()
 		cfg.Spans = j.spans
@@ -965,11 +938,19 @@ func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine
 			prof = obs.NewProfile()
 			cfg.Profile = prof
 		}
-		s.runInSlot(cfg, wg, func(r *machine.Result, err error) { publish(n, i, prof, r, err) })
+		if n > 0 || !held {
+			s.acquireSlot(j)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.runInSlot(cfg, func(r *machine.Result, err error) { publish(n, i, prof, r, err) })
+		}()
+		if j.spans != nil {
+			wg.Wait()
+		}
 	}
-	if wg != nil {
-		wg.Wait()
-	}
+	wg.Wait()
 	// The job's error is its lowest-indexed failure, whatever order the
 	// runs finished in.
 	for _, err := range errs {
@@ -983,64 +964,109 @@ func (s *Server) simulate(j *Job, keys []uint64, toRun []int, results []*machine
 // errNoResult fails a run that returned neither a result nor an error.
 var errNoResult = errors.New("serve: run produced no result")
 
-// runInSlot is the one way into Options.Run: it takes a slot of the node's
-// simulation budget, blocking until one frees, runs cfg, hands the outcome to
-// done and only then frees the slot. With wg nil it returns after done; with
-// wg set the run goes on its own goroutine, tracked by wg, and runInSlot
-// returns as soon as the slot is held, so the caller can claim the next.
-func (s *Server) runInSlot(cfg machine.Config, wg *sync.WaitGroup, done func(*machine.Result, error)) {
-	s.slots.acquire()
-	run := func() {
-		defer s.slots.release()
-		r, err := s.opt.Run(cfg)
-		if err == nil && r == nil {
-			err = errNoResult
-		}
-		done(r, err)
+// runInSlot is the one way into Options.Run: the caller holds a slot
+// (acquireSlot), and runInSlot runs cfg, hands the outcome to done and only
+// then frees the slot.
+func (s *Server) runInSlot(cfg machine.Config, done func(*machine.Result, error)) {
+	defer s.releaseSlot()
+	r, err := s.opt.Run(cfg)
+	if err == nil && r == nil {
+		err = errNoResult
 	}
-	if wg == nil {
-		run()
+	done(r, err)
+}
+
+// slotPool is the node's simulation budget and its only queue (DESIGN.md
+// §10): the slots held and the waiters for one, in the order they are
+// served. Guarded by the server mutex.
+type slotPool struct {
+	waiters     []*slotWaiter
+	inUse, peak int
+}
+
+// slotWaiter is one request for a slot. A jobless one (a peer compute or a
+// last-resort local run) has priority 0 and the last admitted job's seq.
+type slotWaiter struct {
+	job      *Job
+	priority int
+	seq      uint64
+	grant    chan bool // buffered, sent once (so under s.mu): held, or false if aborted
+}
+
+// before reports whether w is served ahead of x: higher priority first,
+// then the older job, then a job ahead of a jobless waiter with its seq.
+// Equals are served in arrival order.
+func (w *slotWaiter) before(x *slotWaiter) bool {
+	if w.priority != x.priority {
+		return w.priority > x.priority
+	}
+	if w.seq != x.seq {
+		return w.seq < x.seq
+	}
+	return w.job != nil && x.job == nil
+}
+
+// requestSlotLocked queues a request for j (nil: jobless) and returns it,
+// already granted when a slot is free. s.mu must be held.
+func (s *Server) requestSlotLocked(j *Job) *slotWaiter {
+	p := &s.slots
+	w := &slotWaiter{job: j, seq: uint64(len(s.jobs)), grant: make(chan bool, 1)}
+	if j != nil {
+		w.priority, w.seq = j.spec.Priority, j.seq
+	}
+	if p.inUse == s.opt.Slots {
+		i := sort.Search(len(p.waiters), func(k int) bool { return w.before(p.waiters[k]) })
+		p.waiters = slices.Insert(p.waiters, i, w)
+		return w
+	}
+	p.inUse++
+	p.peak = max(p.peak, p.inUse)
+	w.grant <- true
+	return w
+}
+
+// acquireSlot blocks until the caller holds a slot: a started job asking for
+// its next miss's, or (j nil) a jobless run.
+func (s *Server) acquireSlot(j *Job) {
+	s.mu.Lock()
+	w := s.requestSlotLocked(j)
+	s.mu.Unlock()
+	<-w.grant
+}
+
+// releaseSlot frees a slot, handing it straight to the head waiter if any.
+func (s *Server) releaseSlot() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := &s.slots
+	if len(p.waiters) == 0 {
+		p.inUse--
 		return
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		run()
-	}()
+	p.waiters[0].grant <- true
+	p.waiters = slices.Delete(p.waiters, 0, 1)
 }
 
-// slotPool is a counting semaphore over the node's simulation budget that
-// also reports how many slots are held and the most ever held at once.
-type slotPool struct {
-	sem         chan struct{}
-	inUse, peak atomic.Int64
-}
-
-func (p *slotPool) acquire() {
-	p.sem <- struct{}{}
-	n := p.inUse.Add(1)
-	for {
-		peak := p.peak.Load()
-		if n <= peak || p.peak.CompareAndSwap(peak, n) {
-			return
-		}
-	}
-}
-
-func (p *slotPool) release() {
-	p.inUse.Add(-1)
-	<-p.sem
-}
-
-// Shutdown drains the service: new submissions are rejected, queued jobs
-// are aborted, running jobs finish (bounded by ctx), and the cache index is
-// persisted to Options.CachePath. Safe to call once.
+// Shutdown drains the service: new submissions are rejected, jobs not yet
+// started abort (leaving the slot queue; they own no flight), started jobs
+// finish (bounded by ctx), and the cache index is persisted to
+// Options.CachePath. Safe to call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	s.opt.Log.Info("server_draining", "queued", len(s.queue), "running", s.running)
-	for len(s.queue) > 0 {
-		j := s.queue.pop()
+	s.opt.Log.Info("server_draining", "queued", s.queued, "running", s.running)
+	s.slots.waiters = slices.DeleteFunc(s.slots.waiters, func(w *slotWaiter) bool {
+		if w.job == nil || w.job.state != JobQueued {
+			return false
+		}
+		w.grant <- false
+		return true
+	})
+	for _, j := range s.jobs {
+		if j.state != JobQueued {
+			continue
+		}
+		s.queued--
 		j.state = JobAborted
 		j.err = ErrDraining
 		j.finished = time.Now()
@@ -1049,7 +1075,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.eventLocked(j, svclog.EvAborted, -1, 0, ErrDraining.Error())
 		close(j.doneCh)
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	done := make(chan struct{})

@@ -66,7 +66,7 @@ func TestServerRunsAndCaches(t *testing.T) {
 	var logBuf bytes.Buffer
 	events := svclog.NewEventLog(64)
 	s, err := New(Options{
-		Workers: 2, Run: fr.run,
+		Slots: 2, Run: fr.run,
 		Log:    svclog.New(&logBuf, slog.LevelDebug, true),
 		Events: events,
 	})
@@ -137,7 +137,7 @@ func TestServerRunsAndCaches(t *testing.T) {
 
 func TestServerSingleflightAcrossJobs(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, err := New(Options{Workers: 2, Run: fr.run})
+	s, err := New(Options{Slots: 2, Run: fr.run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +178,13 @@ func TestServerSingleflightAcrossJobs(t *testing.T) {
 
 func TestServerAdmissionWindow(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, err := New(Options{Workers: 1, QueueLimit: 2, Run: fr.run})
+	s, err := New(Options{Slots: 1, QueueLimit: 2, Run: fr.run})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
 
-	first, _ := s.Submit(spec1("a")) // taken by the worker, blocked on the gate
+	first, _ := s.Submit(spec1("a")) // holds the slot, blocked on the gate
 	waitRunning(t, s, 1)
 	if _, err := s.Submit(spec1("b")); err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func waitRunning(t *testing.T, s *Server, n int) {
 
 func TestServerPriorityOrder(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, err := New(Options{Workers: 1, QueueLimit: 16, Run: fr.run})
+	s, err := New(Options{Slots: 1, QueueLimit: 16, Run: fr.run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestServerPriorityOrder(t *testing.T) {
 
 func TestServerShutdownDrainsAndAborts(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, err := New(Options{Workers: 1, QueueLimit: 8, Run: fr.run})
+	s, err := New(Options{Slots: 1, QueueLimit: 8, Run: fr.run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestServerShutdownDrainsAndAborts(t *testing.T) {
 func TestServerPersistsCacheAcrossRestart(t *testing.T) {
 	path := t.TempDir() + "/cache.json"
 	fr := &fakeRunner{}
-	s, err := New(Options{Workers: 1, CachePath: path, Run: fr.run})
+	s, err := New(Options{Slots: 1, CachePath: path, Run: fr.run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestServerPersistsCacheAcrossRestart(t *testing.T) {
 	}
 
 	fr2 := &fakeRunner{}
-	s2, err := New(Options{Workers: 1, CachePath: path, Run: fr2.run})
+	s2, err := New(Options{Slots: 1, CachePath: path, Run: fr2.run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestServerPersistsCacheAcrossRestart(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s, err := New(Options{Workers: 1, Run: (&fakeRunner{}).run})
+	s, err := New(Options{Slots: 1, Run: (&fakeRunner{}).run})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
-// Package serve turns the simulator into a long-running service: a priority
-// job queue with a bounded admission window, a content-addressed LRU result
-// cache with singleflight collapsing of identical in-flight work, a worker
-// pool that bounds the jobs in flight, one per-node pool of simulation slots
-// that every run takes (so results, which depend only on their config, are
-// the same at any budget), and a JSON/HTTP API mounted alongside the
+// Package serve turns the simulator into a long-running service: a bounded
+// admission window, a content-addressed LRU result cache with singleflight
+// collapsing of identical in-flight work, one per-node pool of simulation
+// slots that every run takes and that queues its waiters by job priority
+// (results, which depend only on their config, are the same at any budget),
+// and a JSON/HTTP API mounted alongside the
 // obs.Dashboard handlers. Shutdown is graceful: running jobs drain and the
 // cache index persists to disk for the next daemon instance.
 //
@@ -67,7 +67,7 @@ func SpecOf(cfg machine.Config) ConfigSpec {
 	}
 }
 
-// Config builds the machine config a worker will run.
+// Config builds the machine config a slot will run.
 func (s ConfigSpec) Config() machine.Config {
 	return machine.Config{
 		Arch:              machine.Arch(s.Arch),

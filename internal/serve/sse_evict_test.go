@@ -18,7 +18,7 @@ func TestHTTPSSEResumeAfterRingEviction(t *testing.T) {
 	fr := &fakeRunner{}
 	// A 4-event ring: any one job's lifecycle already overflows it.
 	_, c := startAPI(t, Options{
-		Workers: 1, Run: fr.run,
+		Slots: 1, Run: fr.run,
 		Events: svclog.NewEventLog(4),
 	})
 

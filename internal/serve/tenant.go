@@ -382,27 +382,16 @@ func (st *tenantState) refillLocked(now time.Time) {
 }
 
 // retryAfterLocked estimates when the tenant's own backlog frees a slot:
-// its queued+running jobs per shared worker times its EWMA job duration
+// its queued+running jobs per simulation slot times its EWMA job duration
 // (falling back to the server-wide EWMA, then 1s), floored at one second.
 // This is the per-tenant Retry-After — a noisy tenant's pushback grows with
 // its own backlog, independent of the shared window's estimate.
-func (st *tenantState) retryAfterLocked(workers int, globalEwma float64) time.Duration {
+func (st *tenantState) retryAfterLocked(slots int, globalEwma float64) time.Duration {
 	per := st.ewmaJobSec
 	if per <= 0 {
 		per = globalEwma
 	}
-	if per <= 0 {
-		per = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	backlog := float64(st.queued+st.running+1) / float64(workers)
-	d := time.Duration(per * backlog * float64(time.Second))
-	if d < time.Second {
-		d = time.Second
-	}
-	return d.Round(time.Second)
+	return retryAfter(per, st.queued+st.running+1, slots)
 }
 
 // gate checks the tenant's admission constraints without committing
@@ -410,7 +399,7 @@ func (st *tenantState) retryAfterLocked(workers int, globalEwma float64) time.Du
 // quota (each a per-tenant 429 carrying the tenant's own Retry-After). A nil
 // return means the submission may proceed to the shared window, after which
 // the caller commits.
-func (r *Tenants) gate(name string, priority, workers int, globalEwma float64) error {
+func (r *Tenants) gate(name string, priority, slots int, globalEwma float64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.states[name]
@@ -428,20 +417,17 @@ func (r *Tenants) gate(name string, priority, workers int, globalEwma float64) e
 	if st.t.RatePerSec > 0 && st.tokens < 1 {
 		// Time until the bucket holds one token again.
 		wait := time.Duration((1 - st.tokens) / st.t.RatePerSec * float64(time.Second))
-		if wait < time.Second {
-			wait = time.Second
-		}
-		return &BusyError{RetryAfter: wait.Round(time.Second), Tenant: name, Reason: RejectRate}
+		return &BusyError{RetryAfter: max(wait, time.Second).Round(time.Second), Tenant: name, Reason: RejectRate}
 	}
 	if st.t.MaxQueued > 0 && st.queued >= st.t.MaxQueued {
 		return &BusyError{
-			RetryAfter: st.retryAfterLocked(workers, globalEwma),
+			RetryAfter: st.retryAfterLocked(slots, globalEwma),
 			Tenant:     name, Reason: RejectQueueQuota,
 		}
 	}
 	if st.t.MaxActive > 0 && st.queued+st.running >= st.t.MaxActive {
 		return &BusyError{
-			RetryAfter: st.retryAfterLocked(workers, globalEwma),
+			RetryAfter: st.retryAfterLocked(slots, globalEwma),
 			Tenant:     name, Reason: RejectActiveQuota,
 		}
 	}
@@ -484,8 +470,8 @@ func (r *Tenants) move(name string, dQueued, dRunning int) {
 }
 
 // finished retires one running job and folds its wall time into the
-// tenant's EWMA (the basis of its personal Retry-After). Like move, a
-// no-op without the tenant.
+// tenant's EWMA (the basis of its personal Retry-After); sec < 0 folds
+// nothing. Like move, a no-op without the tenant.
 func (r *Tenants) finished(name string, sec float64) {
 	if r == nil {
 		return
@@ -497,10 +483,8 @@ func (r *Tenants) finished(name string, sec float64) {
 		return
 	}
 	st.running--
-	if st.ewmaJobSec == 0 {
-		st.ewmaJobSec = sec
-	} else {
-		st.ewmaJobSec = 0.7*st.ewmaJobSec + 0.3*sec
+	if sec >= 0 {
+		st.ewmaJobSec = ewma(st.ewmaJobSec, sec)
 	}
 }
 

@@ -212,7 +212,7 @@ func TestUsageLedgerRoundTrip(t *testing.T) {
 
 	fr := &fakeRunner{}
 	reg1 := twoTenants(t, list)
-	s1, err := New(Options{Workers: 1, Run: fr.run, Tenants: reg1, UsagePath: path})
+	s1, err := New(Options{Slots: 1, Run: fr.run, Tenants: reg1, UsagePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestUsageLedgerRoundTrip(t *testing.T) {
 
 	// Restart: the ledger becomes base; process usage starts at zero.
 	reg2 := twoTenants(t, list)
-	s2, err := New(Options{Workers: 1, Run: fr.run, Tenants: reg2, UsagePath: path})
+	s2, err := New(Options{Slots: 1, Run: fr.run, Tenants: reg2, UsagePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestUsageLedgerRoundTrip(t *testing.T) {
 	// A corrupt ledger must fail construction loudly, not run with a silent
 	// zero bill.
 	os.WriteFile(path, []byte("{not json"), 0o644)
-	if _, err := New(Options{Workers: 1, Run: fr.run, Tenants: twoTenants(t, list), UsagePath: path}); err == nil {
+	if _, err := New(Options{Slots: 1, Run: fr.run, Tenants: twoTenants(t, list), UsagePath: path}); err == nil {
 		t.Fatal("corrupt usage ledger accepted")
 	}
 }
@@ -279,7 +279,7 @@ func startTenantAPI(t *testing.T, opt Options) (*Server, *Client) {
 
 func TestHTTPAuthRequired(t *testing.T) {
 	fr := &fakeRunner{}
-	_, c := startTenantAPI(t, Options{Workers: 1, Run: fr.run})
+	_, c := startTenantAPI(t, Options{Slots: 1, Run: fr.run})
 
 	status := func(key, method, path string, body string) (int, errorBody) {
 		t.Helper()
@@ -345,7 +345,7 @@ func TestHTTPAuthRequired(t *testing.T) {
 
 func TestClientAuthAndRetrySemantics(t *testing.T) {
 	fr := &fakeRunner{gate: make(chan struct{})}
-	s, c := startTenantAPI(t, Options{Workers: 1, Run: fr.run})
+	s, c := startTenantAPI(t, Options{Slots: 1, Run: fr.run})
 
 	// SubmitRetry must NOT retry a 401 — it is not load, and retrying would
 	// hammer the daemon with a bad key.
@@ -433,7 +433,7 @@ func TestClientAuthAndRetrySemantics(t *testing.T) {
 
 func TestTenancyDisabled404(t *testing.T) {
 	fr := &fakeRunner{}
-	_, c := startAPI(t, Options{Workers: 1, Run: fr.run})
+	_, c := startAPI(t, Options{Slots: 1, Run: fr.run})
 	if _, err := c.Tenants(); err == nil {
 		t.Fatal("tenants listing on an anonymous daemon should 404")
 	}

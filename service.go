@@ -21,7 +21,7 @@ import (
 type (
 	// ServerOptions configures a simulation service.
 	ServerOptions = serve.Options
-	// Server is the simulation service: queue, workers, cache, slots.
+	// Server is the simulation service: admission, cache, slot queue.
 	Server = serve.Server
 	// ServerStats is the service counters snapshot.
 	ServerStats = serve.ServerStats
@@ -178,22 +178,18 @@ func RunSoak(addr string, opt SoakOptions) (*SoakReport, error) {
 
 // NewServer starts a simulation service. Every simulation the node runs —
 // a job's cache misses, a peer's forwarded compute, a last-resort local
-// run — takes one slot of a single per-node pool, so a lone job's misses fill
-// every idle slot and concurrent jobs share them. The budget is
-// opt.Workers × sweepWorkers (sweepWorkers 0 means one per CPU) unless
-// opt.Slots sets it directly; opt.Workers still bounds the jobs in flight.
-// A result depends only on its Config, never on which slot ran it, so
-// responses are byte-identical at any budget.
+// run — takes one slot of a single per-node pool, the node's only queue, so
+// a lone job's misses fill every idle slot and concurrent jobs share them by
+// priority. The budget is opt.Slots, or when unset serve.DefaultSlots ×
+// sweepWorkers (sweepWorkers 0 means one per CPU). A result depends only on
+// its Config, never on which slot ran it, so responses are byte-identical at
+// any budget.
 func NewServer(opt ServerOptions, sweepWorkers int) (*Server, error) {
 	if opt.Slots <= 0 {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = serve.DefaultWorkers
-		}
 		if sweepWorkers <= 0 {
 			sweepWorkers = runtime.NumCPU()
 		}
-		opt.Slots = workers * sweepWorkers
+		opt.Slots = serve.DefaultSlots * sweepWorkers
 	}
 	return serve.New(opt)
 }

@@ -48,7 +48,7 @@ func TestServiceByteIdenticalToDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := NewServer(ServerOptions{Workers: 1}, 2)
+	s, err := NewServer(ServerOptions{Slots: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestServiceByteIdenticalToDirectRun(t *testing.T) {
 // TestServiceSpansJob: a spans job records per-phase transaction spans for
 // the runs it actually simulates.
 func TestServiceSpansJob(t *testing.T) {
-	s, err := NewServer(ServerOptions{Workers: 1}, 1)
+	s, err := NewServer(ServerOptions{Slots: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
