@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/figure6_digests.json")
+var updateDigests = flag.Bool("update", false, "rewrite testdata/figure6_digests.json or testdata/observer_digests.json")
 
 const figure6DigestsPath = "testdata/figure6_digests.json"
 
