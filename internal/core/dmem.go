@@ -287,7 +287,14 @@ func (d *DMem) takeFree() (int32, bool) {
 		return d.popHead(listFree)
 	}
 	if n == cap(d.ptrs) {
-		grown := make([]ptrEntry, n, min(max(2*n, 64), d.dataCap))
+		// Double from 64, but once that would pass half of dataCap go
+		// straight to dataCap: a D-node that ends near full then copies
+		// its Pointer array once more instead of holding about twice it.
+		c := max(2*n, 64)
+		if c > d.dataCap/2 {
+			c = d.dataCap
+		}
+		grown := make([]ptrEntry, n, c)
 		copy(grown, d.ptrs)
 		d.ptrs = grown
 	}
