@@ -37,11 +37,12 @@ bench:
 # check that the benchmarks still work — then pins the profiler-disabled
 # record paths, metrics-registry counting, the floor-attached Resource
 # calendar, hashmap lookups and overwrites, cache and local-memory accesses
-# and fills, and the SSE handler's JobEvent encoding at zero allocations
-# (the alloc-regression gate).
+# and fills, the SSE handler's JobEvent encoding and each machine's warmed
+# remote Access (internal/frame) at zero allocations (the alloc-regression
+# gate).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
-	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/obs/svclog ./internal/sim ./internal/hashmap ./internal/cache
+	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/obs/svclog ./internal/sim ./internal/hashmap ./internal/cache ./internal/frame
 
 ci: build vet test race-hot
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pimdsm/internal/cache"
+	"pimdsm/internal/frame"
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
 )
@@ -40,7 +41,7 @@ func TestDataMigratesToReader(t *testing.T) {
 	}
 	// The line is now in P1's attraction memory: subsequent accesses after
 	// SRAM flush are local — COMA's key property.
-	m.caches[1].Flush(nil)
+	m.Caches[1].Flush(nil)
 	_, class = m.Access(t2, 1, 0x2000, false)
 	if class != proto.LatMem {
 		t.Fatalf("post-migration read class = %v, want Memory", class)
@@ -225,9 +226,9 @@ func TestCOMASingleMasterProperty(t *testing.T) {
 // forEachLine calls fn for every directory entry of every touched page until
 // fn returns false.
 func forEachLine(m *Machine, fn func(line uint64, e *dirEntry) bool) {
-	m.pages.Range(func(page uint64, pg homePage) bool {
-		for i := range pg.lines {
-			if !fn(page+uint64(i)*m.cfg.LineBytes, &pg.lines[i]) {
+	m.dir.Range(func(page uint64, pg frame.Page[dirEntry]) bool {
+		for i := range pg.Lines {
+			if !fn(page+uint64(i)*m.cfg.LineBytes, &pg.Lines[i]) {
 				return false
 			}
 		}

@@ -65,7 +65,7 @@ func TestFirstWriteIsTwoHopDirty(t *testing.T) {
 	if !hit || st != cache.Dirty {
 		t.Fatalf("writer's memory state = %v/%v, want Dirty", st, hit)
 	}
-	d := homeOf(m, m.pageOf(0x1000))
+	d := homeOf(m, m.PageOf(0x1000))
 	e := m.DMemOf(d).Entry(0x1000)
 	if e.State != DirDirty || e.Master != 0 {
 		t.Fatalf("directory = %v/master=%d, want Dirty/0", e.State, e.Master)
@@ -89,7 +89,7 @@ func TestFirstReadGrantsMastership(t *testing.T) {
 	if !hit || st != cache.SharedMaster {
 		t.Fatalf("reader's state = %v/%v, want SharedMaster", st, hit)
 	}
-	d := homeOf(m, m.pageOf(0x2000))
+	d := homeOf(m, m.PageOf(0x2000))
 	dm := m.DMemOf(d)
 	e := dm.Entry(0x2000)
 	if e.State != DirShared || e.Master != 0 || !e.HasCopy() {
@@ -123,7 +123,7 @@ func TestReadOfDirtyLineIsThreeHop(t *testing.T) {
 	if st != cache.Shared {
 		t.Fatalf("reader state = %v, want Shared", st)
 	}
-	d := homeOf(m, m.pageOf(0x3000))
+	d := homeOf(m, m.PageOf(0x3000))
 	dm := m.DMemOf(d)
 	e := dm.Entry(0x3000)
 	if e.State != DirShared || e.Master != 0 {
@@ -134,7 +134,7 @@ func TestReadOfDirtyLineIsThreeHop(t *testing.T) {
 		t.Fatalf("home copy after sharing write-back: hasCopy=%v sharedLen=%d", e.HasCopy(), dm.SharedLen())
 	}
 	// A third read now comes from the home in 2 hops.
-	m.caches[1].Flush(nil)
+	m.Caches[1].Flush(nil)
 	m.PMemOf(1).Invalidate(0x3000)
 	_, class = m.Access(done, 1, 0x3000, false)
 	if class != proto.Lat2Hop {
@@ -165,7 +165,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	if st != cache.Dirty {
 		t.Fatalf("P1 state = %v, want Dirty", st)
 	}
-	d := homeOf(m, m.pageOf(0x4000))
+	d := homeOf(m, m.PageOf(0x4000))
 	e := m.DMemOf(d).Entry(0x4000)
 	if e.State != DirDirty || e.Master != 1 || e.HasCopy() {
 		t.Fatalf("directory = %+v", e)
@@ -212,7 +212,7 @@ func TestLocalMemoryServesEvictedCacheLines(t *testing.T) {
 	// lines mapping to the same L2 set... simpler: re-access after flushing
 	// the SRAM caches directly.
 	t1, _ := m.Access(0, 0, 0x7000, false)
-	m.caches[0].Flush(nil)
+	m.Caches[0].Flush(nil)
 	_, class := m.Access(t1, 0, 0x7000, false)
 	if class != proto.LatMem {
 		t.Fatalf("post-SRAM-flush class = %v, want Memory", class)
@@ -231,13 +231,13 @@ func TestDirtyEvictionWritesBackAndHomeAccepts(t *testing.T) {
 		t.Fatalf("write-backs = %d, want 1", m.Stats().WriteBacks)
 	}
 	// The LRU victim (line 0) is now home-only with a Data slot.
-	d := homeOf(m, m.pageOf(0))
+	d := homeOf(m, m.PageOf(0))
 	e := m.DMemOf(d).Entry(0)
 	if e.State != DirHome || !e.HasCopy() || e.Master != HomeMaster {
 		t.Fatalf("written-back line directory = %+v", e)
 	}
 	// And its sublines are out of P0's SRAM caches.
-	if m.caches[0].Holds(0) {
+	if m.Caches[0].Holds(0) {
 		t.Fatal("evicted line still in SRAM caches")
 	}
 	// Re-reading it is a 2-hop home fetch.

@@ -48,7 +48,7 @@ func TestScanRecallsDirtyLinesByDowngrade(t *testing.T) {
 	if !hit || st != cache.SharedMaster {
 		t.Fatalf("owner state after scan = %v/%v, want SharedMaster", st, hit)
 	}
-	d := homeOf(m, m.pageOf(0x9000))
+	d := homeOf(m, m.PageOf(0x9000))
 	e := m.DMemOf(d).Entry(0x9000)
 	if e.State != DirShared || !e.HasCopy() {
 		t.Fatalf("directory after scan = %+v", e)

@@ -11,6 +11,7 @@ import (
 	"pimdsm/internal/coma"
 	"pimdsm/internal/core"
 	"pimdsm/internal/cpu"
+	"pimdsm/internal/frame"
 	"pimdsm/internal/mesh"
 	"pimdsm/internal/numa"
 	"pimdsm/internal/obs"
@@ -158,18 +159,11 @@ func (r *Result) CheckFor(cfg Config) error {
 	return nil
 }
 
+// engine is one coherence machine: its protocol's accesses, and the frame
+// that holds its observers, auditor, counters and mesh.
 type engine interface {
 	cpu.Memory
-	Stats() *stats.Machine
-	Mesh() *mesh.Mesh
-	LineBytes() uint64
-	SetTrace(*obs.Trace)
-	SetSpans(*obs.Spans)
-	SetProfile(*obs.Profile)
-	SetFloor(*sim.Time)
-	FinishProfile()
-	SetAudit(bool)
-	AuditReport() (uint64, []string)
+	Base() *frame.Frame
 }
 
 // roundLines rounds a byte capacity down to a whole number of assoc-way
@@ -352,14 +346,15 @@ func run(cfg Config, floor bool) (*Result, error) {
 		eng = m
 	}
 
+	base := eng.Base()
 	tr := cfg.Trace
 	if tr == nil {
 		tr = obs.Nop()
 	}
-	eng.SetTrace(tr)
-	eng.SetSpans(cfg.Spans)
-	eng.SetProfile(cfg.Profile)
-	eng.SetAudit(cfg.Audit)
+	base.SetTrace(tr)
+	base.SetSpans(cfg.Spans)
+	base.SetProfile(cfg.Profile)
+	base.SetAudit(cfg.Audit)
 	if tr.On() {
 		tr.Emit(obs.EvRunStart, 0, 0, -1, uint64(cfg.Threads), uint64(sz.DNodes))
 	}
@@ -370,7 +365,7 @@ func run(cfg Config, floor bool) (*Result, error) {
 	if floor {
 		f = sched.Floor()
 	}
-	eng.SetFloor(f)
+	base.SetFloor(f)
 	sd := cpu.NewSyncDomain(sched)
 	threads := make([]*cpu.Thread, cfg.Threads)
 
@@ -414,8 +409,8 @@ func run(cfg Config, floor bool) (*Result, error) {
 			threads[tid].ResetMeasurement()
 			if crossed[phase] == nThreads {
 				measureStart = res.PhaseEnd[phase]
-				snap = *eng.Stats()
-				meshSnap = eng.Mesh().Stats()
+				snap = *base.Stats()
+				meshSnap = base.Mesh().Stats()
 				if aggM != nil {
 					dBusySnap, dWaitSnap, _ = aggM.DProcUtil()
 				}
@@ -445,8 +440,8 @@ func run(cfg Config, floor bool) (*Result, error) {
 		res.PerThread[i] = th.Stats()
 	}
 	res.Breakdown = stats.NewBreakdown(res.PerThread)
-	res.Machine = eng.Stats().Diff(&snap)
-	res.Mesh = eng.Mesh().Stats().Diff(meshSnap)
+	res.Machine = base.Stats().Diff(&snap)
+	res.Mesh = base.Mesh().Stats().Diff(meshSnap)
 	for p, t := range res.PhaseEnd {
 		if t > measureStart {
 			res.PhaseEnd[p] = t - measureStart
@@ -465,10 +460,10 @@ func run(cfg Config, floor bool) (*Result, error) {
 			t := &res.PerThread[i]
 			prof.AddPNode(i, t.Busy, t.MemStall, t.SyncSpin, t.Finish)
 		}
-		eng.FinishProfile()
+		base.FinishProfile()
 	}
 	if cfg.Audit {
-		res.AuditViolations, res.AuditSamples = eng.AuditReport()
+		res.AuditViolations, res.AuditSamples = base.AuditReport()
 	}
 	if aggM != nil {
 		res.Census = aggM.CensusTotal()

@@ -24,7 +24,7 @@ func TestFirstTouchPlacesPageLocally(t *testing.T) {
 	if class != proto.LatMem {
 		t.Fatalf("first touch class = %v, want Memory (local first-touch page)", class)
 	}
-	if pg, _ := m.pages.Get(m.pageOf(0x10000)); pg.home != 2 {
+	if pg, _ := m.dir.Lookup(0x10000); pg.Home != 2 {
 		t.Fatal("page not homed at first toucher")
 	}
 }
@@ -39,7 +39,7 @@ func TestRemoteReadIsTwoHop(t *testing.T) {
 	// NUMA cannot cache remote lines in local memory: after the SRAM caches
 	// lose the line, the next access is remote again (the paper's key
 	// NUMA weakness).
-	m.caches[1].Flush(nil)
+	m.Caches[1].Flush(nil)
 	_, class = m.Access(t1+10000, 1, 0x1000, false)
 	if class != proto.Lat2Hop {
 		t.Fatalf("post-flush remote read class = %v, want 2Hop again", class)
@@ -50,7 +50,7 @@ func TestRemoteDirtyReadIsThreeHop(t *testing.T) {
 	m := testMachine(t)
 	t1, _ := m.Access(0, 0, 0x2000, true)  // P0 homes and owns
 	t2, _ := m.Access(t1, 1, 0x2080, true) // P1 dirties a line homed at 0
-	if pg, ok := m.pages.Get(m.pageOf(0x2080)); !ok || pg.home != 0 {
+	if pg, ok := m.dir.Lookup(0x2080); !ok || pg.Home != 0 {
 		t.Fatal("test setup: page not homed at 0")
 	}
 	_, class := m.Access(t2, 2, 0x2080, false) // P2 reads P1's dirty line
@@ -58,7 +58,7 @@ func TestRemoteDirtyReadIsThreeHop(t *testing.T) {
 		t.Fatalf("remote dirty read class = %v, want 3Hop", class)
 	}
 	// Owner was downgraded; its copy survives as shared.
-	if hit, _, up := m.caches[1].Lookup(0x2080, true); hit || !up {
+	if hit, _, up := m.Caches[1].Lookup(0x2080, true); hit || !up {
 		t.Fatalf("owner not downgraded: hit=%v upgrade=%v", hit, up)
 	}
 }
@@ -86,7 +86,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 		t.Fatalf("upgrades = %d, want 1", m.Stats().Upgrades)
 	}
 	for _, q := range []int{0, 2} {
-		if m.caches[q].Holds(0x4000) {
+		if m.Caches[q].Holds(0x4000) {
 			t.Fatalf("sharer %d still holds the line", q)
 		}
 	}
@@ -103,7 +103,7 @@ func TestLocalWriteAfterRemoteSharing(t *testing.T) {
 	if done <= t2 {
 		t.Fatal("no time elapsed")
 	}
-	if m.caches[3].Holds(0x5000) {
+	if m.Caches[3].Holds(0x5000) {
 		t.Fatal("remote sharer survived home write")
 	}
 }
@@ -137,7 +137,7 @@ func TestOnChipLatencyDifference(t *testing.T) {
 	}
 	// Touch a line, flush SRAM, re-touch: should be on-chip (37 cycles).
 	t1, _ := m.Access(0, 0, 0x0, false)
-	m.caches[0].Flush(nil)
+	m.Caches[0].Flush(nil)
 	t2, class := m.Access(t1, 0, 0x0, false)
 	if class != proto.LatMem {
 		t.Fatalf("class = %v", class)
