@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke perfbench-test
+.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke perfbench-test test-386
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ test: vet
 
 race:
 	$(GO) test -race ./...
+
+# test-386 runs the tests on a 32-bit word size, where int and pointers are
+# 4 bytes: size expectations and int-typed extremes must follow the host.
+test-386:
+	GOARCH=386 $(GO) test ./...
 
 # race-hot covers the packages with real concurrency (the root package holds
 # the Sweep pool the figure drivers use; internal/serve runs every admitted
@@ -139,7 +144,7 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the twelve fuzz targets for a short fixed time each on top
+# fuzz-smoke runs the fourteen fuzz targets for a short fixed time each on top
 # of their checked-in seed corpora: the result-envelope decoder (one-pass
 # decoder vs json.Unmarshal), the client's JSON scanner (vs json.Valid),
 # the floor-pruned Resource calendar (vs the unpruned calendar), the packed
@@ -152,9 +157,13 @@ fmt-check:
 # JobStatus and JobSpec (vs json.Marshal, json.Encoder, json.Unmarshal and
 # a DisallowUnknownFields json.Decoder), the event log's packed per-job
 # chains (Job rebuilds == the events Append returned), the cache key
-# (canonicalizing is idempotent; == canonical specs get equal keys), and the
+# (canonicalizing is idempotent; == canonical specs get equal keys), the
 # D-node Data-slot order (lazily created slots vs an eager FreeList holding
-# every slot from the start).
+# every slot from the start), the daemon's restart files (any bytes as the
+# cache index, artifact index and usage ledger: New fails, or serves only
+# valid canonical results and artifact files inside its directory), and
+# the tenants file (load and reload accept the same bytes; a rejected reload
+# changes nothing).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
@@ -168,6 +177,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLogChain$$' -fuzztime 10s ./internal/obs/svclog
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigSpecKey$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDMemSlots$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzTenantsFile$$' -fuzztime 10s ./internal/serve
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'

@@ -170,11 +170,12 @@ func TestMapDeleteWrap(t *testing.T) {
 	}
 }
 
-// TestSlotSize: a pointer-valued slot is two words, so a 64-byte host cache
-// line holds four.
+// TestSlotSize: a pointer-valued slot is a key and a pointer with no padding
+// (16 bytes on a 64-bit host, so a 64-byte cache line holds four).
 func TestSlotSize(t *testing.T) {
-	if n := unsafe.Sizeof(slot[*int]{}); n != 16 {
-		t.Fatalf("slot[*int] is %d bytes, want 16", n)
+	want := unsafe.Sizeof(uint64(0)) + unsafe.Sizeof((*int)(nil)) // no padding
+	if n := unsafe.Sizeof(slot[*int]{}); n != want {
+		t.Fatalf("slot[*int] is %d bytes, want %d", n, want)
 	}
 }
 

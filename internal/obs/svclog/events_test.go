@@ -138,7 +138,7 @@ func TestEventLogChainRoundTrip(t *testing.T) {
 			e := JobEvent{
 				Job: j.id, Kind: kind, At: time.Now(), Tenant: j.tenant,
 				SinceSubmitUS: int64(k*1000 + n),
-				QueueDepth:    1<<40 + k, Running: math.MaxInt64 - n,
+				QueueDepth:    math.MaxInt/2 + k, Running: math.MaxInt - n,
 				Config: k - 1, Cycles: uint64(k) << 40,
 			}
 			if kind == EvSubmitted || kind == "rebalanced" {

@@ -1,11 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 
 	"pimdsm/internal/obs"
@@ -24,42 +25,49 @@ type ArtifactStore struct {
 	limit int64
 
 	mu      sync.Mutex
-	entries map[string]*artEntry
-	// LRU list: head is most recently used, tail is the eviction candidate.
-	head, tail *artEntry
-	bytes      int64
+	entries map[string]*lruItem[ArtifactInfo]
+	lru     lru[ArtifactInfo]
+	bytes   int64
 
 	metrics *metrics // puts, hits, misses and evictions count here
-}
-
-type artEntry struct {
-	name       string
-	size       int64
-	prev, next *artEntry
 }
 
 // artifactIndexName is the store's persisted index, living inside the
 // artifact directory itself (the store owns the directory).
 const artifactIndexName = "artifacts.index.json"
 
+// artifactIndexVersion is the artifact index's format version.
+const artifactIndexVersion = 1
+
 // artifactIndex is the persisted form: entries least to most recently used,
 // the same convention as the result cache index.
 type artifactIndex struct {
-	Version int             `json:"version"`
-	Entries []artIndexEntry `json:"entries"`
+	fileVersion
+	Entries []ArtifactInfo `json:"entries"`
 }
 
-type artIndexEntry struct {
-	Name string `json:"name"`
-	Size int64  `json:"size"`
+// isArtifactName reports whether name has the form artifactName gives: a
+// 16-digit hex digest, a dash and one kind's file. These are the only names
+// the store writes, restores, serves or removes, so no name can reach a
+// file outside the directory or the index itself.
+func isArtifactName(name string) bool {
+	digest, file, _ := strings.Cut(name, "-")
+	if len(digest) != 16 || strings.Trim(digest, "0123456789abcdef") != "" {
+		return false
+	}
+	for _, kind := range []string{ArtifactProfile, ArtifactFolded, ArtifactDecompose} {
+		if f, _ := artifactFile(kind); file == f {
+			return true
+		}
+	}
+	return false
 }
 
 // NewArtifactStore opens (creating if needed) the store at dir with the
-// given byte bound. A missing index is a fresh start; a corrupt one is an
-// error (move it aside deliberately). Index entries whose backing file is
-// missing or has changed size are dropped individually, not fatally. The
-// store counts into a metrics registry of its own; the Server's store
-// counts into the Server's.
+// given byte bound, restoring its index (persist.go's policy). An index
+// entry is dropped unless its name is an artifact name seen once and its
+// file is a regular file of the recorded size. The store counts into a
+// metrics registry of its own; the Server's store counts into the Server's.
 func NewArtifactStore(dir string, limit int64) (*ArtifactStore, error) {
 	return openArtifactStore(dir, limit, newMetrics(nil))
 }
@@ -71,9 +79,20 @@ func openArtifactStore(dir string, limit int64, m *metrics) (*ArtifactStore, err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: artifact dir: %w", err)
 	}
-	s := &ArtifactStore{dir: dir, limit: limit, entries: make(map[string]*artEntry), metrics: m}
-	if err := s.loadIndex(); err != nil {
+	s := &ArtifactStore{dir: dir, limit: limit, entries: make(map[string]*lruItem[ArtifactInfo]), metrics: m}
+	var idx artifactIndex
+	if err := load(filepath.Join(dir, artifactIndexName), artifactIndexVersion, &idx); err != nil {
 		return nil, err
+	}
+	for _, e := range idx.Entries {
+		if !isArtifactName(e.Name) || s.entries[e.Name] != nil {
+			continue
+		}
+		fi, err := os.Lstat(filepath.Join(s.dir, e.Name))
+		if err != nil || !fi.Mode().IsRegular() || fi.Size() != e.Size {
+			continue // artifact vanished, was truncated or replaced; forget it
+		}
+		s.insert(e)
 	}
 	return s, nil
 }
@@ -81,89 +100,31 @@ func openArtifactStore(dir string, limit int64, m *metrics) (*ArtifactStore, err
 // Dir returns the store's directory.
 func (s *ArtifactStore) Dir() string { return s.dir }
 
-func (s *ArtifactStore) loadIndex() error {
-	f, err := os.Open(filepath.Join(s.dir, artifactIndexName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	var idx artifactIndex
-	if err := json.NewDecoder(f).Decode(&idx); err != nil {
-		return fmt.Errorf("serve: artifact index in %s is corrupt: %w", s.dir, err)
-	}
-	for _, e := range idx.Entries {
-		fi, err := os.Stat(filepath.Join(s.dir, e.Name))
-		if err != nil || fi.Size() != e.Size {
-			continue // artifact vanished or was truncated; forget it
-		}
-		s.insertMRU(&artEntry{name: e.Name, size: e.Size})
-		s.bytes += e.Size
-	}
-	return nil
-}
-
-// SaveIndex persists the LRU order atomically, mirroring the result cache's
-// crash-safe index write.
+// SaveIndex persists the LRU order.
 func (s *ArtifactStore) SaveIndex() error {
 	s.mu.Lock()
-	idx := artifactIndex{Version: 1}
-	for e := s.tail; e != nil; e = e.prev {
-		idx.Entries = append(idx.Entries, artIndexEntry{Name: e.name, Size: e.size})
-	}
+	var idx artifactIndex
+	s.lru.each(func(e *ArtifactInfo) { idx.Entries = append(idx.Entries, *e) })
 	s.mu.Unlock()
-	err := obs.WriteFileAtomic(filepath.Join(s.dir, artifactIndexName), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(idx)
-	})
-	if err != nil {
-		return fmt.Errorf("serve: save artifact index: %w", err)
-	}
-	return nil
+	return save(filepath.Join(s.dir, artifactIndexName), artifactIndexVersion, &idx)
 }
 
-// insertMRU links e at the head. Caller holds s.mu (or is single-threaded
-// setup).
-func (s *ArtifactStore) insertMRU(e *artEntry) {
-	s.entries[e.name] = e
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
+// insert links a most recently used entry. Caller holds s.mu (or is
+// single-threaded setup).
+func (s *ArtifactStore) insert(a ArtifactInfo) *lruItem[ArtifactInfo] {
+	e := &lruItem[ArtifactInfo]{v: a}
+	s.entries[a.Name] = e
+	s.lru.toFront(e)
+	s.bytes += a.Size
+	return e
 }
 
-func (s *ArtifactStore) unlink(e *artEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *ArtifactStore) touch(e *artEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
+// remove drops e from the index, the list and the byte count. Caller holds
+// s.mu.
+func (s *ArtifactStore) remove(e *lruItem[ArtifactInfo]) {
+	s.lru.unlink(e)
+	delete(s.entries, e.v.Name)
+	s.bytes -= e.v.Size
 }
 
 // Put writes one artifact atomically and inserts it most-recently-used, then
@@ -172,6 +133,9 @@ func (s *ArtifactStore) touch(e *artEntry) {
 // exceeds the bound — a flight record the operator asked for is always
 // retrievable at least once.
 func (s *ArtifactStore) Put(name string, write func(io.Writer) error) error {
+	if !isArtifactName(name) {
+		return fmt.Errorf("serve: %q is not an artifact name", name)
+	}
 	path := filepath.Join(s.dir, name)
 	if err := obs.WriteFileAtomic(path, write); err != nil {
 		return err
@@ -183,21 +147,15 @@ func (s *ArtifactStore) Put(name string, write func(io.Writer) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.entries[name]; ok {
-		s.bytes -= old.size
-		s.unlink(old)
-		delete(s.entries, name)
+		s.remove(old)
 	}
-	e := &artEntry{name: name, size: fi.Size()}
-	s.insertMRU(e)
-	s.bytes += e.size
+	e := s.insert(ArtifactInfo{Name: name, Size: fi.Size()})
 	s.metrics.artPuts.Inc()
-	for s.bytes > s.limit && s.tail != nil && s.tail != e {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.name)
-		s.bytes -= victim.size
+	for s.bytes > s.limit && s.lru.oldest() != e {
+		victim := s.lru.oldest()
+		s.remove(victim)
 		s.metrics.artEvictions.Inc()
-		os.Remove(filepath.Join(s.dir, victim.name))
+		os.Remove(filepath.Join(s.dir, victim.v.Name))
 	}
 	return nil
 }
@@ -213,16 +171,14 @@ func (s *ArtifactStore) Get(name string) ([]byte, bool, error) {
 		s.metrics.artMisses.Inc()
 		return nil, false, nil
 	}
-	s.touch(e)
+	s.lru.toFront(e)
 	s.mu.Unlock()
 
 	b, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
 		s.mu.Lock()
-		if cur, still := s.entries[name]; still && cur == e {
-			s.unlink(cur)
-			delete(s.entries, name)
-			s.bytes -= cur.size
+		if s.entries[name] == e {
+			s.remove(e)
 		}
 		s.mu.Unlock()
 		s.metrics.artMisses.Inc()
@@ -235,7 +191,8 @@ func (s *ArtifactStore) Get(name string) ([]byte, bool, error) {
 	return b, true, nil
 }
 
-// ArtifactInfo is one resident artifact, for listings.
+// ArtifactInfo is one resident artifact: a row of List, an entry of the
+// persisted index and the value the store's LRU list holds.
 type ArtifactInfo struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`
@@ -246,9 +203,8 @@ func (s *ArtifactStore) List() []ArtifactInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ArtifactInfo, 0, len(s.entries))
-	for e := s.head; e != nil; e = e.next {
-		out = append(out, ArtifactInfo{Name: e.name, Size: e.size})
-	}
+	s.lru.each(func(e *ArtifactInfo) { out = append(out, *e) })
+	slices.Reverse(out)
 	return out
 }
 

@@ -10,14 +10,13 @@ import (
 	"pimdsm/internal/machine"
 )
 
-// entry is one cached result on the LRU list (head = most recently used).
+// entry is one cached result, held on the cache's LRU list.
 type entry struct {
-	key        uint64
-	seed       uint64
-	spec       ConfigSpec
-	res        *machine.Result
-	js         []byte // canonical JSON of res, the byte-identity the API serves
-	prev, next *entry
+	key  uint64
+	seed uint64
+	spec ConfigSpec
+	res  *machine.Result
+	js   []byte // canonical JSON of res, the byte-identity the API serves
 }
 
 // flight is one in-progress simulation of a key. The owning job resolves it
@@ -31,16 +30,16 @@ type flight struct {
 }
 
 // Cache is the content-addressed result store: an open-addressed index
-// (internal/hashmap) over an intrusive LRU list bounded to max entries, plus
+// (internal/hashmap) over an LRU list bounded to max entries, plus
 // the in-flight registry that collapses duplicate work. It counts its hits,
 // misses and joins, by the caller's tenant, and its evictions into the
 // metrics registry it was built with.
 type Cache struct {
-	mu         sync.Mutex
-	max        int
-	m          hashmap.Map[*entry]
-	inflight   hashmap.Map[*flight]
-	head, tail *entry
+	mu       sync.Mutex
+	max      int
+	m        hashmap.Map[*lruItem[entry]]
+	inflight hashmap.Map[*flight]
+	lru      lru[entry]
 
 	metrics *metrics
 }
@@ -63,38 +62,6 @@ func (c *Cache) Len() int {
 	return c.m.Len()
 }
 
-// touch moves e to the head of the LRU list. Caller holds mu.
-func (c *Cache) touch(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.head == e {
-		c.head = e.next
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
 // Acquire resolves key in one atomic step. Exactly one of three outcomes:
 //
 //   - cache hit: res/js returned, hit=true;
@@ -110,8 +77,8 @@ func (c *Cache) Acquire(key uint64, tenant string) (res *machine.Result, js []by
 	defer c.mu.Unlock()
 	if e, ok := c.m.Get(key); ok {
 		c.metrics.hits.With(tenant).Inc()
-		c.touch(e)
-		return e.res, e.js, true, nil, false
+		c.lru.toFront(e)
+		return e.v.res, e.v.js, true, nil, false
 	}
 	if f, ok := c.inflight.Get(key); ok {
 		c.metrics.joins.With(tenant).Inc()
@@ -132,8 +99,8 @@ func (c *Cache) Peek(key uint64, tenant string) (*machine.Result, []byte, bool) 
 	defer c.mu.Unlock()
 	if e, ok := c.m.Get(key); ok {
 		c.metrics.hits.With(tenant).Inc()
-		c.touch(e)
-		return e.res, e.js, true
+		c.lru.toFront(e)
+		return e.v.res, e.v.js, true
 	}
 	return nil, nil, false
 }
@@ -155,8 +122,8 @@ func (c *Cache) PeekAll(keys []uint64, tenant string) ([]*machine.Result, [][]by
 	js := make([][]byte, len(keys))
 	for i, k := range keys {
 		e, _ := c.m.Get(k)
-		c.touch(e)
-		res[i], js[i] = e.res, e.js
+		c.lru.toFront(e)
+		res[i], js[i] = e.v.res, e.v.js
 	}
 	c.metrics.hits.With(tenant).Add(uint64(len(keys)))
 	return res, js, true
@@ -214,17 +181,15 @@ func (c *Cache) Abort(key uint64, err error) {
 // insert adds (or refreshes) an entry. Caller holds mu.
 func (c *Cache) insert(key, seed uint64, spec ConfigSpec, res *machine.Result, js []byte) {
 	if e, ok := c.m.Get(key); ok {
-		e.res, e.js = res, js
-		c.touch(e)
+		e.v.res, e.v.js = res, js
+		c.lru.toFront(e)
 		return
 	}
-	e := &entry{key: key, seed: seed, spec: spec, res: res, js: js}
+	e := &lruItem[entry]{v: entry{key: key, seed: seed, spec: spec, res: res, js: js}}
 	c.m.Put(key, e)
-	c.touch(e)
-	for c.m.Len() > c.max && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		c.m.Delete(victim.key)
+	c.lru.toFront(e)
+	for c.m.Len() > c.max {
+		c.m.Delete(c.lru.popOldest().v.key)
 		c.metrics.evictions.Inc()
 	}
 }
@@ -254,16 +219,6 @@ func (c *Cache) Stats() CacheStats {
 		Evictions: c.metrics.evictions.Value(),
 		InFlight:  c.inflight.Len(),
 	}
-}
-
-// keys returns the cached keys from least to most recently used (test and
-// persistence order: reinserting in this order reproduces the LRU state).
-func (c *Cache) keysLRU() []uint64 {
-	var ks []uint64
-	for e := c.tail; e != nil; e = e.prev {
-		ks = append(ks, e.key)
-	}
-	return ks
 }
 
 // canonicalResultJSON is the one serialization every byte-identity claim in
@@ -302,9 +257,15 @@ type indexEntry struct {
 	Result json.RawMessage `json:"result"`
 }
 
+// cacheIndexVersion is the cache file's format version. Key skew needs no
+// version of its own: LoadIndex re-derives every entry's key, and the
+// derivation hashes KeyVersion, so an entry keyed under another KeyVersion
+// is skipped like any other mismatch.
+const cacheIndexVersion = 1
+
 // index is the persisted cache file.
 type index struct {
-	Version int          `json:"version"`
+	fileVersion
 	Entries []indexEntry `json:"entries"` // least to most recently used
 }
 
@@ -313,26 +274,24 @@ type index struct {
 func (c *Cache) Snapshot() *index {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx := &index{Version: KeyVersion}
-	for e := c.tail; e != nil; e = e.prev {
+	idx := &index{}
+	c.lru.each(func(e *entry) {
 		idx.Entries = append(idx.Entries, indexEntry{
 			Key:    fmt.Sprintf("%016x", e.key),
 			Seed:   e.seed,
 			Spec:   e.spec,
 			Result: json.RawMessage(e.js),
 		})
-	}
+	})
 	return idx
 }
 
 // LoadIndex replays a persisted index into the cache. Entries whose stored
-// key does not match the current derivation (version skew, hand-edited
-// file) are skipped, not served: the key contract is verified, never
-// trusted. Returns how many entries were restored.
+// key does not match the current derivation (KeyVersion skew, hand-edited
+// file) or whose result running the spec could not produce are skipped, not
+// served: the key contract is verified, never trusted. Returns how many
+// entries were restored.
 func (c *Cache) LoadIndex(idx *index) int {
-	if idx.Version != KeyVersion {
-		return 0
-	}
 	n := 0
 	for _, ie := range idx.Entries {
 		want := ie.Spec.Key(ie.Seed)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"pimdsm/internal/machine"
@@ -78,8 +80,10 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Fatalf("%d should have survived", k)
 		}
 	}
-	if got := c.keysLRU(); len(got) != 3 {
-		t.Fatalf("keysLRU = %v", got)
+	var got []uint64
+	c.lru.each(func(e *entry) { got = append(got, e.key) })
+	if !slices.Equal(got, []uint64{1, 3, 4}) {
+		t.Fatalf("keys least to most recently used = %v, want [1 3 4]", got)
 	}
 }
 
@@ -152,7 +156,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		c.Fulfill(k, 0, sp, res, js)
 	}
 	idx := c.Snapshot()
-	if len(idx.Entries) != 2 || idx.Version != KeyVersion {
+	if len(idx.Entries) != 2 {
 		t.Fatalf("snapshot: %+v", idx)
 	}
 	// A JSON round trip of the index preserves the result bytes exactly.
@@ -192,8 +196,8 @@ func mustFindEntry(t *testing.T, idx *index, key uint64) []byte {
 	return nil
 }
 
-// TestLoadIndexVerifiesKeys: a tampered or version-skewed index entry is
-// dropped, never served under a wrong key.
+// TestLoadIndexVerifiesKeys: a tampered entry, or one keyed under another
+// KeyVersion, is dropped, never served under a wrong key.
 func TestLoadIndexVerifiesKeys(t *testing.T) {
 	sp := ConfigSpec{Arch: "agg", App: "fft", Scale: 1, Threads: 8, Pressure: 0.75, DRatio: 1}
 	res := &machine.Result{Arch: machine.AGG, App: "fft", Threads: 8, PerThread: make([]stats.Thread, 8)}
@@ -204,7 +208,7 @@ func TestLoadIndexVerifiesKeys(t *testing.T) {
 	tampered.Spec.Threads = 16 // result no longer matches the claimed key
 	badKey := good
 	badKey.Key = "deadbeefdeadbeef"
-	idx := &index{Version: KeyVersion, Entries: []indexEntry{good, tampered, badKey}}
+	idx := &index{Entries: []indexEntry{good, tampered, badKey}}
 	c := NewCache(8)
 	if n := c.LoadIndex(idx); n != 1 {
 		t.Fatalf("restored %d entries, want only the verified one", n)
@@ -212,10 +216,46 @@ func TestLoadIndexVerifiesKeys(t *testing.T) {
 	if _, _, hit, _, _ := c.Acquire(sp.Key(0), ""); !hit {
 		t.Fatal("verified entry missing")
 	}
-	stale := &index{Version: KeyVersion + 1, Entries: []indexEntry{good}}
-	if n := NewCache(8).LoadIndex(stale); n != 0 {
-		t.Fatalf("version-skewed index restored %d entries", n)
+	// A cache file written by a daemon whose keys hash another KeyVersion
+	// has a format this daemon reads, so New succeeds, but no entry's key
+	// re-derives: nothing is restored.
+	stale := good
+	stale.Key = keyHex(sp.keyAt(KeyVersion+1, 0))
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := save(path, cacheIndexVersion, &index{Entries: []indexEntry{stale}}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{CachePath: path})
+	if err != nil {
+		t.Fatalf("New over a KeyVersion-skewed index: %v", err)
+	}
+	if n := s.Cache().Len(); n != 0 {
+		t.Fatalf("KeyVersion-skewed index restored %d entries", n)
 	}
 }
 
 func keyHex(k uint64) string { return fmt.Sprintf("%016x", k) }
+
+// TestCacheHitZeroAlloc: a hit moves its entry to the front of the LRU list
+// and counts itself without allocating; PeekAll allocates only the two
+// slices it returns.
+func TestCacheHitZeroAlloc(t *testing.T) {
+	c := NewCache(8)
+	keys := []uint64{1, 2, 3}
+	for _, k := range keys {
+		res, js := fakeResult(int64(k))
+		c.Acquire(k, "")
+		c.Fulfill(k, 0, ConfigSpec{}, res, js)
+	}
+	i := 0
+	next := func() uint64 { i++; return keys[i%len(keys)] }
+	if a := testing.AllocsPerRun(100, func() { c.Acquire(next(), "acme") }); a != 0 {
+		t.Errorf("Acquire hit allocates %.0f times", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.Peek(next(), "acme") }); a != 0 {
+		t.Errorf("Peek hit allocates %.0f times", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.PeekAll(keys, "acme") }); a != 2 {
+		t.Errorf("PeekAll hit allocates %.0f times, want 2", a)
+	}
+}

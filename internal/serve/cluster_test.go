@@ -185,7 +185,7 @@ func TestClusterReplicateRejectsNonResults(t *testing.T) {
 		if n := s.Cache().Len(); n != 0 {
 			t.Fatalf("%s: cache holds %d entries, want none", name, n)
 		}
-		if n := NewCache(8).LoadIndex(&index{Version: KeyVersion, Entries: []indexEntry{entry(result)}}); n != 0 {
+		if n := NewCache(8).LoadIndex(&index{Entries: []indexEntry{entry(result)}}); n != 0 {
 			t.Errorf("%s: LoadIndex restored %d entries, want none", name, n)
 		}
 	}

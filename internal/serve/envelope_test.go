@@ -202,7 +202,7 @@ func TestIngestCanonicalizes(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			path := t.TempDir() + "/cache.json"
 			// Marshal compacts a RawMessage, so splice the stored form in after.
-			idx, _ := json.Marshal(index{Version: KeyVersion,
+			idx, _ := json.Marshal(index{fileVersion: fileVersion{cacheIndexVersion},
 				Entries: []indexEntry{{Key: keyHex(key), Spec: cs.canonical(), Result: want}}})
 			if err := os.WriteFile(path, bytes.Replace(idx, want, in.result, 1), 0o644); err != nil {
 				t.Fatal(err)

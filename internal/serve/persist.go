@@ -2,99 +2,96 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sort"
 
 	"pimdsm/internal/obs"
 )
 
-// saveCache writes the cache index to path atomically (temp file + rename),
-// so a crash mid-save never leaves a truncated index for the next daemon.
-func (s *Server) saveCache(path string) error {
-	idx := s.cache.Snapshot()
-	err := obs.WriteFileAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		return enc.Encode(idx)
-	})
+// The daemon's restart files (the cache index, the usage ledger and the
+// artifact index) are written on Shutdown and read back in New through save
+// and load, under one restore policy (DESIGN.md §10): a missing file is a
+// fresh start; a file that is not exactly one JSON value of the format
+// version this daemon reads is an error naming it, never silently ignored;
+// the owner checks the entries of a file that loads and skips bad ones.
+
+// fileVersion is the one format-version field every restart file carries.
+// Embedding it in a file's struct makes the struct a versioned file.
+type fileVersion struct {
+	Version int `json:"version"`
+}
+
+func (v *fileVersion) header() *fileVersion { return v }
+
+type versioned interface{ header() *fileVersion }
+
+// save writes v to path atomically (temp file + rename, so a crash
+// mid-save never leaves a truncated file for the next daemon), stamped
+// with format version.
+func save(path string, version int, v versioned) error {
+	v.header().Version = version
+	err := obs.WriteFileAtomic(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
 	if err != nil {
-		return fmt.Errorf("serve: save cache index: %w", err)
+		return fmt.Errorf("serve: save %s: %w", path, err)
 	}
 	return nil
 }
 
-// loadCache restores a persisted index. A missing file is a fresh start; a
-// file that does not parse is an error (the operator should move it aside
-// deliberately rather than have it silently ignored). Entries that fail the
-// key-derivation check are skipped individually.
-func (s *Server) loadCache(path string) (int, error) {
-	f, err := os.Open(path)
+// load reads path into v. A missing file leaves v as it is and is no error.
+func load(path string, version int, v versioned) error {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
+		return fmt.Errorf("serve: %w", err)
 	}
-	defer f.Close()
-	var idx index
-	if err := json.NewDecoder(f).Decode(&idx); err != nil {
-		return 0, fmt.Errorf("serve: cache index %s is corrupt: %w", path, err)
+	// json.Unmarshal, unlike a json.Decoder, rejects bytes after the value.
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("serve: %s is corrupt: %w", path, err)
 	}
-	return s.cache.LoadIndex(&idx), nil
+	if got := v.header().Version; got != version {
+		return fmt.Errorf("serve: %s has format version %d, this daemon reads %d", path, got, version)
+	}
+	return nil
 }
 
-// usageLedgerVersion guards the usage-ledger file format.
+// usageLedgerVersion is the usage ledger's format version.
 const usageLedgerVersion = 1
 
 // usageLedger is the persisted per-tenant cumulative usage: the tenant's
-// restart-surviving bill, written like the cache index (atomic temp+rename
-// on Shutdown, restored in New). Rows follow the names, which are sorted so
-// that identical state writes identical bytes.
+// restart-surviving bill. Rows follow the names, which are sorted so that
+// identical state writes identical bytes.
 type usageLedger struct {
-	Version int           `json:"version"`
-	Names   []string      `json:"names"`
-	Rows    []TenantUsage `json:"rows"`
+	fileVersion
+	Names []string      `json:"names"`
+	Rows  []TenantUsage `json:"rows"`
 }
 
-// saveUsage writes the cumulative per-tenant ledger to path atomically.
+// saveUsage writes the cumulative per-tenant ledger to path.
 func (s *Server) saveUsage(path string) error {
 	snaps := s.tenantSnapshots()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Name < snaps[j].Name })
-	ledger := usageLedger{Version: usageLedgerVersion}
+	var ledger usageLedger
 	for _, t := range snaps {
 		ledger.Names = append(ledger.Names, t.Name)
 		ledger.Rows = append(ledger.Rows, t.Total) // restored base plus this process
 	}
-	err := obs.WriteFileAtomic(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(ledger) })
-	if err != nil {
-		return fmt.Errorf("serve: save usage ledger: %w", err)
-	}
-	return nil
+	return save(path, usageLedgerVersion, &ledger)
 }
 
-// loadUsage restores a persisted ledger as each tenant's base usage. A
-// missing file is a fresh start; a corrupt or wrong-version one is an error,
-// same policy as the cache index.
+// loadUsage restores a persisted ledger as each tenant's base usage. A name
+// without a row, or a row without a name, restores nothing.
 func (s *Server) loadUsage(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+	var ledger usageLedger
+	if err := load(path, usageLedgerVersion, &ledger); err != nil {
 		return err
 	}
-	defer f.Close()
-	var onDisk usageLedger
-	if err := json.NewDecoder(f).Decode(&onDisk); err != nil {
-		return fmt.Errorf("serve: usage ledger %s is corrupt: %w", path, err)
-	}
-	if onDisk.Version != usageLedgerVersion {
-		return fmt.Errorf("serve: usage ledger %s has version %d, want %d", path, onDisk.Version, usageLedgerVersion)
-	}
-	if len(onDisk.Names) != len(onDisk.Rows) {
-		return fmt.Errorf("serve: usage ledger %s is corrupt: %d names, %d rows", path, len(onDisk.Names), len(onDisk.Rows))
-	}
-	s.opt.Tenants.restoreUsage(onDisk.Names, onDisk.Rows)
+	n := min(len(ledger.Names), len(ledger.Rows))
+	s.opt.Tenants.restoreUsage(ledger.Names[:n], ledger.Rows[:n])
 	return nil
 }

@@ -262,17 +262,20 @@ type Server struct {
 	slots slotPool
 }
 
-// New starts a server: restores the cache index from Options.CachePath when
-// present (a missing file is a fresh start, a corrupt one an error).
+// New starts a server: restores the cache index, the artifact index and the
+// usage ledger when present (persist.go: a missing file is a fresh start, a
+// corrupt one an error).
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{opt: opt}
 	s.m = newMetrics(s)
 	s.cache = newCache(opt.CacheEntries, s.m)
 	if opt.CachePath != "" {
-		if _, err := s.loadCache(opt.CachePath); err != nil {
+		var idx index
+		if err := load(opt.CachePath, cacheIndexVersion, &idx); err != nil {
 			return nil, err
 		}
+		s.cache.LoadIndex(&idx)
 	}
 	if opt.ArtifactDir != "" {
 		store, err := openArtifactStore(opt.ArtifactDir, opt.ArtifactBytes, s.m)
@@ -1090,7 +1093,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.stopCluster()
 	if s.opt.CachePath != "" {
-		if err := s.saveCache(s.opt.CachePath); err != nil && waitErr == nil {
+		if err := save(s.opt.CachePath, cacheIndexVersion, s.cache.Snapshot()); err != nil && waitErr == nil {
 			waitErr = err
 		}
 	}

@@ -128,10 +128,13 @@ func plusZero(f float64) float64 {
 // STABILITY CONTRACT: field order and encodings here are frozen for
 // KeyVersion 1 (see key_test.go's golden values). Add fields only at the
 // end, and only together with a KeyVersion bump.
-func (s ConfigSpec) Key(seed uint64) uint64 {
+func (s ConfigSpec) Key(seed uint64) uint64 { return s.keyAt(KeyVersion, seed) }
+
+// keyAt is Key as derived under key version v.
+func (s ConfigSpec) keyAt(v, seed uint64) uint64 {
 	c := s.canonical()
 	var d hashmap.Digest
-	d.WriteUint64(KeyVersion)
+	d.WriteUint64(v)
 	d.WriteString(c.Arch)
 	d.WriteString(c.App)
 	d.WriteFloat64(c.Scale)

@@ -178,6 +178,17 @@ type tenantsFile struct {
 
 // LoadTenants reads and validates a tenants file: {"tenants":[{...}]}.
 func LoadTenants(path string) (*Tenants, error) {
+	list, err := readTenantsFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return NewTenants(list)
+}
+
+// readTenantsFile reads a tenants file and validates its declared list
+// (normalizeTenants). LoadTenants and ReloadFile both read through it, so
+// startup and reload accept exactly the same files.
+func readTenantsFile(path string) ([]Tenant, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenants file: %w", err)
@@ -189,18 +200,20 @@ func LoadTenants(path string) (*Tenants, error) {
 	if len(tf.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: tenants file %s declares no tenants", path)
 	}
-	reg, err := NewTenants(tf.Tenants)
+	list, err := normalizeTenants(tf.Tenants)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenants file %s: %w", path, err)
 	}
-	return reg, nil
+	return list, nil
 }
 
 // normalizeTenants validates a declared tenant list and applies defaults:
 // names and keys must be unique, names non-empty, keys at least 8
 // characters, every quota non-negative, and a rate-limited tenant with no
-// declared burst gets RatePerSec rounded up (minimum 1). Shared by NewTenants
-// and Reload so a reloaded file passes exactly the startup checks.
+// declared burst gets RatePerSec rounded up (minimum 1). install runs it for
+// NewTenants and Reload alike, so a reloaded list passes exactly the startup
+// checks; it is idempotent, so readTenantsFile runs it first to name the
+// file in its error.
 func normalizeTenants(list []Tenant) ([]Tenant, error) {
 	out := make([]Tenant, 0, len(list))
 	names := make(map[string]bool, len(list))
@@ -240,21 +253,9 @@ func normalizeTenants(list []Tenant) ([]Tenant, error) {
 // NewTenants builds a registry from a validated tenant list (see
 // normalizeTenants for the rules).
 func NewTenants(list []Tenant) (*Tenants, error) {
-	list, err := normalizeTenants(list)
-	if err != nil {
+	r := &Tenants{now: time.Now}
+	if err := r.install(list); err != nil {
 		return nil, err
-	}
-	r := &Tenants{
-		states: make(map[string]*tenantState, len(list)),
-		now:    time.Now,
-	}
-	for _, t := range list {
-		st := &tenantState{t: t}
-		if t.RatePerSec > 0 {
-			st.tokens = float64(t.Burst) // a fresh tenant starts with a full bucket
-		}
-		r.states[t.Name] = st
-		r.order = append(r.order, t.Name)
 	}
 	return r, nil
 }
@@ -271,12 +272,24 @@ func NewTenants(list []Tenant) (*Tenants, error) {
 // process-lifetime usage is whatever the server's registry has counted
 // under the name.
 func (r *Tenants) Reload(list []Tenant) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.install(list); err != nil {
+		return err
+	}
+	r.generation++
+	return nil
+}
+
+// install validates list and makes it the tenant set, building each
+// tenant's state: a tenant already registered keeps its own under the new
+// declaration, any other starts fresh. A list that fails validation
+// changes nothing. Caller holds r.mu (or is single-threaded setup).
+func (r *Tenants) install(list []Tenant) error {
 	list, err := normalizeTenants(list)
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	states := make(map[string]*tenantState, len(list))
 	order := make([]string, 0, len(list))
 	for _, t := range list {
@@ -284,7 +297,7 @@ func (r *Tenants) Reload(list []Tenant) error {
 		if st == nil {
 			st = &tenantState{t: t}
 			if t.RatePerSec > 0 {
-				st.tokens = float64(t.Burst)
+				st.tokens = float64(t.Burst) // a fresh tenant starts with a full bucket
 			}
 		} else {
 			wasLimited := st.t.RatePerSec > 0
@@ -304,7 +317,6 @@ func (r *Tenants) Reload(list []Tenant) error {
 	}
 	r.states = states
 	r.order = order
-	r.generation++
 	return nil
 }
 
@@ -312,21 +324,11 @@ func (r *Tenants) Reload(list []Tenant) error {
 // all-or-nothing contract; a missing or malformed file leaves the registry
 // untouched).
 func (r *Tenants) ReloadFile(path string) error {
-	data, err := os.ReadFile(path)
+	list, err := readTenantsFile(path)
 	if err != nil {
-		return fmt.Errorf("serve: tenants file: %w", err)
+		return err
 	}
-	var tf tenantsFile
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return fmt.Errorf("serve: tenants file %s: %w", path, err)
-	}
-	if len(tf.Tenants) == 0 {
-		return fmt.Errorf("serve: tenants file %s declares no tenants", path)
-	}
-	if err := r.Reload(tf.Tenants); err != nil {
-		return fmt.Errorf("serve: tenants file %s: %w", path, err)
-	}
-	return nil
+	return r.Reload(list)
 }
 
 // Generation counts successful Reloads (0 until the first).

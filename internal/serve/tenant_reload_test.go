@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,4 +122,65 @@ func TestTenantsReloadRejectsInvalid(t *testing.T) {
 	if name, ok := reg.Authenticate("key-zzzzzzzz"); !ok || name != "z" {
 		t.Fatalf("reloaded tenant: Authenticate = %q, %v", name, ok)
 	}
+}
+
+// FuzzTenantsFile: startup (LoadTenants) and reload (ReloadFile) accept
+// exactly the same tenants files and, when they accept one, declare the
+// same tenants with the same keys. A rejected reload leaves the serving
+// registry's generation, names and key resolution as they were. Seeds live
+// in testdata/fuzz/FuzzTenantsFile.
+func FuzzTenantsFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, file []byte) {
+		path := filepath.Join(t.TempDir(), "tenants.json")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, loadErr := LoadTenants(path)
+
+		reg := twoTenants(t, []Tenant{
+			{Name: "a", Key: "key-aaaaaaaa", RatePerSec: 2},
+			{Name: "b", Key: "key-bbbbbbbb", MaxActive: 1},
+		})
+		keys := []string{"key-aaaaaaaa", "key-bbbbbbbb"}
+		var tf tenantsFile
+		if json.Unmarshal(file, &tf) == nil {
+			for _, tn := range tf.Tenants {
+				keys = append(keys, tn.Key)
+			}
+		}
+		resolve := func(r *Tenants) []string {
+			out := make([]string, len(keys))
+			for i, k := range keys {
+				out[i], _ = r.Authenticate(k)
+			}
+			return out
+		}
+		names, before := reg.Names(), resolve(reg)
+
+		reloadErr := reg.ReloadFile(path)
+		if (loadErr == nil) != (reloadErr == nil) {
+			t.Fatalf("load error %v, reload error %v: load and reload disagree", loadErr, reloadErr)
+		}
+		if reloadErr != nil {
+			if g := reg.Generation(); g != 0 {
+				t.Fatalf("rejected reload bumped the generation to %d", g)
+			}
+			if got := reg.Names(); !slices.Equal(got, names) {
+				t.Fatalf("rejected reload changed the names to %v, want %v", got, names)
+			}
+			if got := resolve(reg); !slices.Equal(got, before) {
+				t.Fatalf("rejected reload changed key resolution to %v, want %v", got, before)
+			}
+			return
+		}
+		if g := reg.Generation(); g != 1 {
+			t.Fatalf("accepted reload: generation %d, want 1", g)
+		}
+		if got, want := reg.snapshot(), loaded.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reload declares %+v, load declares %+v", got, want)
+		}
+		if got, want := resolve(reg), resolve(loaded); !slices.Equal(got, want) {
+			t.Fatalf("reload resolves keys to %v, load to %v", got, want)
+		}
+	})
 }
