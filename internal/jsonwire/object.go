@@ -1,6 +1,7 @@
 package jsonwire
 
 import (
+	"encoding/json"
 	"math"
 	"strconv"
 	"time"
@@ -110,6 +111,15 @@ var safeByte = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// AppendString appends s quoted as json.Marshal quotes it.
+func AppendString(dst []byte, s string) []byte {
+	if b, ok := appendString(dst, s); ok {
+		return b
+	}
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(dst, q...)
+}
 
 // appendString appends s quoted, false when some byte of s would need
 // json.Marshal's escaping or UTF-8 handling.

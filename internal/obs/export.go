@@ -5,15 +5,140 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 
+	"pimdsm/internal/jsonwire"
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
 )
 
-// Chrome trace_event export. The format is the JSON Object Format of the
-// Trace Event spec, loadable in chrome://tracing and Perfetto. Simulated
-// cycles are nanoseconds (1 GHz machines), and trace_event timestamps are
-// microseconds, so ts = cycles/1000 with displayTimeUnit "ns".
+// ChromeWriter writes one Chrome trace_event JSON document, the JSON
+// Object Format of the Trace Event spec loadable in chrome://tracing and
+// Perfetto: the envelope, then instant ("i"), complete ("X") and counter
+// ("C") events, each followed by its args. Timestamps and durations are
+// microseconds, written with a fixed number of decimals. Strings are
+// quoted as json.Marshal quotes them. The simulator's protocol traces and
+// the service's job lifecycles are both written through it.
+type ChromeWriter struct {
+	w        io.Writer
+	err      error
+	b        []byte // unwritten output
+	decimals int
+	events   int // events started
+	args     int // args written to the open event
+}
+
+// NewChromeWriter starts a document on w whose viewer shows times in
+// displayTimeUnit ("ns", "ms"); every ts and dur carries decimals digits
+// after the microsecond.
+func NewChromeWriter(w io.Writer, displayTimeUnit string, decimals int) *ChromeWriter {
+	c := &ChromeWriter{w: w, decimals: decimals, b: make([]byte, 0, 8<<10)}
+	c.b = append(c.b, `{"displayTimeUnit":`...)
+	c.b = jsonwire.AppendString(c.b, displayTimeUnit)
+	c.b = append(c.b, `,"traceEvents":[`...)
+	return c
+}
+
+// Instant starts a thread-scoped instant event; its args follow.
+func (c *ChromeWriter) Instant(name, cat string, ts float64, tid int64) {
+	c.head(name, cat, `"i","s":"t"`, ts)
+	c.thread(tid)
+}
+
+// Complete starts a complete event lasting dur; its args follow.
+func (c *ChromeWriter) Complete(name, cat string, ts, dur float64, tid int64) {
+	c.head(name, cat, `"X"`, ts)
+	c.b = append(c.b, `,"dur":`...)
+	c.b = strconv.AppendFloat(c.b, dur, 'f', c.decimals, 64)
+	c.thread(tid)
+}
+
+// Counter starts a process-wide counter sample; its args are the series.
+func (c *ChromeWriter) Counter(name, cat string, ts float64) {
+	c.head(name, cat, `"C"`, ts)
+	c.b = append(c.b, `,"pid":0,"args":{`...)
+}
+
+// head closes the previous event and writes the next one up to its pid.
+func (c *ChromeWriter) head(name, cat, ph string, ts float64) {
+	if c.events > 0 {
+		c.b = append(c.b, "}},"...)
+	}
+	if len(c.b) > cap(c.b)-1024 {
+		c.flush()
+	}
+	c.events++
+	c.args = 0
+	c.b = append(c.b, `{"name":`...)
+	c.b = jsonwire.AppendString(c.b, name)
+	c.b = append(c.b, `,"cat":`...)
+	c.b = jsonwire.AppendString(c.b, cat)
+	c.b = append(c.b, `,"ph":`...)
+	c.b = append(c.b, ph...)
+	c.b = append(c.b, `,"ts":`...)
+	c.b = strconv.AppendFloat(c.b, ts, 'f', c.decimals, 64)
+}
+
+func (c *ChromeWriter) thread(tid int64) {
+	c.b = append(c.b, `,"pid":0,"tid":`...)
+	c.b = strconv.AppendInt(c.b, tid, 10)
+	c.b = append(c.b, `,"args":{`...)
+}
+
+func (c *ChromeWriter) key(k string) {
+	if c.args > 0 {
+		c.b = append(c.b, ',')
+	}
+	c.args++
+	c.b = jsonwire.AppendString(c.b, k)
+	c.b = append(c.b, ':')
+}
+
+// Int writes an integer arg of the open event.
+func (c *ChromeWriter) Int(k string, v int64) {
+	c.key(k)
+	c.b = strconv.AppendInt(c.b, v, 10)
+}
+
+// Uint writes an unsigned integer arg of the open event.
+func (c *ChromeWriter) Uint(k string, v uint64) {
+	c.key(k)
+	c.b = strconv.AppendUint(c.b, v, 10)
+}
+
+// Hex writes v as a "0x"-prefixed hexadecimal string arg (an address).
+func (c *ChromeWriter) Hex(k string, v uint64) {
+	c.key(k)
+	c.b = append(c.b, `"0x`...)
+	c.b = strconv.AppendUint(c.b, v, 16)
+	c.b = append(c.b, '"')
+}
+
+// String writes a string arg of the open event.
+func (c *ChromeWriter) String(k, v string) {
+	c.key(k)
+	c.b = jsonwire.AppendString(c.b, v)
+}
+
+func (c *ChromeWriter) flush() {
+	if c.err == nil {
+		_, c.err = c.w.Write(c.b)
+	}
+	c.b = c.b[:0]
+}
+
+// Close ends the document and returns the first write error.
+func (c *ChromeWriter) Close() error {
+	if c.events > 0 {
+		c.b = append(c.b, "}}"...)
+	}
+	c.b = append(c.b, "]}\n"...)
+	c.flush()
+	return c.err
+}
+
+// Protocol traces: simulated cycles are nanoseconds (1 GHz machines), so
+// ts = cycles/1000 microseconds to three decimals, displayed in "ns".
 
 // WriteChromeJSON writes the trace's held events as Chrome trace_event JSON.
 // Span kinds become complete ("X") events, counter kinds become counter
@@ -26,80 +151,51 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 // WriteChromeJSONEvents writes already-extracted events (e.g. from
 // ReadBinary) as Chrome trace_event JSON. Events should be in sim-time order.
 func WriteChromeJSONEvents(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")
-	for i, e := range events {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		writeChromeEvent(bw, e)
-	}
-	fmt.Fprintf(bw, "]}\n")
-	return bw.Flush()
-}
-
-func writeChromeEvent(w *bufio.Writer, e Event) {
-	m := kindMeta[e.Kind]
-	ts := float64(e.At) / 1000.0
-	switch {
-	case m.counter:
-		// One counter track per node: "free-slots D3".
-		fmt.Fprintf(w, `{"name":%s,"cat":%s,"ph":"C","ts":%.3f,"pid":0,"args":{"free":%d}}`,
-			jsonString(fmt.Sprintf("%s D%d", m.name, e.Node)), jsonString(m.cat), ts, e.Arg)
-	case m.span:
-		fmt.Fprintf(w, `{"name":%s,"cat":%s,"ph":"X","ts":%.3f,"dur":%.3f,"pid":0,"tid":%d,"args":{`,
-			jsonString(m.name), jsonString(m.cat), ts, float64(e.Dur)/1000.0, e.Node)
-		writeArgs(w, e)
-		fmt.Fprint(w, `}}`)
-	default:
-		fmt.Fprintf(w, `{"name":%s,"cat":%s,"ph":"i","s":"t","ts":%.3f,"pid":0,"tid":%d,"args":{`,
-			jsonString(m.name), jsonString(m.cat), ts, e.Node)
-		writeArgs(w, e)
-		fmt.Fprint(w, `}}`)
-	}
-}
-
-// jsonString quotes s as a JSON string. Event names are static today, but
-// the exporter must not emit invalid JSON should one ever carry quotes,
-// backslashes, or control characters (strconv.Quote is close but uses
-// \x escapes JSON does not allow, hence the hand escape).
-func jsonString(s string) string {
-	buf := make([]byte, 0, len(s)+2)
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	c := NewChromeWriter(w, "ns", 3)
+	for _, e := range events {
+		m := kindMeta[e.Kind]
+		ts := float64(e.At) / 1000.0
 		switch {
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-		case c < 0x20:
-			const hex = "0123456789abcdef"
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		case m.counter:
+			// One counter track per node: "free-slots D3".
+			c.Counter(m.name+" D"+strconv.Itoa(int(e.Node)), m.cat, ts)
+			c.Uint("free", e.Arg)
+			continue
+		case m.span:
+			c.Complete(m.name, m.cat, ts, float64(e.Dur)/1000.0, int64(e.Node))
 		default:
-			buf = append(buf, c)
+			c.Instant(m.name, m.cat, ts, int64(e.Node))
 		}
+		writeArgs(c, e)
 	}
-	return string(append(buf, '"'))
+	return c.Close()
 }
 
 // writeArgs renders the kind-specific payload.
-func writeArgs(w *bufio.Writer, e Event) {
+func writeArgs(c *ChromeWriter, e Event) {
 	switch e.Kind {
 	case EvRead, EvWrite:
-		fmt.Fprintf(w, `"addr":"%#x","class":%d`, e.Addr, e.Arg)
+		c.Hex("addr", e.Addr)
+		c.Uint("class", e.Arg)
 	case EvMsg:
-		fmt.Fprintf(w, `"dst":%d,"hops":%d,"bytes":%d`, e.Addr, e.Arg>>32, e.Arg&0xffffffff)
+		c.Uint("dst", e.Addr)
+		c.Uint("hops", e.Arg>>32)
+		c.Uint("bytes", e.Arg&0xffffffff)
 	case EvPageout:
-		fmt.Fprintf(w, `"page":"%#x","free":%d`, e.Addr, e.Arg)
+		c.Hex("page", e.Addr)
+		c.Uint("free", e.Arg)
 	case EvPhase:
-		fmt.Fprintf(w, `"phase":%d`, e.Arg)
+		c.Uint("phase", e.Arg)
 	case EvInject:
-		fmt.Fprintf(w, `"addr":"%#x","hops":%d`, e.Addr, e.Arg)
+		c.Hex("addr", e.Addr)
+		c.Uint("hops", e.Arg)
 	case EvScan:
-		fmt.Fprintf(w, `"addr":"%#x","lines":%d`, e.Addr, e.Arg)
+		c.Hex("addr", e.Addr)
+		c.Uint("lines", e.Arg)
 	case EvRunStart:
-		fmt.Fprintf(w, `"threads":%d`, e.Arg)
+		c.Uint("threads", e.Arg)
 	default:
-		fmt.Fprintf(w, `"addr":"%#x"`, e.Addr)
+		c.Hex("addr", e.Addr)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,23 +12,25 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// TestJSONString: the Chrome writer quotes names, categories and string
+// args as json.Marshal does, so one carrying quotes, backslashes, control
+// characters or invalid UTF-8 still leaves valid JSON that reads back.
 func TestJSONString(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"read", `"read"`},
-		{`a"b`, `"a\"b"`},
-		{`a\b`, `"a\\b"`},
-		{"a\nb\x01", `"a\u000ab\u0001"`},
-		{"", `""`},
-	}
-	for _, c := range cases {
-		got := jsonString(c.in)
-		if got != c.want {
-			t.Errorf("jsonString(%q) = %s, want %s", c.in, got, c.want)
+	for _, in := range []string{"read", `a"b`, `a\b`, "a\nb\x01", "", "<&>", "\xff\u2028"} {
+		var buf bytes.Buffer
+		c := NewChromeWriter(&buf, in, 3)
+		c.Instant(in, in, 0, 0)
+		c.String(in, in)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
 		}
-		// The output must parse back to the input as real JSON.
-		var back string
-		if err := json.Unmarshal([]byte(got), &back); err != nil || back != c.in {
-			t.Errorf("jsonString(%q) does not round-trip: %s (%v)", c.in, got, err)
+		q, _ := json.Marshal(in)
+		want := fmt.Sprintf(`{"displayTimeUnit":%[1]s,"traceEvents":[{"name":%[1]s,"cat":%[1]s,"ph":"i","s":"t","ts":0.000,"pid":0,"tid":0,"args":{%[1]s:%[1]s}}]}`+"\n", q)
+		if buf.String() != want {
+			t.Errorf("%q: wrote\n%s\nwant\n%s", in, buf.String(), want)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Errorf("%q: invalid JSON %s", in, buf.String())
 		}
 	}
 }

@@ -91,11 +91,10 @@ func (d *Dashboard) serveIndex(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Handler returns the dashboard's mux: published sections, expvar, and
-// pprof, all on a private mux so importing this package never mutates
-// http.DefaultServeMux.
-func (d *Dashboard) Handler() http.Handler {
-	mux := http.NewServeMux()
+// Register adds the dashboard's routes to mux: published sections, expvar
+// and pprof. A daemon registers them on its own route table; Handler puts
+// them on a private one.
+func (d *Dashboard) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/", d.serveIndex)
 	mux.HandleFunc("/spans", d.serveSection("spans"))
 	mux.HandleFunc("/metrics", d.serveSection("metrics"))
@@ -106,6 +105,13 @@ func (d *Dashboard) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// Handler returns the dashboard's routes on a private mux, so importing
+// this package never mutates http.DefaultServeMux.
+func (d *Dashboard) Handler() http.Handler {
+	mux := http.NewServeMux()
+	d.Register(mux)
 	return mux
 }
 
@@ -127,16 +133,28 @@ func NewHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
+// Serve serves h on ln from a NewHTTPServer on a background goroutine and
+// returns a closer that shuts the listener down.
+func Serve(ln net.Listener, h http.Handler) func() {
+	hs := NewHTTPServer(h)
+	go hs.Serve(ln)
+	return func() { hs.Close() }
+}
+
 // ListenAndServe binds addr (e.g. "localhost:8080" or ":0" for an ephemeral
-// port) and serves the dashboard on a background goroutine, returning the
-// bound address. The listener lives until the process exits: the dashboard
-// accompanies a run, it does not outlive one.
-func (d *Dashboard) ListenAndServe(addr string) (string, error) {
+// port) and Serves h on it, returning the bound address and the closer.
+func ListenAndServe(addr string, h http.Handler) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	srv := NewHTTPServer(d.Handler())
-	go srv.Serve(ln)
-	return ln.Addr().String(), nil
+	return ln.Addr().String(), Serve(ln, h), nil
+}
+
+// ListenAndServe serves the dashboard on addr in the background, returning
+// the bound address. The listener lives until the process exits: the
+// dashboard accompanies a run, it does not outlive one.
+func (d *Dashboard) ListenAndServe(addr string) (string, error) {
+	bound, _, err := ListenAndServe(addr, d.Handler())
+	return bound, err
 }

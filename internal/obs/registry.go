@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pimdsm/internal/jsonwire"
 	"pimdsm/internal/proto"
 	"pimdsm/internal/sim"
 	"pimdsm/internal/stats"
@@ -397,7 +398,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		}
 		rows, ss := f.rows()
 		for i, row := range rows {
-			bw.WriteString(sep + jsonString(f.name+promLabels(f.Labels, row, "", "")) + ":")
+			bw.Write(append(jsonwire.AppendString([]byte(sep), f.name+promLabels(f.Labels, row, "", "")), ':'))
 			sep = ","
 			switch s := ss[i]; {
 			case s != nil && s.h != nil:

@@ -1,13 +1,13 @@
 package svclog
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"sync"
 	"time"
 
 	"pimdsm/internal/jsonwire"
+	"pimdsm/internal/obs"
 )
 
 // JobEventKind names one step of a job's path through the service.
@@ -261,75 +261,46 @@ func (l *EventLog) Stats() EventLogStats {
 }
 
 // WriteChromeJSON renders lifecycle events as Chrome trace_event JSON
-// (chrome://tracing, Perfetto), the same viewer target as the simulator's
-// protocol traces. Timestamps are microseconds since the first event; each
-// job gets its own thread track; terminal events additionally emit a
+// (chrome://tracing, Perfetto) through the writer of the simulator's
+// protocol traces. Timestamps are whole microseconds since the first event;
+// each job gets its own thread track; terminal events additionally emit a
 // complete ("X") span covering the job's whole submit→finish life.
 func WriteChromeJSON(w io.Writer, events []JobEvent) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	c := obs.NewChromeWriter(w, "ms", 0)
 	var t0 time.Time
 	if len(events) > 0 {
 		t0 = events[0].At
 	}
-	tids := map[string]int{}
-	tid := func(job string) int {
-		id, ok := tids[job]
-		if !ok {
-			id = len(tids) + 1
-			tids[job] = id
-		}
-		return id
-	}
-	first := true
-	emit := func(v map[string]any) error {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
+	tids := map[string]int64{}
 	for _, ev := range events {
-		ts := float64(ev.At.Sub(t0).Microseconds())
-		args := map[string]any{
-			"seq": ev.Seq, "job": ev.Job,
-			"queue_depth": ev.QueueDepth, "running": ev.Running,
-			"since_submit_us": ev.SinceSubmitUS,
+		tid, ok := tids[ev.Job]
+		if !ok {
+			tid = int64(len(tids) + 1)
+			tids[ev.Job] = tid
 		}
+		ts := float64(ev.At.Sub(t0).Microseconds())
+		c.Instant(string(ev.Kind), "job", ts, tid)
+		c.Uint("seq", ev.Seq)
+		c.String("job", ev.Job)
+		c.Int("queue_depth", int64(ev.QueueDepth))
+		c.Int("running", int64(ev.Running))
+		c.Int("since_submit_us", ev.SinceSubmitUS)
 		if ev.Config >= 0 {
-			args["config"] = ev.Config
+			c.Int("config", int64(ev.Config))
 		}
 		if ev.Cycles > 0 {
-			args["cycles"] = ev.Cycles
+			c.Uint("cycles", ev.Cycles)
 		}
 		if ev.Tenant != "" {
-			args["tenant"] = ev.Tenant
+			c.String("tenant", ev.Tenant)
 		}
 		if ev.Detail != "" {
-			args["detail"] = ev.Detail
-		}
-		if err := emit(map[string]any{
-			"name": string(ev.Kind), "cat": "job", "ph": "i", "s": "t",
-			"ts": ts, "pid": 0, "tid": tid(ev.Job), "args": args,
-		}); err != nil {
-			return err
+			c.String("detail", ev.Detail)
 		}
 		if terminal(ev.Kind) {
-			if err := emit(map[string]any{
-				"name": ev.Job, "cat": "job", "ph": "X",
-				"ts": ts - float64(ev.SinceSubmitUS), "dur": float64(ev.SinceSubmitUS),
-				"pid": 0, "tid": tid(ev.Job),
-				"args": map[string]any{"outcome": string(ev.Kind)},
-			}); err != nil {
-				return err
-			}
+			c.Complete(ev.Job, "job", ts-float64(ev.SinceSubmitUS), float64(ev.SinceSubmitUS), tid)
+			c.String("outcome", string(ev.Kind))
 		}
 	}
-	bw.WriteString("]}\n")
-	return bw.Flush()
+	return c.Close()
 }

@@ -178,8 +178,8 @@ func (a *API) auth(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // Handler returns the API handler: the route mux wrapped in the request
-// middleware; dashboard routes (when a dashboard was given) serve everything
-// outside the API and health/metrics paths.
+// middleware. A dashboard, when given, registers its routes on the same mux
+// (outside tenant auth), where "/" serves every path no API route claims.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", a.auth(a.submit))
@@ -213,29 +213,21 @@ func (a *API) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", a.readyz)
 	if a.dash != nil {
-		mux.Handle("/", a.dash.Handler())
+		a.dash.Register(mux)
 	}
 	return svclog.Middleware(a.log, a.srv.m.observeHTTP, mux)
 }
 
-// Serve serves the API on an already-bound listener (hardened
-// obs.NewHTTPServer, background goroutine) and returns a closer. The cluster
-// harness uses this to know every node's address before any node starts.
-func (a *API) Serve(ln net.Listener) func() {
-	hs := obs.NewHTTPServer(a.Handler())
-	go hs.Serve(ln)
-	return func() { hs.Close() }
-}
+// Serve serves the API on an already-bound listener (obs.Serve) and returns
+// a closer. The cluster harness uses this to know every node's address
+// before any node starts.
+func (a *API) Serve(ln net.Listener) func() { return obs.Serve(ln, a.Handler()) }
 
 // ListenAndServe binds addr (":0" for an ephemeral port) and serves the API
-// on a hardened obs.NewHTTPServer in the background, returning the bound
-// address and a closer that shuts the HTTP listener down.
+// in the background (obs.ListenAndServe), returning the bound address and a
+// closer that shuts the HTTP listener down.
 func (a *API) ListenAndServe(addr string) (string, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	return ln.Addr().String(), a.Serve(ln), nil
+	return obs.ListenAndServe(addr, a.Handler())
 }
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
