@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"pimdsm/internal/jsonwire"
@@ -212,22 +213,29 @@ const (
 	binMagic   = "PDT1"
 	binVersion = 1
 	recordSize = 40
+	// presize bounds the records a decoder allocates for before reading
+	// them; past it the buffers grow with the records actually read.
+	presize = 1 << 10
 )
 
 // WriteBinary writes the trace's held events in the compact binary format,
 // in sim-time order.
-func (t *Trace) WriteBinary(w io.Writer) error {
+func (t *Trace) WriteBinary(w io.Writer) error { return writeBinary(w, t.Events(), t.Total()) }
+
+// writeBinary writes events, in the order given, under a header counting
+// total emitted events.
+func writeBinary(w io.Writer, events []Event, total uint64) error {
 	bw := bufio.NewWriter(w)
 	var hdr [24]byte
 	copy(hdr[:4], binMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], binVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(t.Len()))
-	binary.LittleEndian.PutUint64(hdr[16:24], t.Total())
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(events)))
+	binary.LittleEndian.PutUint64(hdr[16:24], total)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
 	var rec [recordSize]byte
-	for _, e := range t.Events() {
+	for _, e := range events {
 		binary.LittleEndian.PutUint64(rec[0:8], uint64(e.At))
 		binary.LittleEndian.PutUint64(rec[8:16], uint64(e.Dur))
 		binary.LittleEndian.PutUint64(rec[16:24], e.Addr)
@@ -365,12 +373,9 @@ func ReadSpansBinary(r io.Reader) (*Spans, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: span aggregate table: %w", err)
 	}
-	capN := 1
-	for uint64(capN) < kept {
-		capN <<= 1
-	}
-	s.keep = make([]Span, capN)
-	s.keepMask = uint64(capN - 1)
+	// The header's count is untrusted: the ring grows with the records
+	// actually read, so a short file fails before it costs memory.
+	keep := make([]Span, 0, min(kept, presize))
 	for i := uint64(0); i < kept; i++ {
 		sp := Span{
 			ID:     read(),
@@ -395,9 +400,15 @@ func ReadSpansBinary(r io.Reader) (*Spans, error) {
 			return nil, fmt.Errorf("obs: span record %d: unknown class %d", i, tail[5])
 		}
 		sp.Class = proto.LatClass(tail[5])
-		s.keep[i] = sp
-		s.kept++
+		keep = append(keep, sp)
 	}
+	capN := 1
+	for capN < len(keep) {
+		capN <<= 1
+	}
+	s.keep = slices.Grow(keep, capN-len(keep))[:capN]
+	s.keepMask = uint64(capN - 1)
+	s.kept = kept
 	return s, nil
 }
 
@@ -421,7 +432,7 @@ func ReadBinary(r io.Reader) (events []Event, total uint64, err error) {
 	if held > (1 << 32) {
 		return nil, 0, fmt.Errorf("obs: implausible event count %d", held)
 	}
-	events = make([]Event, 0, held)
+	events = make([]Event, 0, min(held, presize)) // held is untrusted
 	var rec [recordSize]byte
 	for i := uint64(0); i < held; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

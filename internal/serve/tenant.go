@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -37,7 +38,8 @@ type Tenant struct {
 	// per second (0 = no rate limit).
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	// Burst is the bucket capacity (default: RatePerSec rounded up, minimum
-	// 1). Ignored when RatePerSec is 0.
+	// 1, at most math.MaxInt32 so every word size agrees). Ignored when
+	// RatePerSec is 0.
 	Burst int `json:"burst,omitempty"`
 	// MaxQueued bounds the tenant's jobs waiting to run (0 = only the shared
 	// admission window applies).
@@ -237,13 +239,7 @@ func normalizeTenants(list []Tenant) ([]Tenant, error) {
 			return nil, fmt.Errorf("tenant %q: negative quota", t.Name)
 		}
 		if t.RatePerSec > 0 && t.Burst == 0 {
-			t.Burst = int(t.RatePerSec)
-			if float64(t.Burst) < t.RatePerSec {
-				t.Burst++
-			}
-			if t.Burst < 1 {
-				t.Burst = 1
-			}
+			t.Burst = int(max(1, math.Ceil(min(t.RatePerSec, math.MaxInt32))))
 		}
 		out = append(out, t)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -55,6 +56,26 @@ func TestNewTenantsValidation(t *testing.T) {
 	reg := twoTenants(t, []Tenant{{Name: "a", Key: "key-aaaaaaaa", RatePerSec: 2.5}})
 	if snap := declared(t, reg, "a"); snap.Burst != 3 {
 		t.Fatalf("default burst = %d, want ceil(2.5) = 3", snap.Burst)
+	}
+}
+
+// TestDefaultBurst: the default burst is the rate rounded up, at least 1
+// and at most math.MaxInt32, the same on 32- and 64-bit words (a rate past
+// the int range used to convert to whatever the word size made of it).
+func TestDefaultBurst(t *testing.T) {
+	for _, c := range []struct {
+		rate float64
+		want int
+	}{
+		{0.001, 1}, {1, 1}, {2.5, 3}, {1e6, 1e6},
+		{math.MaxInt32 - 0.5, math.MaxInt32}, {math.MaxInt32, math.MaxInt32},
+		{1e10, math.MaxInt32}, {1e18, math.MaxInt32}, {1e19, math.MaxInt32},
+		{math.Inf(1), math.MaxInt32},
+	} {
+		reg := twoTenants(t, []Tenant{{Name: "a", Key: "key-aaaaaaaa", RatePerSec: c.rate}})
+		if got := declared(t, reg, "a").Burst; got != c.want {
+			t.Errorf("rate %g: default burst %d, want %d", c.rate, got, c.want)
+		}
 	}
 }
 
