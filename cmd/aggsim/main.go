@@ -41,8 +41,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"pimdsm"
@@ -76,7 +74,7 @@ func realMain() int {
 	memprofile := flag.String("memprofile", "", "write heap profile to file on exit")
 	flag.Parse()
 
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := pimdsm.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -177,7 +175,7 @@ func realMain() int {
 	}
 	net := res.Mesh
 	fmt.Printf("mesh: %d messages, %.1f MB, avg queueing %d cycles\n",
-		net.Messages, float64(net.Bytes)/(1<<20), uint64(net.Queued)/max64(net.Messages, 1))
+		net.Messages, float64(net.Bytes)/(1<<20), uint64(net.Queued)/max(net.Messages, 1))
 	if *spansOn {
 		fmt.Printf("\nspan breakdown (%d transactions, %d bad):\n", spans.Retired(), spans.Bad())
 		spans.WriteBreakdown(os.Stdout)
@@ -259,46 +257,4 @@ func writeObservers(tr *pimdsm.Trace, reg *pimdsm.Metrics, tracePath, traceBin, 
 		}
 	}
 	return nil
-}
-
-// startProfiles starts the requested pprof profiles and returns a function
-// that flushes them; it must run before the process exits (so main returns an
-// exit code instead of calling os.Exit directly).
-func startProfiles(cpu, mem string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		cpuFile, err = os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live set before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

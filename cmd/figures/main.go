@@ -27,8 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -56,7 +54,7 @@ func realMain() int {
 	memprofile := flag.String("memprofile", "", "write heap profile to file on exit")
 	flag.Parse()
 
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := pimdsm.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -256,39 +254,4 @@ func writeObservers(opt pimdsm.Options, tracePath, metricsOut string) error {
 		}
 	}
 	return nil
-}
-
-// startProfiles starts the requested pprof profiles and returns a function
-// that flushes them; it must run before the process exits (so main returns an
-// exit code instead of calling os.Exit directly).
-func startProfiles(cpu, mem string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		cpuFile, err = os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the live set before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
 }

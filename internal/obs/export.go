@@ -15,18 +15,16 @@ import (
 
 // ChromeWriter writes one Chrome trace_event JSON document, the JSON
 // Object Format of the Trace Event spec loadable in chrome://tracing and
-// Perfetto: the envelope, then instant ("i"), complete ("X") and counter
-// ("C") events, each followed by its args. Timestamps and durations are
-// microseconds, written with a fixed number of decimals. Strings are
-// quoted as json.Marshal quotes them. The simulator's protocol traces and
-// the service's job lifecycles are both written through it.
+// Perfetto: the envelope, then events, each followed by its args. Times
+// are microseconds with a fixed number of decimals; strings are quoted as
+// json.Marshal quotes them. The simulator's protocol traces and the
+// service's job lifecycles are both written through it.
 type ChromeWriter struct {
 	w        io.Writer
 	err      error
 	b        []byte // unwritten output
 	decimals int
 	events   int // events started
-	args     int // args written to the open event
 }
 
 // NewChromeWriter starts a document on w whose viewer shows times in
@@ -34,34 +32,15 @@ type ChromeWriter struct {
 // after the microsecond.
 func NewChromeWriter(w io.Writer, displayTimeUnit string, decimals int) *ChromeWriter {
 	c := &ChromeWriter{w: w, decimals: decimals, b: make([]byte, 0, 8<<10)}
-	c.b = append(c.b, `{"displayTimeUnit":`...)
-	c.b = jsonwire.AppendString(c.b, displayTimeUnit)
+	c.b = jsonwire.AppendString(append(c.b, `{"displayTimeUnit":`...), displayTimeUnit)
 	c.b = append(c.b, `,"traceEvents":[`...)
 	return c
 }
 
-// Instant starts a thread-scoped instant event; its args follow.
-func (c *ChromeWriter) Instant(name, cat string, ts float64, tid int64) {
-	c.head(name, cat, `"i","s":"t"`, ts)
-	c.thread(tid)
-}
-
-// Complete starts a complete event lasting dur; its args follow.
-func (c *ChromeWriter) Complete(name, cat string, ts, dur float64, tid int64) {
-	c.head(name, cat, `"X"`, ts)
-	c.b = append(c.b, `,"dur":`...)
-	c.b = strconv.AppendFloat(c.b, dur, 'f', c.decimals, 64)
-	c.thread(tid)
-}
-
-// Counter starts a process-wide counter sample; its args are the series.
-func (c *ChromeWriter) Counter(name, cat string, ts float64) {
-	c.head(name, cat, `"C"`, ts)
-	c.b = append(c.b, `,"pid":0,"args":{`...)
-}
-
-// head closes the previous event and writes the next one up to its pid.
-func (c *ChromeWriter) head(name, cat, ph string, ts float64) {
+// Event starts an event of phase ph: 'i' a thread-scoped instant, 'X' a
+// complete event lasting dur, 'C' a process-wide counter sample (no
+// thread; its args are the series). Its args follow.
+func (c *ChromeWriter) Event(ph byte, name, cat string, ts, dur float64, tid int64) {
 	if c.events > 0 {
 		c.b = append(c.b, "}},"...)
 	}
@@ -69,30 +48,29 @@ func (c *ChromeWriter) head(name, cat, ph string, ts float64) {
 		c.flush()
 	}
 	c.events++
-	c.args = 0
-	c.b = append(c.b, `{"name":`...)
-	c.b = jsonwire.AppendString(c.b, name)
-	c.b = append(c.b, `,"cat":`...)
-	c.b = jsonwire.AppendString(c.b, cat)
-	c.b = append(c.b, `,"ph":`...)
-	c.b = append(c.b, ph...)
-	c.b = append(c.b, `,"ts":`...)
-	c.b = strconv.AppendFloat(c.b, ts, 'f', c.decimals, 64)
-}
-
-func (c *ChromeWriter) thread(tid int64) {
-	c.b = append(c.b, `,"pid":0,"tid":`...)
-	c.b = strconv.AppendInt(c.b, tid, 10)
+	c.b = jsonwire.AppendString(append(c.b, `{"name":`...), name)
+	c.b = jsonwire.AppendString(append(c.b, `,"cat":`...), cat)
+	c.b = append(c.b, `,"ph":"`...)
+	c.b = append(c.b, ph, '"')
+	if ph == 'i' {
+		c.b = append(c.b, `,"s":"t"`...)
+	}
+	c.b = strconv.AppendFloat(append(c.b, `,"ts":`...), ts, 'f', c.decimals, 64)
+	if ph == 'X' {
+		c.b = strconv.AppendFloat(append(c.b, `,"dur":`...), dur, 'f', c.decimals, 64)
+	}
+	c.b = append(c.b, `,"pid":0`...)
+	if ph != 'C' {
+		c.b = strconv.AppendInt(append(c.b, `,"tid":`...), tid, 10)
+	}
 	c.b = append(c.b, `,"args":{`...)
 }
 
 func (c *ChromeWriter) key(k string) {
-	if c.args > 0 {
+	if c.b[len(c.b)-1] != '{' { // not the open event's first arg
 		c.b = append(c.b, ',')
 	}
-	c.args++
-	c.b = jsonwire.AppendString(c.b, k)
-	c.b = append(c.b, ':')
+	c.b = append(jsonwire.AppendString(c.b, k), ':')
 }
 
 // Int writes an integer arg of the open event.
@@ -107,18 +85,16 @@ func (c *ChromeWriter) Uint(k string, v uint64) {
 	c.b = strconv.AppendUint(c.b, v, 10)
 }
 
-// Hex writes v as a "0x"-prefixed hexadecimal string arg (an address).
-func (c *ChromeWriter) Hex(k string, v uint64) {
-	c.key(k)
-	c.b = append(c.b, `"0x`...)
-	c.b = strconv.AppendUint(c.b, v, 16)
-	c.b = append(c.b, '"')
-}
-
 // String writes a string arg of the open event.
 func (c *ChromeWriter) String(k, v string) {
 	c.key(k)
 	c.b = jsonwire.AppendString(c.b, v)
+}
+
+// Hex writes v as a "0x"-prefixed hexadecimal string arg (an address).
+func (c *ChromeWriter) Hex(k string, v uint64) {
+	c.key(k)
+	c.b = append(strconv.AppendUint(append(c.b, `"0x`...), v, 16), '"')
 }
 
 func (c *ChromeWriter) flush() {
@@ -141,16 +117,10 @@ func (c *ChromeWriter) Close() error {
 // Protocol traces: simulated cycles are nanoseconds (1 GHz machines), so
 // ts = cycles/1000 microseconds to three decimals, displayed in "ns".
 
-// WriteChromeJSON writes the trace's held events as Chrome trace_event JSON.
-// Span kinds become complete ("X") events, counter kinds become counter
-// ("C") tracks, everything else becomes thread-scoped instants ("i").
-// Events are written in sim-time order.
-func (t *Trace) WriteChromeJSON(w io.Writer) error {
-	return WriteChromeJSONEvents(w, t.Events())
-}
-
-// WriteChromeJSONEvents writes already-extracted events (e.g. from
-// ReadBinary) as Chrome trace_event JSON. Events should be in sim-time order.
+// WriteChromeJSONEvents writes events (Trace.Events, or ReadBinary's) as
+// Chrome trace_event JSON, in the order given (sim-time order from either).
+// Span kinds become complete ("X") events, counter kinds counter ("C")
+// tracks, everything else thread-scoped instants ("i").
 func WriteChromeJSONEvents(w io.Writer, events []Event) error {
 	c := NewChromeWriter(w, "ns", 3)
 	for _, e := range events {
@@ -159,13 +129,13 @@ func WriteChromeJSONEvents(w io.Writer, events []Event) error {
 		switch {
 		case m.counter:
 			// One counter track per node: "free-slots D3".
-			c.Counter(m.name+" D"+strconv.Itoa(int(e.Node)), m.cat, ts)
+			c.Event('C', m.name+" D"+strconv.Itoa(int(e.Node)), m.cat, ts, 0, 0)
 			c.Uint("free", e.Arg)
 			continue
 		case m.span:
-			c.Complete(m.name, m.cat, ts, float64(e.Dur)/1000.0, int64(e.Node))
+			c.Event('X', m.name, m.cat, ts, float64(e.Dur)/1000.0, int64(e.Node))
 		default:
-			c.Instant(m.name, m.cat, ts, int64(e.Node))
+			c.Event('i', m.name, m.cat, ts, 0, int64(e.Node))
 		}
 		writeArgs(c, e)
 	}
@@ -231,9 +201,7 @@ func writeBinary(w io.Writer, events []Event, total uint64) error {
 	binary.LittleEndian.PutUint16(hdr[4:6], binVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(events)))
 	binary.LittleEndian.PutUint64(hdr[16:24], total)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	bw.Write(hdr[:]) // a write error sticks to bw; Flush returns it
 	var rec [recordSize]byte
 	for _, e := range events {
 		binary.LittleEndian.PutUint64(rec[0:8], uint64(e.At))
@@ -243,9 +211,7 @@ func writeBinary(w io.Writer, events []Event, total uint64) error {
 		binary.LittleEndian.PutUint32(rec[32:36], uint32(e.Node))
 		rec[36] = byte(e.Kind)
 		rec[37], rec[38], rec[39] = 0, 0, 0
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
+		bw.Write(rec[:])
 	}
 	return bw.Flush()
 }
@@ -278,9 +244,7 @@ func (s *Spans) WriteBinary(w io.Writer) error {
 	binary.LittleEndian.PutUint64(hdr[8:16], s.retired)
 	binary.LittleEndian.PutUint64(hdr[16:24], s.bad)
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(kept)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	bw.Write(hdr[:]) // a write error sticks to bw; Flush returns it
 	var u [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(u[:], v)
@@ -305,15 +269,11 @@ func (s *Spans) WriteBinary(w io.Writer) error {
 		for p := 0; p < int(NumPhases); p++ {
 			put(uint64(sp.Phases[p]))
 		}
-		var tail [8]byte
-		binary.LittleEndian.PutUint32(tail[0:4], uint32(sp.Node))
+		var flags uint64
 		if sp.Write {
-			tail[4] = 1
+			flags = 1
 		}
-		tail[5] = uint8(sp.Class)
-		if _, err := bw.Write(tail[:]); err != nil {
-			return err
-		}
+		put(uint64(uint32(sp.Node)) | flags<<32 | uint64(sp.Class)<<40)
 	}
 	return bw.Flush()
 }
@@ -345,21 +305,13 @@ func ReadSpansBinary(r io.Reader) (*Spans, error) {
 	if kept > (1 << 32) {
 		return nil, fmt.Errorf("obs: implausible kept-span count %d", kept)
 	}
-	var u [8]byte
-	get := func() (uint64, error) {
-		if _, err := io.ReadFull(br, u[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(u[:]), nil
-	}
 	var err error
-	read := func() uint64 {
-		if err != nil {
-			return 0
+	read := func() uint64 { // the next little-endian word; 0 once err is set
+		var u [8]byte
+		if err == nil {
+			_, err = io.ReadFull(br, u[:])
 		}
-		var v uint64
-		v, err = get()
-		return v
+		return binary.LittleEndian.Uint64(u[:])
 	}
 	for w := 0; w < 2; w++ {
 		for c := 0; c < int(proto.NumLatClasses); c++ {
@@ -387,19 +339,14 @@ func ReadSpansBinary(r io.Reader) (*Spans, error) {
 		for p := 0; p < int(NumPhases); p++ {
 			sp.Phases[p] = sim.Time(read())
 		}
-		var tail [8]byte
-		if err == nil {
-			_, err = io.ReadFull(br, tail[:])
-		}
+		tail := read() // Node uint32 | flags uint8 | Class uint8 | pad
 		if err != nil {
 			return nil, fmt.Errorf("obs: span record %d: %w", i, err)
 		}
-		sp.Node = int32(binary.LittleEndian.Uint32(tail[0:4]))
-		sp.Write = tail[4]&1 != 0
-		if tail[5] >= uint8(proto.NumLatClasses) {
-			return nil, fmt.Errorf("obs: span record %d: unknown class %d", i, tail[5])
+		sp.Node, sp.Write, sp.Class = int32(uint32(tail)), tail>>32&1 != 0, proto.LatClass(tail>>40)
+		if sp.Class >= proto.NumLatClasses {
+			return nil, fmt.Errorf("obs: span record %d: unknown class %d", i, sp.Class)
 		}
-		sp.Class = proto.LatClass(tail[5])
 		keep = append(keep, sp)
 	}
 	capN := 1

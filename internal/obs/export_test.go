@@ -19,7 +19,7 @@ func TestJSONString(t *testing.T) {
 	for _, in := range []string{"read", `a"b`, `a\b`, "a\nb\x01", "", "<&>", "\xff\u2028"} {
 		var buf bytes.Buffer
 		c := NewChromeWriter(&buf, in, 3)
-		c.Instant(in, in, 0, 0)
+		c.Event('i', in, in, 0, 0, 0)
 		c.String(in, in)
 		if err := c.Close(); err != nil {
 			t.Fatal(err)

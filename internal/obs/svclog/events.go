@@ -279,7 +279,7 @@ func WriteChromeJSON(w io.Writer, events []JobEvent) error {
 			tids[ev.Job] = tid
 		}
 		ts := float64(ev.At.Sub(t0).Microseconds())
-		c.Instant(string(ev.Kind), "job", ts, tid)
+		c.Event('i', string(ev.Kind), "job", ts, 0, tid)
 		c.Uint("seq", ev.Seq)
 		c.String("job", ev.Job)
 		c.Int("queue_depth", int64(ev.QueueDepth))
@@ -298,7 +298,7 @@ func WriteChromeJSON(w io.Writer, events []JobEvent) error {
 			c.String("detail", ev.Detail)
 		}
 		if terminal(ev.Kind) {
-			c.Complete(ev.Job, "job", ts-float64(ev.SinceSubmitUS), float64(ev.SinceSubmitUS), tid)
+			c.Event('X', ev.Job, "job", ts-float64(ev.SinceSubmitUS), float64(ev.SinceSubmitUS), tid)
 			c.String("outcome", string(ev.Kind))
 		}
 	}

@@ -98,7 +98,7 @@ func TestChromeJSONWellFormed(t *testing.T) {
 	tr.Emit(EvPageout, 400, 0, 33, 0x4000, 511)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeJSON(&buf); err != nil {
+	if err := WriteChromeJSONEvents(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

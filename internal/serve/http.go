@@ -97,18 +97,23 @@ type errorBody struct {
 	Peer string `json:"peer,omitempty"`
 }
 
-// writeJSON encodes v; an encode/write failure (client gone, marshal bug)
-// is logged instead of silently dropped.
+// logWriteErr logs a response that failed to encode or write (client gone,
+// marshal bug) instead of dropping the failure silently; nil is a no-op.
+func (a *API) logWriteErr(r *http.Request, code int, err error) {
+	if err != nil {
+		a.log.Error("response_encode_failed",
+			"request_id", svclog.RequestID(r.Context()),
+			"route", r.Pattern, "status", code, "err", err.Error())
+	}
+}
+
+// writeJSON encodes v as an indented JSON reply.
 func (a *API) writeJSON(w http.ResponseWriter, r *http.Request, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		a.log.Error("response_encode_failed",
-			"request_id", svclog.RequestID(r.Context()),
-			"route", r.Pattern, "status", code, "err", err.Error())
-	}
+	a.logWriteErr(r, code, enc.Encode(v))
 }
 
 // writeStatus writes a job status reply, byte-identical to writeJSON's.
@@ -120,11 +125,8 @@ func (a *API) writeStatus(w http.ResponseWriter, r *http.Request, code int, st J
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if _, err := w.Write(append(body, '\n')); err != nil {
-		a.log.Error("response_encode_failed",
-			"request_id", svclog.RequestID(r.Context()),
-			"route", r.Pattern, "status", code, "err", err.Error())
-	}
+	_, err = w.Write(append(body, '\n'))
+	a.logWriteErr(r, code, err)
 }
 
 // readRequestBody reads a request body of at most limit bytes into one
@@ -420,11 +422,8 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
-	if _, err := body.WriteTo(w); err != nil {
-		a.log.Error("response_encode_failed",
-			"request_id", svclog.RequestID(r.Context()),
-			"route", r.Pattern, "status", http.StatusOK, "err", err.Error())
-	}
+	_, err = body.WriteTo(w)
+	a.logWriteErr(r, http.StatusOK, err)
 }
 
 // resultEnvelopeBody lays out the GET .../result body as a list of byte
@@ -533,11 +532,7 @@ func (a *API) jobEvents(w http.ResponseWriter, r *http.Request) {
 		}{Job: j.id, Events: events})
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		if err := svclog.WriteChromeJSON(w, events); err != nil {
-			a.log.Error("response_encode_failed",
-				"request_id", svclog.RequestID(r.Context()),
-				"route", r.Pattern, "status", http.StatusOK, "err", err.Error())
-		}
+		a.logWriteErr(r, http.StatusOK, svclog.WriteChromeJSON(w, events))
 	default:
 		a.writeError(w, r, http.StatusBadRequest, "unknown format (want json or chrome)")
 	}
@@ -718,9 +713,5 @@ func (a *API) stats(w http.ResponseWriter, r *http.Request) {
 // validates it with svclog.ParsePromText.
 func (a *API) metricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := a.srv.m.reg.WritePrometheus(w); err != nil {
-		a.log.Error("response_encode_failed",
-			"request_id", svclog.RequestID(r.Context()),
-			"route", r.Pattern, "status", http.StatusOK, "err", err.Error())
-	}
+	a.logWriteErr(r, http.StatusOK, a.srv.m.reg.WritePrometheus(w))
 }

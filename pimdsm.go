@@ -87,7 +87,7 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // WriteChromeTrace writes t in Chrome trace_event JSON format — loadable in
 // chrome://tracing or https://ui.perfetto.dev.
-func WriteChromeTrace(w io.Writer, t *Trace) error { return t.WriteChromeJSON(w) }
+func WriteChromeTrace(w io.Writer, t *Trace) error { return obs.WriteChromeJSONEvents(w, t.Events()) }
 
 // WriteBinaryTrace writes t in the compact PDT1 binary format (40 bytes per
 // event); `pimdsm trace dump` pretty-prints it.
@@ -141,6 +141,11 @@ type Dashboard = obs.Dashboard
 
 // NewDashboard returns an empty dashboard.
 func NewDashboard() *Dashboard { return obs.NewDashboard() }
+
+// StartProfiles starts the pprof CPU and heap profiles the -cpuprofile and
+// -memprofile flags of cmd/aggsim and cmd/figures ask for ("" for none) and
+// returns the function that flushes them.
+func StartProfiles(cpu, mem string) (stop func(), err error) { return obs.StartProfiles(cpu, mem) }
 
 // StatusLine returns a Sweep/Options progress callback that renders a live
 // status line to w (normally os.Stderr).
