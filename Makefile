@@ -1,9 +1,9 @@
-# Build, test and benchmark entry points. `make ci` is the tier-1 gate:
-# build + vet + tests, as ROADMAP.md specifies.
+# Build, test and benchmark entry points. `make ci` is the one gate list:
+# every check the CI workflow runs, which calls it.
 
 GO ?= go
 
-.PHONY: build test race race-hot vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke perfbench-test test-386
+.PHONY: build test race race-hot race-determinism vet bench bench-smoke ci figures-output audit check-stats bench-json serve-smoke soak-smoke telemetry-smoke tenant-smoke cluster-smoke bench-diff fmt-check fuzz-smoke perfbench-test test-386 flamegraph-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,11 @@ race-hot:
 	$(GO) test -race ./internal/sim ./internal/hashmap ./internal/obs ./internal/obs/svclog .
 	$(GO) test -race -run '^Test(Pool|Server|SlotQueue|AllHit|PartialHit)' ./internal/serve
 
+# race-determinism runs the span, decomposition, audit and profile tests
+# of obs and the root package under the race detector.
+race-determinism:
+	$(GO) test -race -run 'Span|Decompose|Audit|Profile' ./internal/obs .
+
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
@@ -49,7 +54,13 @@ bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 	$(GO) test -run 'ZeroAlloc' ./internal/obs ./internal/obs/svclog ./internal/sim ./internal/hashmap ./internal/cache ./internal/frame
 
-ci: build vet test race-hot
+# ci runs every gate, in this order; the CI workflow is `make ci`.
+ci: fmt-check build vet test test-386 race-hot race-determinism bench-smoke audit check-stats serve-smoke soak-smoke telemetry-smoke tenant-smoke cluster-smoke fuzz-smoke perfbench-test bench-diff flamegraph-smoke
+
+# flamegraph-smoke checks that aggsim writes a non-empty folded profile.
+flamegraph-smoke:
+	$(GO) run ./cmd/aggsim -arch agg -app fft -scale 0.05 -threads 8 -profile -folded /tmp/fg.folded >/dev/null
+	test -s /tmp/fg.folded
 
 # figures_output.txt is a build artifact (gitignored), regenerated on demand.
 figures-output:
@@ -144,41 +155,52 @@ bench-diff:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fuzz-smoke runs the fourteen fuzz targets for a short fixed time each on top
-# of their checked-in seed corpora: the result-envelope decoder (one-pass
-# decoder vs json.Unmarshal), the client's JSON scanner (vs json.Valid),
-# the floor-pruned Resource calendar (vs the unpruned calendar), the packed
-# hashmap.Map (vs the builtin map and the three-array layout it replaced),
-# the Prometheus round trip (obs.Registry.WritePrometheus read back by the
-# strict svclog.ParsePromText to the same labels and values), the cluster
-# replicate endpoint (accepts exactly the replicas whose key re-derives and
-# whose result could come from running their spec; anything else leaves
-# the cache as it was), the hand-written wire codecs of JobEvent,
-# JobStatus and JobSpec (vs json.Marshal, json.Encoder, json.Unmarshal and
-# a DisallowUnknownFields json.Decoder), the event log's packed per-job
-# chains (Job rebuilds == the events Append returned), the cache key
-# (canonicalizing is idempotent; == canonical specs get equal keys), the
-# D-node Data-slot order (lazily created slots vs an eager FreeList holding
-# every slot from the start), the daemon's restart files (any bytes as the
-# cache index, artifact index and usage ledger: New fails, or serves only
-# valid canonical results and artifact files inside its directory), and
-# the tenants file (load and reload accept the same bytes; a rejected reload
-# changes nothing).
+# FUZZ_TARGETS is every fuzz target, as Name:package.
+FUZZ_TARGETS = \
+	FuzzDecodeResultEnvelope:./internal/serve \
+	FuzzScanJSON:./internal/serve \
+	FuzzResourceFloor:./internal/sim \
+	FuzzMap:./internal/hashmap \
+	FuzzPromRoundTrip:./internal/obs/svclog \
+	FuzzClusterReplicate:./internal/serve \
+	FuzzJobEventCodec:./internal/obs/svclog \
+	FuzzJobStatusCodec:./internal/serve \
+	FuzzJobSpecDecode:./internal/serve \
+	FuzzEventLogChain:./internal/obs/svclog \
+	FuzzConfigSpecKey:./internal/serve \
+	FuzzDMemSlots:./internal/core \
+	FuzzRestore:./internal/serve \
+	FuzzTenantsFile:./internal/serve \
+	FuzzReadTrace:./internal/obs \
+	FuzzReadSpans:./internal/obs
+
+# fuzz-smoke runs the sixteen FUZZ_TARGETS for a short fixed time each on
+# top of their checked-in seed corpora: the result-envelope decoder
+# (one-pass decoder vs json.Unmarshal), the client's JSON scanner (vs
+# json.Valid), the floor-pruned Resource calendar (vs the unpruned
+# calendar), the packed hashmap.Map (vs the builtin map and the three-array
+# layout it replaced), the Prometheus round trip (obs.Registry.WritePrometheus
+# read back by the strict svclog.ParsePromText to the same labels and
+# values), the cluster replicate endpoint (accepts exactly the replicas
+# whose key re-derives and whose result could come from running their spec;
+# anything else leaves the cache as it was), the hand-written wire codecs of
+# JobEvent, JobStatus and JobSpec (vs json.Marshal, json.Encoder,
+# json.Unmarshal and a DisallowUnknownFields json.Decoder), the event log's
+# packed per-job chains (Job rebuilds == the events Append returned), the
+# cache key (canonicalizing is idempotent; == canonical specs get equal
+# keys), the D-node Data-slot order (lazily created slots vs an eager
+# FreeList holding every slot from the start), the daemon's restart files
+# (any bytes as the cache index, artifact index and usage ledger: New fails,
+# or serves only valid canonical results and artifact files inside its
+# directory), the tenants file (load and reload accept the same bytes; a
+# rejected reload changes nothing), and the PDT1 trace and PDS1 span
+# decoders (a file fails, or re-encodes to one that decodes to the same
+# records and counters; a decoded trace exports as valid Chrome JSON).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResultEnvelope$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzScanJSON$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzResourceFloor$$' -fuzztime 10s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/hashmap
-	$(GO) test -run '^$$' -fuzz '^FuzzPromRoundTrip$$' -fuzztime 10s ./internal/obs/svclog
-	$(GO) test -run '^$$' -fuzz '^FuzzClusterReplicate$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzJobEventCodec$$' -fuzztime 10s ./internal/obs/svclog
-	$(GO) test -run '^$$' -fuzz '^FuzzJobStatusCodec$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecDecode$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzEventLogChain$$' -fuzztime 10s ./internal/obs/svclog
-	$(GO) test -run '^$$' -fuzz '^FuzzConfigSpecKey$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzDMemSlots$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzTenantsFile$$' -fuzztime 10s ./internal/serve
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $${t%%:*}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime 10s "$${t#*:}"; \
+	done
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its
 # own go.mod): among them the exact check of the simulator workloads'
