@@ -376,8 +376,8 @@ func ReadBinary(r io.Reader) (events []Event, total uint64, err error) {
 	}
 	held := binary.LittleEndian.Uint64(hdr[8:16])
 	total = binary.LittleEndian.Uint64(hdr[16:24])
-	if held > (1 << 32) {
-		return nil, 0, fmt.Errorf("obs: implausible event count %d", held)
+	if held > (1<<32) || held > total { // the ring holds at most what was emitted
+		return nil, 0, fmt.Errorf("obs: implausible event counts: %d held of %d emitted", held, total)
 	}
 	events = make([]Event, 0, min(held, presize)) // held is untrusted
 	var rec [recordSize]byte

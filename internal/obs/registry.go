@@ -398,7 +398,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		}
 		rows, ss := f.rows()
 		for i, row := range rows {
-			bw.Write(append(jsonwire.AppendString([]byte(sep), f.name+promLabels(f.Labels, row, "", "")), ':'))
+			bw.WriteString(sep + string(jsonwire.AppendString(nil, f.name+promLabels(f.Labels, row, "", ""))) + ":")
 			sep = ","
 			switch s := ss[i]; {
 			case s != nil && s.h != nil:

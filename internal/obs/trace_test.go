@@ -179,6 +179,11 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadBinary(bytes.NewReader(b)); err == nil {
 		t.Fatal("bad version accepted")
 	}
+	b[4] = binVersion
+	b[8] = 1 // one event held of none emitted
+	if _, _, err := ReadBinary(bytes.NewReader(append(b, make([]byte, recordSize)...))); err == nil {
+		t.Fatal("more events held than emitted accepted")
+	}
 }
 
 func TestKindStrings(t *testing.T) {

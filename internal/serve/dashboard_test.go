@@ -8,23 +8,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"pimdsm/internal/obs"
 )
-
-// lockedBuffer is a log sink safe for the middleware's concurrent writers.
-type lockedBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuffer) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
 
 // TestDashboardThroughAPI serves a dashboard through the API handler, in
 // tenant mode: each dashboard path answers as the standalone dashboard does
@@ -37,7 +24,7 @@ func TestDashboardThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logs lockedBuffer
+	var logs bytes.Buffer // requests are served synchronously below
 	s, err := New(Options{Slots: 1, Run: (&fakeRunner{}).run, Tenants: reg,
 		Log: slog.New(slog.NewJSONHandler(&logs, nil))})
 	if err != nil {
@@ -95,7 +82,7 @@ func TestDashboardThroughAPI(t *testing.T) {
 
 	// The same route labels in the request log...
 	logged := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(logs.b.String()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
 		var l struct{ Msg, Path, Route string }
 		if err := json.Unmarshal([]byte(line), &l); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
