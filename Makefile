@@ -196,10 +196,13 @@ FUZZ_TARGETS = \
 # rejected reload changes nothing), and the PDT1 trace and PDS1 span
 # decoders (a file fails, or re-encodes to one that decodes to the same
 # records and counters; a decoded trace exports as valid Chrome JSON).
+# Minimizing a new input is capped at 200 executions (-fuzzminimizetime
+# 200x): uncapped, it can take most of a target's 10 s, during which the
+# fuzzer runs no new inputs.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $${t%%:*}"; \
-		$(GO) test -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime 10s "$${t#*:}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime 10s -fuzzminimizetime 200x "$${t#*:}"; \
 	done
 
 # perfbench-test runs the benchmark module's own tests (perfbench/ has its

@@ -35,7 +35,6 @@ func submitCmd(args []string) int {
 	key := apiKeyFlag(fs)
 	name := fs.String("name", "", "job name (shown in listings)")
 	priority := fs.Int("priority", 0, "scheduling priority (higher runs first)")
-	seed := fs.Uint64("seed", 0, "cache-key seed (reserved; 0 is fine)")
 	metrics := fs.Bool("metrics", false, "attach a per-job metrics artifact")
 	spans := fs.Bool("spans", false, "attach a per-job span artifact (runs serial)")
 	telemetry := fs.Bool("telemetry", false, "flight recorder: record profile/folded/decompose artifacts (implies -metrics -spans)")
@@ -57,7 +56,6 @@ func submitCmd(args []string) int {
 	spec := pimdsm.JobSpec{
 		Name:      *name,
 		Priority:  *priority,
-		Seed:      *seed,
 		Metrics:   *metrics,
 		Spans:     *spans,
 		Telemetry: *telemetry,

@@ -25,12 +25,12 @@ func smokeBatch(t *testing.T) []serve.ConfigSpec {
 	return batch
 }
 
-func batchKeys(t *testing.T, batch []serve.ConfigSpec, seed uint64) []uint64 {
+func batchKeys(t *testing.T, batch []serve.ConfigSpec) []uint64 {
 	t.Helper()
 	seen := make(map[uint64]bool)
 	keys := make([]uint64, len(batch))
 	for i, cs := range batch {
-		keys[i] = cs.Key(seed)
+		keys[i] = cs.Key()
 		if seen[keys[i]] {
 			t.Fatalf("batch keys not distinct: %016x repeats", keys[i])
 		}
@@ -119,7 +119,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	batch := smokeBatch(t)
-	keys := batchKeys(t, batch, 0)
+	keys := batchKeys(t, batch)
 	ref := submitWait(t, singleNode(t), "reference", batch)
 
 	// Phase 1: the same batch through every front door. Every door answers
@@ -250,26 +250,26 @@ func TestClusterImbalancedFrontDoor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two seeds double the distinct key set: every job is one config, every
-	// key unique, all submitted to node 0 directly (no ownership redirect).
-	batch := smokeBatch(t)
+	// The batch at two scales doubles the distinct key set: every job is one
+	// config, every key unique, all submitted to node 0 directly (no
+	// ownership redirect).
 	door := c.Node(0)
 	owned := make(map[string]uint64)
 	var jobs []*serve.Job
-	for seed := uint64(1); seed <= 2; seed++ {
-		for i, key := range batchKeys(t, batch, seed) {
+	for v, scale := range []float64{0.02, 0.025} {
+		batch := pimdsm.Figure6Specs("fft", 4, scale)
+		for i, key := range batchKeys(t, batch) {
 			owner, self := door.Peer.Owner(key)
 			if self {
 				owner = door.Addr
 			}
 			owned[owner]++
 			st, err := door.Srv.Submit(serve.JobSpec{
-				Name:    fmt.Sprintf("imbalanced-%d-%d", seed, i),
-				Seed:    seed,
+				Name:    fmt.Sprintf("imbalanced-%d-%d", v, i),
 				Configs: []serve.ConfigSpec{batch[i]},
 			})
 			if err != nil {
-				t.Fatalf("submit seed %d config %d: %v", seed, i, err)
+				t.Fatalf("submit scale %g config %d: %v", scale, i, err)
 			}
 			j, ok := door.Srv.Job(st.ID)
 			if !ok {
@@ -337,8 +337,8 @@ func TestClusterOwnerSlotBound(t *testing.T) {
 	for k := 0; len(mine) < 7; k++ {
 		cs := serve.ConfigSpec{Arch: "agg", App: "fft", Scale: 0.02 + 0.0001*float64(k),
 			Threads: 4, Pressure: 0.75, DRatio: 1}
-		o, _ := door.Peer.Owner(cs.Key(0))
-		if _, self := owner.Peer.Owner(cs.Key(0)); self && o == owner.Addr {
+		o, _ := door.Peer.Owner(cs.Key())
+		if _, self := owner.Peer.Owner(cs.Key()); self && o == owner.Addr {
 			mine = append(mine, cs)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // batchOf is one job of tenant "t" over spec1's config for each app.
-func batchOf(seed uint64, apps ...string) JobSpec {
-	spec := JobSpec{Tenant: "t", Seed: seed}
+func batchOf(apps ...string) JobSpec {
+	spec := JobSpec{Tenant: "t"}
 	for _, app := range apps {
 		spec.Configs = append(spec.Configs, spec1(app).Configs[0])
 	}
@@ -98,7 +98,7 @@ func TestAllHitBatchCompletesInSubmit(t *testing.T) {
 		}
 		return st
 	}
-	waitJob(t, s, submit(batchOf(0, "fft")).ID)
+	waitJob(t, s, submit(batchOf("fft")).ID)
 
 	type outcome struct {
 		reply, final JobStatus
@@ -106,11 +106,14 @@ func TestAllHitBatchCompletesInSubmit(t *testing.T) {
 		doneAtReply  bool
 		delta        jobCounters
 	}
-	run := func(gateSeed uint64, afterSubmit func()) outcome {
+	// Each run gates an ocean config of its own pressure, so it misses.
+	run := func(gatePressure float64, afterSubmit func()) outcome {
 		t.Helper()
 		c0 := readCounters(s)
 		fr.gate = make(chan struct{})
-		gated := submit(batchOf(gateSeed, "ocean"))
+		gate := batchOf("ocean")
+		gate.Configs[0].Pressure = gatePressure
+		gated := submit(gate)
 		deadline := time.Now().Add(10 * time.Second)
 		for s.Stats().Running != 1 {
 			if time.Now().After(deadline) {
@@ -119,7 +122,7 @@ func TestAllHitBatchCompletesInSubmit(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		var o outcome
-		o.reply = submit(batchOf(0, "fft", "lu"))
+		o.reply = submit(batchOf("fft", "lu"))
 		o.chainAtReply = events.Job(o.reply.ID)
 		j, _ := s.Job(o.reply.ID)
 		select {
@@ -140,9 +143,9 @@ func TestAllHitBatchCompletesInSubmit(t *testing.T) {
 		PerThread: make([]stats.Thread, lu.Threads)}
 	res.Breakdown.Exec = 1000
 	js, _ := canonicalResultJSON(res)
-	worker := run(1, func() { s.Cache().Fulfill(lu.Key(0), 0, lu, res, js) })
+	worker := run(0.5, func() { s.Cache().Fulfill(lu.Key(), lu, js) })
 	ran := len(fr.ran)
-	admission := run(2, func() {})
+	admission := run(0.25, func() {})
 
 	if worker.reply.State != JobQueued || worker.doneAtReply {
 		t.Fatalf("a batch with a miss at admission answered %+v, want queued", worker.reply)
@@ -192,14 +195,14 @@ func TestPartialHitQueuesAndSimulatesOnlyTheMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
-	st, err := s.Submit(batchOf(0, "fft"))
+	st, err := s.Submit(batchOf("fft"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, s, st.ID)
 	c0 := readCounters(s)
 	fr.gate = make(chan struct{}) // holds the miss, so the reply is surely pre-run
-	st, err = s.Submit(batchOf(0, "fft", "lu"))
+	st, err = s.Submit(batchOf("fft", "lu"))
 	if err != nil {
 		t.Fatal(err)
 	}

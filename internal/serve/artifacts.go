@@ -18,7 +18,7 @@ import (
 // by total byte size. Like the result cache, the store persists its index on
 // Shutdown and restores it in New, so a restarted daemon still serves the
 // flight records of every job whose configurations it has seen — artifact
-// names are content addresses (config keys + seed), not job ids, exactly so
+// names are content addresses (config keys), not job ids, exactly so
 // they outlive the job table.
 type ArtifactStore struct {
 	dir   string

@@ -10,13 +10,12 @@ import (
 	"pimdsm/internal/machine"
 )
 
-// entry is one cached result, held on the cache's LRU list.
+// entry is one cached result, held on the cache's LRU list: its key, its
+// spec and its canonical bytes, the byte-identity the API serves.
 type entry struct {
 	key  uint64
-	seed uint64
 	spec ConfigSpec
-	res  *machine.Result
-	js   []byte // canonical JSON of res, the byte-identity the API serves
+	js   []byte
 }
 
 // flight is one in-progress simulation of a key. The owning job resolves it
@@ -24,7 +23,6 @@ type entry struct {
 // of simulating again (singleflight).
 type flight struct {
 	done chan struct{}
-	res  *machine.Result
 	js   []byte
 	err  error
 }
@@ -64,45 +62,45 @@ func (c *Cache) Len() int {
 
 // Acquire resolves key in one atomic step. Exactly one of three outcomes:
 //
-//   - cache hit: res/js returned, hit=true;
+//   - cache hit: js returned, hit=true;
 //   - join: another job is already simulating this key — fl is its flight,
-//     owner=false; wait on fl.done, then read fl.res/fl.js/fl.err;
+//     owner=false; wait on fl.done, then read fl.js/fl.err;
 //   - own: the caller must simulate and then call Fulfill or Abort — fl is
 //     the caller's own flight, owner=true.
 //
 // The outcome is counted once, as a hit, join or miss of tenant ("" for
 // anonymous and peer traffic).
-func (c *Cache) Acquire(key uint64, tenant string) (res *machine.Result, js []byte, hit bool, fl *flight, owner bool) {
+func (c *Cache) Acquire(key uint64, tenant string) (js []byte, hit bool, fl *flight, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m.Get(key); ok {
 		c.metrics.hits.With(tenant).Inc()
 		c.lru.toFront(e)
-		return e.v.res, e.v.js, true, nil, false
+		return e.v.js, true, nil, false
 	}
 	if f, ok := c.inflight.Get(key); ok {
 		c.metrics.joins.With(tenant).Inc()
-		return nil, nil, false, f, false
+		return nil, false, f, false
 	}
 	c.metrics.misses.With(tenant).Inc()
 	f := &flight{done: make(chan struct{})}
 	c.inflight.Put(key, f)
-	return nil, nil, false, f, true
+	return nil, false, f, true
 }
 
 // Peek returns the cached result for key without starting a flight: a hit
 // counts (and refreshes LRU recency) like Acquire's, but a miss moves no
 // counters and registers no in-flight work. Cluster routing uses it to ask
 // "can this node answer right now?" before forwarding to the owner.
-func (c *Cache) Peek(key uint64, tenant string) (*machine.Result, []byte, bool) {
+func (c *Cache) Peek(key uint64, tenant string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m.Get(key); ok {
 		c.metrics.hits.With(tenant).Inc()
 		c.lru.toFront(e)
-		return e.v.res, e.v.js, true
+		return e.v.js, true
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // PeekAll resolves every key under one lock, all or nothing: when all are
@@ -110,23 +108,22 @@ func (c *Cache) Peek(key uint64, tenant string) (*machine.Result, []byte, bool) 
 // returns the results in key order; when any is missing it counts and
 // touches nothing, so the job that later resolves the batch counts each key
 // once.
-func (c *Cache) PeekAll(keys []uint64, tenant string) ([]*machine.Result, [][]byte, bool) {
+func (c *Cache) PeekAll(keys []uint64, tenant string) ([][]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, k := range keys {
 		if _, ok := c.m.Get(k); !ok {
-			return nil, nil, false
+			return nil, false
 		}
 	}
-	res := make([]*machine.Result, len(keys))
 	js := make([][]byte, len(keys))
 	for i, k := range keys {
 		e, _ := c.m.Get(k)
 		c.lru.toFront(e)
-		res[i], js[i] = e.v.res, e.v.js
+		js[i] = e.v.js
 	}
 	c.metrics.hits.With(tenant).Add(uint64(len(keys)))
-	return res, js, true
+	return js, true
 }
 
 // Contains reports residency without touching counters or recency — a pure
@@ -153,16 +150,17 @@ func (c *Cache) needsRun(keys []uint64, node *cluster.Node) bool {
 	return false
 }
 
-// Fulfill resolves the caller-owned flight for key with a computed result
-// and inserts it into the cache, evicting from the LRU tail past the bound.
-func (c *Cache) Fulfill(key, seed uint64, spec ConfigSpec, res *machine.Result, js []byte) {
+// Fulfill resolves the caller-owned flight for key with a result's canonical
+// bytes and inserts them into the cache, evicting from the LRU tail past the
+// bound.
+func (c *Cache) Fulfill(key uint64, spec ConfigSpec, js []byte) {
 	c.mu.Lock()
 	if f, ok := c.inflight.Get(key); ok {
-		f.res, f.js = res, js
+		f.js = js
 		c.inflight.Delete(key)
 		defer close(f.done)
 	}
-	c.insert(key, seed, spec, res, js)
+	c.insert(key, spec, js)
 	c.mu.Unlock()
 }
 
@@ -179,13 +177,13 @@ func (c *Cache) Abort(key uint64, err error) {
 }
 
 // insert adds (or refreshes) an entry. Caller holds mu.
-func (c *Cache) insert(key, seed uint64, spec ConfigSpec, res *machine.Result, js []byte) {
+func (c *Cache) insert(key uint64, spec ConfigSpec, js []byte) {
 	if e, ok := c.m.Get(key); ok {
-		e.v.res, e.v.js = res, js
+		e.v.js = js
 		c.lru.toFront(e)
 		return
 	}
-	e := &lruItem[entry]{v: entry{key: key, seed: seed, spec: spec, res: res, js: js}}
+	e := &lruItem[entry]{v: entry{key: key, spec: spec, js: js}}
 	c.m.Put(key, e)
 	c.lru.toFront(e)
 	for c.m.Len() > c.max {
@@ -233,26 +231,22 @@ func canonicalResultJSON(res *machine.Result) ([]byte, error) {
 // canonicalized here, once, rather than trusted as they came — an indented
 // or padded copy would otherwise reach clients unnormalized. The result must
 // also be one that running cs can produce (machine.Result.CheckFor): a null
-// or empty object decodes without error but is no result at all.
-func ingestResult(raw []byte, cs ConfigSpec) (*machine.Result, []byte, error) {
+// or empty object decodes without error but is no result at all. The
+// decoded result is dropped once its bytes are made.
+func ingestResult(raw []byte, cs ConfigSpec) ([]byte, error) {
 	var res *machine.Result
 	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := res.CheckFor(cs.Config()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	js, err := canonicalResultJSON(res)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, js, nil
+	return canonicalResultJSON(res)
 }
 
 // indexEntry is the persisted form of one cache entry.
 type indexEntry struct {
 	Key    string          `json:"key"` // hex; recomputed and verified on load
-	Seed   uint64          `json:"seed,omitempty"`
 	Spec   ConfigSpec      `json:"spec"`
 	Result json.RawMessage `json:"result"`
 }
@@ -278,7 +272,6 @@ func (c *Cache) Snapshot() *index {
 	c.lru.each(func(e *entry) {
 		idx.Entries = append(idx.Entries, indexEntry{
 			Key:    fmt.Sprintf("%016x", e.key),
-			Seed:   e.seed,
 			Spec:   e.spec,
 			Result: json.RawMessage(e.js),
 		})
@@ -287,23 +280,24 @@ func (c *Cache) Snapshot() *index {
 }
 
 // LoadIndex replays a persisted index into the cache. Entries whose stored
-// key does not match the current derivation (KeyVersion skew, hand-edited
-// file) or whose result running the spec could not produce are skipped, not
+// key does not match the current derivation (KeyVersion skew, a key an older
+// daemon derived with a nonzero seed, hand-edited file) or whose result
+// running the spec could not produce are skipped, not
 // served: the key contract is verified, never trusted. Returns how many
 // entries were restored.
 func (c *Cache) LoadIndex(idx *index) int {
 	n := 0
 	for _, ie := range idx.Entries {
-		want := ie.Spec.Key(ie.Seed)
+		want := ie.Spec.Key()
 		if fmt.Sprintf("%016x", want) != ie.Key {
 			continue
 		}
-		res, js, err := ingestResult(ie.Result, ie.Spec)
+		js, err := ingestResult(ie.Result, ie.Spec)
 		if err != nil {
 			continue
 		}
 		c.mu.Lock()
-		c.insert(want, ie.Seed, ie.Spec, res, js)
+		c.insert(want, ie.Spec, js)
 		c.mu.Unlock()
 		n++
 	}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -14,11 +16,11 @@ import (
 	"pimdsm/internal/stats"
 )
 
-func fakeResult(exec int64) (*machine.Result, []byte) {
+func fakeResult(exec int64) []byte {
 	res := &machine.Result{Arch: machine.AGG, App: "fake"}
 	res.Breakdown.Exec = sim.Time(exec)
 	js, _ := canonicalResultJSON(res)
-	return res, js
+	return js
 }
 
 func TestCacheLRUBoundUnderRandomizedStorm(t *testing.T) {
@@ -28,7 +30,7 @@ func TestCacheLRUBoundUnderRandomizedStorm(t *testing.T) {
 	live := map[uint64]bool{}
 	for i := 0; i < 4096; i++ {
 		key := uint64(rng.Intn(256)) // enough reuse to exercise hits + evictions
-		_, _, hit, _, owner := c.Acquire(key, "")
+		_, hit, _, owner := c.Acquire(key, "")
 		if hit {
 			live[key] = true
 			continue
@@ -36,8 +38,7 @@ func TestCacheLRUBoundUnderRandomizedStorm(t *testing.T) {
 		if !owner {
 			t.Fatalf("no concurrency here, yet key %d is in flight", key)
 		}
-		res, js := fakeResult(int64(key))
-		c.Fulfill(key, 0, ConfigSpec{Arch: "agg", App: "fake"}, res, js)
+		c.Fulfill(key, ConfigSpec{Arch: "agg", App: "fake"}, fakeResult(int64(key)))
 		if n := c.Len(); n > bound {
 			t.Fatalf("after %d inserts cache holds %d > bound %d", i+1, n, bound)
 		}
@@ -57,26 +58,25 @@ func TestCacheLRUBoundUnderRandomizedStorm(t *testing.T) {
 func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	c := NewCache(3)
 	put := func(k uint64) {
-		if _, _, hit, _, owner := c.Acquire(k, ""); hit || !owner {
+		if _, hit, _, owner := c.Acquire(k, ""); hit || !owner {
 			t.Fatalf("Acquire(%d): hit=%v owner=%v", k, hit, owner)
 		}
-		res, js := fakeResult(int64(k))
-		c.Fulfill(k, 0, ConfigSpec{}, res, js)
+		c.Fulfill(k, ConfigSpec{}, fakeResult(int64(k)))
 	}
 	put(1)
 	put(2)
 	put(3)
 	// Touch 1 so 2 becomes the LRU victim.
-	if _, _, hit, _, _ := c.Acquire(1, ""); !hit {
+	if _, hit, _, _ := c.Acquire(1, ""); !hit {
 		t.Fatal("1 should be cached")
 	}
 	put(4) // evicts 2
-	if _, _, hit, _, _ := c.Acquire(2, ""); hit {
+	if _, hit, _, _ := c.Acquire(2, ""); hit {
 		t.Fatal("2 should have been evicted (LRU)")
 	}
 	c.Abort(2, errors.New("cleanup the flight the check above opened"))
 	for _, k := range []uint64{1, 3, 4} {
-		if _, _, hit, _, _ := c.Acquire(k, ""); !hit {
+		if _, hit, _, _ := c.Acquire(k, ""); !hit {
 			t.Fatalf("%d should have survived", k)
 		}
 	}
@@ -89,11 +89,11 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 
 func TestCacheSingleflightJoin(t *testing.T) {
 	c := NewCache(8)
-	_, _, hit, fl1, owner1 := c.Acquire(42, "")
+	_, hit, fl1, owner1 := c.Acquire(42, "")
 	if hit || !owner1 {
 		t.Fatalf("first acquire: hit=%v owner=%v", hit, owner1)
 	}
-	_, _, hit2, fl2, owner2 := c.Acquire(42, "")
+	_, hit2, fl2, owner2 := c.Acquire(42, "")
 	if hit2 || owner2 {
 		t.Fatalf("second acquire should join: hit=%v owner=%v", hit2, owner2)
 	}
@@ -105,28 +105,28 @@ func TestCacheSingleflightJoin(t *testing.T) {
 		t.Fatal("flight resolved before Fulfill")
 	default:
 	}
-	res, js := fakeResult(1)
-	c.Fulfill(42, 0, ConfigSpec{}, res, js)
+	js := fakeResult(1)
+	c.Fulfill(42, ConfigSpec{}, js)
 	<-fl2.done
-	if fl2.err != nil || fl2.res != res || string(fl2.js) != string(js) {
+	if fl2.err != nil || string(fl2.js) != string(js) {
 		t.Fatalf("flight carries wrong result: %+v", fl2)
 	}
 	if st := c.Stats(); st.Joins != 1 || st.InFlight != 0 {
 		t.Fatalf("stats after join: %+v", st)
 	}
 	// And the result is now a plain hit.
-	if got, _, hitNow, _, _ := c.Acquire(42, ""); !hitNow || got != res {
+	if got, hitNow, _, _ := c.Acquire(42, ""); !hitNow || string(got) != string(js) {
 		t.Fatal("fulfilled result not served as a hit")
 	}
 }
 
 func TestCacheAbortPropagatesError(t *testing.T) {
 	c := NewCache(8)
-	_, _, _, _, owner := c.Acquire(7, "")
+	_, _, _, owner := c.Acquire(7, "")
 	if !owner {
 		t.Fatal("expected ownership")
 	}
-	_, _, _, fl, _ := c.Acquire(7, "")
+	_, _, fl, _ := c.Acquire(7, "")
 	boom := errors.New("boom")
 	c.Abort(7, boom)
 	<-fl.done
@@ -134,7 +134,7 @@ func TestCacheAbortPropagatesError(t *testing.T) {
 		t.Fatalf("flight err = %v", fl.err)
 	}
 	// Nothing cached: the next acquire owns a fresh attempt.
-	if _, _, hit, _, owner := c.Acquire(7, ""); hit || !owner {
+	if _, hit, _, owner := c.Acquire(7, ""); hit || !owner {
 		t.Fatalf("after abort: hit=%v owner=%v", hit, owner)
 	}
 }
@@ -145,15 +145,14 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		{Arch: "agg", App: "fft", Scale: 1, Threads: 8, Pressure: 0.75, DRatio: 1},
 		{Arch: "numa", App: "ocean", Scale: 0.5, Threads: 4, Pressure: 0.25},
 	}
-	for i, sp := range specs {
-		k := sp.Key(0)
+	for _, sp := range specs {
+		k := sp.Key()
 		c.Acquire(k, "")
 		res := &machine.Result{Arch: machine.Arch(sp.Arch), App: sp.App, Threads: sp.Threads,
 			PerThread: make([]stats.Thread, sp.Threads)}
 		res.Breakdown.Exec = 1000
 		js, _ := canonicalResultJSON(res)
-		_ = i
-		c.Fulfill(k, 0, sp, res, js)
+		c.Fulfill(k, sp, js)
 	}
 	idx := c.Snapshot()
 	if len(idx.Entries) != 2 {
@@ -173,8 +172,8 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d of 2", n)
 	}
 	for _, sp := range specs {
-		k := sp.Key(0)
-		_, js, hit, _, _ := fresh.Acquire(k, "")
+		k := sp.Key()
+		js, hit, _, _ := fresh.Acquire(k, "")
 		if !hit {
 			t.Fatalf("%s/%s lost across round trip", sp.Arch, sp.App)
 		}
@@ -188,7 +187,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 func mustFindEntry(t *testing.T, idx *index, key uint64) []byte {
 	t.Helper()
 	for _, e := range idx.Entries {
-		if e.Spec.Key(e.Seed) == key {
+		if e.Spec.Key() == key {
 			return e.Result
 		}
 	}
@@ -203,7 +202,7 @@ func TestLoadIndexVerifiesKeys(t *testing.T) {
 	res := &machine.Result{Arch: machine.AGG, App: "fft", Threads: 8, PerThread: make([]stats.Thread, 8)}
 	res.Breakdown.Exec = 1000
 	js, _ := canonicalResultJSON(res)
-	good := indexEntry{Key: keyHex(sp.Key(0)), Spec: sp, Result: js}
+	good := indexEntry{Key: keyHex(sp.Key()), Spec: sp, Result: js}
 	tampered := good
 	tampered.Spec.Threads = 16 // result no longer matches the claimed key
 	badKey := good
@@ -213,14 +212,14 @@ func TestLoadIndexVerifiesKeys(t *testing.T) {
 	if n := c.LoadIndex(idx); n != 1 {
 		t.Fatalf("restored %d entries, want only the verified one", n)
 	}
-	if _, _, hit, _, _ := c.Acquire(sp.Key(0), ""); !hit {
+	if _, hit, _, _ := c.Acquire(sp.Key(), ""); !hit {
 		t.Fatal("verified entry missing")
 	}
 	// A cache file written by a daemon whose keys hash another KeyVersion
 	// has a format this daemon reads, so New succeeds, but no entry's key
 	// re-derives: nothing is restored.
 	stale := good
-	stale.Key = keyHex(sp.keyAt(KeyVersion+1, 0))
+	stale.Key = keyHex(sp.keyAt(KeyVersion + 1))
 	path := filepath.Join(t.TempDir(), "cache.json")
 	if err := save(path, cacheIndexVersion, &index{Entries: []indexEntry{stale}}); err != nil {
 		t.Fatal(err)
@@ -234,18 +233,70 @@ func TestLoadIndexVerifiesKeys(t *testing.T) {
 	}
 }
 
+// TestLoadCacheFileOfSeededKeys: a cache file written while keys still took
+// a seed restores every entry keyed with the seed 0 that its writer omitted,
+// under the same keys, and skips an entry keyed with seed 7, whose key no
+// longer re-derives from its spec.
+func TestLoadCacheFileOfSeededKeys(t *testing.T) {
+	type seededEntry struct {
+		Key    string          `json:"key"`
+		Seed   uint64          `json:"seed,omitempty"`
+		Spec   ConfigSpec      `json:"spec"`
+		Result json.RawMessage `json:"result"`
+	}
+	result := func(sp ConfigSpec) []byte {
+		res := &machine.Result{Arch: machine.Arch(sp.Arch), App: sp.App, Threads: sp.Threads,
+			PerThread: make([]stats.Thread, sp.Threads)}
+		res.Breakdown.Exec = 1000
+		js, _ := canonicalResultJSON(res)
+		return js
+	}
+	numa := ConfigSpec{Arch: "numa", App: "fft", Scale: 1.0, Threads: 32, Pressure: 0.75}
+	agg := ConfigSpec{Arch: "agg", App: "fft", Scale: 1.0, Threads: 32, Pressure: 0.75, DRatio: 1}
+	ocean := ConfigSpec{Arch: "agg", App: "ocean", Scale: 0.5, Threads: 16, Pressure: 0.25, DRatio: 2}
+	file, err := json.Marshal(struct {
+		Version int           `json:"version"`
+		Entries []seededEntry `json:"entries"`
+	}{1, []seededEntry{
+		{Key: "be307a4db1904cbd", Spec: numa, Result: result(numa)},
+		{Key: "64fc84615db634a1", Seed: 7, Spec: ocean, Result: result(ocean)},
+		{Key: "e076f3f61cf24050", Spec: agg, Result: result(agg)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{CachePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Cache().Len(); n != 2 {
+		t.Fatalf("restored %d entries, want the 2 unseeded ones", n)
+	}
+	for key, sp := range map[uint64]ConfigSpec{0xbe307a4db1904cbd: numa, 0xe076f3f61cf24050: agg} {
+		if js, hit := s.Cache().Peek(key, ""); !hit || !bytes.Equal(js, result(sp)) {
+			t.Errorf("%s/%s: served %.60q (resident %v) under %016x", sp.Arch, sp.App, js, hit, key)
+		}
+	}
+	if s.Cache().Contains(0x64fc84615db634a1) || s.Cache().Contains(ocean.Key()) {
+		t.Error("the entry keyed with seed 7 was restored")
+	}
+}
+
 func keyHex(k uint64) string { return fmt.Sprintf("%016x", k) }
 
 // TestCacheHitZeroAlloc: a hit moves its entry to the front of the LRU list
-// and counts itself without allocating; PeekAll allocates only the two
-// slices it returns.
+// and counts itself without allocating; PeekAll allocates only the slice
+// it returns.
 func TestCacheHitZeroAlloc(t *testing.T) {
 	c := NewCache(8)
 	keys := []uint64{1, 2, 3}
 	for _, k := range keys {
-		res, js := fakeResult(int64(k))
 		c.Acquire(k, "")
-		c.Fulfill(k, 0, ConfigSpec{}, res, js)
+		c.Fulfill(k, ConfigSpec{}, fakeResult(int64(k)))
 	}
 	i := 0
 	next := func() uint64 { i++; return keys[i%len(keys)] }
@@ -255,7 +306,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { c.Peek(next(), "acme") }); a != 0 {
 		t.Errorf("Peek hit allocates %.0f times", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { c.PeekAll(keys, "acme") }); a != 2 {
-		t.Errorf("PeekAll hit allocates %.0f times, want 2", a)
+	if a := testing.AllocsPerRun(100, func() { c.PeekAll(keys, "acme") }); a != 1 {
+		t.Errorf("PeekAll hit allocates %.0f times, want 1", a)
 	}
 }

@@ -199,45 +199,41 @@ func clip(b []byte) string {
 
 // resolveLocal resolves one key on this node: cache hit, singleflight join,
 // replica recovery, or a real simulation (which then replicates to the key's
-// successors). how is "hit", "join", "recovered" or "simulated". This is the
-// owner half of compute-at-owner routing — it never forwards. A simulation
-// waits in the slot queue at priority 0 like a job admitted on its arrival,
-// so peer computes stay inside the node's budget. The cache outcome and any
+// successors). how is "hit", "join", "recovered" or "simulated", and cycles
+// a simulation's simulated cycles (0 otherwise). This is the owner half of
+// compute-at-owner routing — it never forwards. A simulation waits in the
+// slot queue at priority 0 like a job admitted on its arrival, so peer
+// computes stay inside the node's budget. The cache outcome and any
 // simulation count against tenant ("" for peer traffic).
-func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*machine.Result, []byte, string, error) {
-	res, js, hit, fl, owner := s.cache.Acquire(key, tenant)
+func (s *Server) resolveLocal(key uint64, cs ConfigSpec, tenant string) (js []byte, how string, cycles uint64, err error) {
+	js, hit, fl, owner := s.cache.Acquire(key, tenant)
 	if hit {
-		return res, js, "hit", nil
+		return js, "hit", 0, nil
 	}
 	if !owner {
 		<-fl.done
 		if fl.err != nil {
-			return nil, nil, "", fl.err
+			return nil, "", 0, fl.err
 		}
-		return fl.res, fl.js, "join", nil
+		return fl.js, "join", 0, nil
 	}
 	// We hold the flight. Before burning a simulation, ask the key's replica
 	// set — a restarted owner finds the copy its successors kept, which is
 	// what preserves exactly-once across a kill/restart.
-	if rres, rjs, ok := s.recoverFromReplicas(key, cs); ok {
-		s.cache.Fulfill(key, seed, cs.canonical(), rres, rjs)
-		return rres, rjs, "recovered", nil
+	cs = cs.canonical()
+	if js, ok := s.recoverFromReplicas(key, cs); ok {
+		return js, "recovered", 0, nil
 	}
-	var err error
 	s.acquireSlot(nil)
-	s.runInSlot(cs.canonical().Config(), func(r *machine.Result, e error) { res, err = r, e })
-	if err == nil {
-		js, err = canonicalResultJSON(res)
-	}
+	s.runInSlot(cs.Config(), func(r *machine.Result, e error) {
+		if js, err = s.publishRun(key, cs, tenant, r, e); err == nil {
+			cycles = uint64(r.Breakdown.Exec)
+		}
+	})
 	if err != nil {
-		s.cache.Abort(key, err)
-		return nil, nil, "", err
+		return nil, "", 0, err
 	}
-	s.cache.Fulfill(key, seed, cs.canonical(), res, js)
-	s.m.simRuns.With(tenant).Inc()
-	s.m.simCycles.With(tenant).Add(uint64(res.Breakdown.Exec))
-	s.replicateAsync(key, seed, cs.canonical(), js)
-	return res, js, "simulated", nil
+	return js, "simulated", cycles, nil
 }
 
 // resolveAny resolves one key from anywhere in the cluster: local cache
@@ -245,13 +241,13 @@ func (s *Server) resolveLocal(key, seed uint64, cs ConfigSpec, tenant string) (*
 // is unreachable — locally as a last resort (membership timeouts will
 // reshuffle the ring shortly; result bytes are identical wherever computed).
 // how adds "forward" to resolveLocal's vocabulary.
-func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec, tenant string) (*machine.Result, []byte, string, error) {
-	if res, js, ok := s.cache.Peek(key, tenant); ok {
-		return res, js, "hit", nil
+func (s *Server) resolveAny(key uint64, cs ConfigSpec, tenant string) (js []byte, how string, cycles uint64, err error) {
+	if js, ok := s.cache.Peek(key, tenant); ok {
+		return js, "hit", 0, nil
 	}
 	node := s.clusterNode()
 	if owns(node, key) {
-		return s.resolveLocal(key, seed, cs, tenant)
+		return s.resolveLocal(key, cs, tenant)
 	}
 	owner, _ := node.Owner(key)
 	targets := append([]string{owner}, node.Successors(key, node.Replicas())...)
@@ -259,10 +255,10 @@ func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec, tenant string) (*ma
 	for _, peer := range targets {
 		if peer == node.Self() {
 			// The ring moved under us; we are in the key's replica set.
-			return s.resolveLocal(key, seed, cs, tenant)
+			return s.resolveLocal(key, cs, tenant)
 		}
 		s.m.forwardsSent.Inc()
-		res, js, err := s.forwardCompute(peer, key, seed, cs)
+		js, err := s.forwardCompute(peer, key, cs)
 		if err != nil {
 			lastErr = err
 			s.m.forwardsFailed.Inc()
@@ -270,14 +266,14 @@ func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec, tenant string) (*ma
 		}
 		// Keep a copy: the front door converges toward the hot set its own
 		// clients ask for, so repeat queries stay local (LRU-bounded).
-		s.cache.Fulfill(key, seed, cs.canonical(), res, js)
-		return res, js, "forward", nil
+		s.cache.Fulfill(key, cs.canonical(), js)
+		return js, "forward", 0, nil
 	}
-	res, js, how, err := s.resolveLocal(key, seed, cs, tenant)
+	js, how, cycles, err = s.resolveLocal(key, cs, tenant)
 	if err != nil && lastErr != nil {
-		return nil, nil, "", fmt.Errorf("%w (after forward failure: %v)", err, lastErr)
+		return nil, "", 0, fmt.Errorf("%w (after forward failure: %v)", err, lastErr)
 	}
-	return res, js, how, err
+	return js, how, cycles, err
 }
 
 // clusterComputeRequest is the /cluster/compute wire format. Key is the
@@ -285,40 +281,38 @@ func (s *Server) resolveAny(key, seed uint64, cs ConfigSpec, tenant string) (*ma
 // (version-skewed peers must fail loudly, not cache under colliding keys).
 type clusterComputeRequest struct {
 	Spec ConfigSpec `json:"spec"`
-	Seed uint64     `json:"seed,omitempty"`
 	Key  string     `json:"key"`
 }
 
 // forwardCompute asks peer to resolve one config. The reply is the peer's
 // canonical result JSON; it is re-canonicalized on ingest all the same, so a
 // peer's bytes are never served unchecked.
-func (s *Server) forwardCompute(peer string, key, seed uint64, cs ConfigSpec) (*machine.Result, []byte, error) {
-	body, err := json.Marshal(clusterComputeRequest{
-		Spec: cs, Seed: seed, Key: fmt.Sprintf("%016x", key),
-	})
+func (s *Server) forwardCompute(peer string, key uint64, cs ConfigSpec) ([]byte, error) {
+	body, err := json.Marshal(clusterComputeRequest{Spec: cs, Key: fmt.Sprintf("%016x", key)})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	code, data, err := s.peerDo("POST", peer, "/api/v1/cluster/compute", body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if code != http.StatusOK {
-		return nil, nil, fmt.Errorf("serve: peer %s compute: HTTP %d: %s", peer, code, clip(data))
+		return nil, fmt.Errorf("serve: peer %s compute: HTTP %d: %s", peer, code, clip(data))
 	}
-	res, js, err := ingestResult(data, cs)
+	js, err := ingestResult(data, cs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: peer %s compute: %w", peer, err)
+		return nil, fmt.Errorf("serve: peer %s compute: %w", peer, err)
 	}
-	return res, js, nil
+	return js, nil
 }
 
 // recoverFromReplicas probes the key's successor set for a replicated copy
-// of cs's result.
-func (s *Server) recoverFromReplicas(key uint64, cs ConfigSpec) (*machine.Result, []byte, bool) {
+// of the result of cs (canonical) and, when one ingests, fulfills the key's
+// flight with it.
+func (s *Server) recoverFromReplicas(key uint64, cs ConfigSpec) ([]byte, bool) {
 	node := s.clusterNode()
 	if node == nil {
-		return nil, nil, false
+		return nil, false
 	}
 	for _, peer := range node.Successors(key, node.Replicas()) {
 		if peer == node.Self() {
@@ -329,14 +323,15 @@ func (s *Server) recoverFromReplicas(key uint64, cs ConfigSpec) (*machine.Result
 		if err != nil || code != http.StatusOK {
 			continue
 		}
-		res, js, err := ingestResult(data, cs)
+		js, err := ingestResult(data, cs)
 		if err != nil {
 			continue
 		}
+		s.cache.Fulfill(key, cs, js)
 		s.m.recoveries.Inc()
-		return res, js, true
+		return js, true
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // replicateAsync pushes a completed result to the key's owner (when this node
@@ -344,7 +339,7 @@ func (s *Server) recoverFromReplicas(key uint64, cs ConfigSpec) (*machine.Result
 // run the same verify-before-trust key check as a cache-file load. Fire and
 // forget: replication is an availability optimization, never correctness —
 // a missed replica only costs a recovery miss later.
-func (s *Server) replicateAsync(key, seed uint64, cs ConfigSpec, js []byte) {
+func (s *Server) replicateAsync(key uint64, cs ConfigSpec, js []byte) {
 	s.mu.Lock()
 	node := s.cluster
 	if node == nil || s.clusterClosed {
@@ -363,7 +358,7 @@ func (s *Server) replicateAsync(key, seed uint64, cs ConfigSpec, js []byte) {
 		}
 	}
 	body, err := json.Marshal(indexEntry{
-		Key: fmt.Sprintf("%016x", key), Seed: seed, Spec: cs, Result: json.RawMessage(js),
+		Key: fmt.Sprintf("%016x", key), Spec: cs, Result: json.RawMessage(js),
 	})
 	if len(targets) == 0 || err != nil {
 		s.clusterWG.Done()
@@ -388,7 +383,7 @@ const remoteFanOut = 4
 
 // resolveRemote resolves a job's peer-owned configs, remoteFanOut at a time,
 // handing each outcome to resolved; it returns the first error.
-func (s *Server) resolveRemote(j *Job, remote []int, resolved func(int, *machine.Result, []byte, string)) error {
+func (s *Server) resolveRemote(j *Job, remote []int, resolved func(int, []byte, string, uint64)) error {
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -401,9 +396,9 @@ func (s *Server) resolveRemote(j *Job, remote []int, resolved func(int, *machine
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, js, how, err := s.resolveAny(j.keys[i], j.spec.Seed, j.spec.Configs[i], j.spec.Tenant)
+			js, how, cycles, err := s.resolveAny(j.keys[i], j.spec.Configs[i], j.spec.Tenant)
 			if err == nil {
-				resolved(i, res, js, how)
+				resolved(i, js, how, cycles)
 				return
 			}
 			mu.Lock()
@@ -417,14 +412,14 @@ func (s *Server) resolveRemote(j *Job, remote []int, resolved func(int, *machine
 	return firstErr
 }
 
-// accountResolved attributes one resolved config to the job, how being
-// resolveAny's vocabulary. It uses only the pre-cluster lifecycle event
-// kinds, so every chain still satisfies ValidateEventChain: peer-resolved
-// configs surface as cache_hit events with a "cluster:…" detail (from this
-// node's perspective, the cluster's replicated cache answered). The cache
-// outcome and any simulation were counted where they happened.
-func (s *Server) accountResolved(j *Job, i int, res *machine.Result, js []byte, how string) {
-	s.mu.Lock()
+// accountResolvedLocked attributes one resolved config to the job, how being
+// resolveAny's vocabulary and cycles a simulation's simulated cycles; s.mu
+// must be held. It uses only the pre-cluster lifecycle event kinds, so
+// every chain still satisfies ValidateEventChain: peer-resolved configs
+// surface as cache_hit events with a "cluster:…" detail (from this node's
+// perspective, the cluster's replicated cache answered). The cache outcome
+// and any simulation were counted where they happened.
+func (s *Server) accountResolvedLocked(j *Job, i int, js []byte, how string, cycles uint64) {
 	j.done++
 	switch how {
 	case "hit":
@@ -435,13 +430,12 @@ func (s *Server) accountResolved(j *Job, i int, res *machine.Result, js []byte, 
 		s.eventLocked(j, svclog.EvJoined, i, 0, "")
 	case "simulated":
 		j.simulated++
-		s.eventLocked(j, svclog.EvSimulated, i, uint64(res.Breakdown.Exec), "")
+		s.eventLocked(j, svclog.EvSimulated, i, cycles, "")
 		s.eventLocked(j, svclog.EvPersisted, i, 0, "")
 	default: // "forward", "recovered"
 		j.forwarded++
 		s.eventLocked(j, svclog.EvCacheHit, i, 0, "cluster:"+how)
 	}
-	s.mu.Unlock()
 	s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
 }
 
@@ -473,7 +467,7 @@ func (s *Server) RedirectTarget(spec JobSpec) (peer, reason string, ok bool) {
 	}
 	owner := ""
 	for _, cs := range spec.Configs {
-		key := cs.Key(spec.Seed)
+		key := cs.Key()
 		if s.cache.Contains(key) {
 			return "", "", false
 		}
@@ -544,14 +538,14 @@ func (a *API) clusterCompute(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, r, http.StatusBadRequest, "bad compute request: "+err.Error())
 		return
 	}
-	key := req.Spec.Key(req.Seed)
+	key := req.Spec.Key()
 	if want := fmt.Sprintf("%016x", key); req.Key != want {
 		a.writeError(w, r, http.StatusBadRequest, fmt.Sprintf(
 			"key derivation mismatch: peer sent %s, this node derives %s (mixed KeyVersion deployment?)",
 			req.Key, want))
 		return
 	}
-	_, js, how, err := a.srv.resolveLocal(key, req.Seed, req.Spec, "")
+	js, how, _, err := a.srv.resolveLocal(key, req.Spec, "")
 	if err != nil {
 		a.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
@@ -559,7 +553,8 @@ func (a *API) clusterCompute(w http.ResponseWriter, r *http.Request) {
 	a.srv.m.forwardsServed.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Aggsimd-How", how)
-	w.Write(js)
+	_, err = w.Write(js)
+	a.logWriteErr(r, http.StatusOK, err)
 }
 
 // clusterLookup serves a cached result to a recovering owner (200 with the
@@ -573,7 +568,7 @@ func (a *API) clusterLookup(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, r, http.StatusBadRequest, "bad key: "+err.Error())
 		return
 	}
-	_, js, ok := a.srv.Cache().Peek(key, "")
+	js, ok := a.srv.Cache().Peek(key, "")
 	if !ok {
 		a.srv.m.lookupsMissed.Inc()
 		a.writeError(w, r, http.StatusNotFound, "key not resident")
@@ -581,7 +576,8 @@ func (a *API) clusterLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	a.srv.m.lookupsServed.Inc()
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(js)
+	_, err = w.Write(js)
+	a.logWriteErr(r, http.StatusOK, err)
 }
 
 // clusterReplicate receives a pushed copy. The entry is verified exactly like
@@ -602,18 +598,18 @@ func (a *API) clusterReplicate(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, r, http.StatusBadRequest, "bad replica: "+err.Error())
 		return
 	}
-	want := ie.Spec.Key(ie.Seed)
+	want := ie.Spec.Key()
 	if fmt.Sprintf("%016x", want) != ie.Key {
 		a.writeError(w, r, http.StatusBadRequest,
 			"replica key does not match its spec (mixed KeyVersion deployment?)")
 		return
 	}
-	res, js, err := ingestResult(ie.Result, ie.Spec)
+	js, err := ingestResult(ie.Result, ie.Spec)
 	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, "bad replica result: "+err.Error())
 		return
 	}
-	a.srv.Cache().Fulfill(want, ie.Seed, ie.Spec, res, js)
+	a.srv.Cache().Fulfill(want, ie.Spec, js)
 	a.srv.m.replicasRecvd.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -71,15 +71,15 @@ func replicaResult(tb testing.TB) []byte {
 func TestClusterLookupRejectsMalformedKey(t *testing.T) {
 	s, h := peerHandler(t, "lookup")
 	cs := replicaSpec.canonical()
-	key := cs.Key(0)
-	res, js, err := ingestResult(replicaResult(t), cs)
+	key := cs.Key()
+	js, err := ingestResult(replicaResult(t), cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Cache().Fulfill(key, 0, cs, res, js)
+	s.Cache().Fulfill(key, cs, js)
 	// Keys that a loose prefix parse would have mapped onto resident ones.
-	s.Cache().Fulfill(0x12, 0, cs, res, js)
-	s.Cache().Fulfill(0, 0, cs, res, js)
+	s.Cache().Fulfill(0x12, cs, js)
+	s.Cache().Fulfill(0, cs, js)
 
 	lookup := func(q string) *httptest.ResponseRecorder {
 		return peerRequest(h, "lookup", "GET", "/api/v1/cluster/lookup?key="+url.QueryEscape(q), nil)
@@ -99,7 +99,7 @@ func TestClusterLookupRejectsMalformedKey(t *testing.T) {
 
 // FuzzClusterReplicate feeds arbitrary bodies to the replica endpoint. It
 // accepts (204) exactly when the body is one indexEntry whose key re-derives
-// from its spec and seed and whose result is non-null, names the spec's
+// from its spec and whose result is non-null, names the spec's
 // architecture, application and thread count, has a per-thread record for
 // each thread and ran for some cycles, and then serves the result's
 // canonical bytes under that key; any other answer leaves the cache
@@ -114,7 +114,7 @@ func FuzzClusterReplicate(f *testing.F) {
 
 		var ie indexEntry
 		var js []byte
-		ok := json.Unmarshal(body, &ie) == nil && ie.Key == keyHex(ie.Spec.Key(ie.Seed))
+		ok := json.Unmarshal(body, &ie) == nil && ie.Key == keyHex(ie.Spec.Key())
 		if ok {
 			// The result must be one running the spec can produce.
 			var res *machine.Result
@@ -138,7 +138,7 @@ func FuzzClusterReplicate(f *testing.F) {
 		if rec.Code != http.StatusNoContent {
 			t.Fatalf("valid replica: HTTP %d: %s", rec.Code, rec.Body.Bytes())
 		}
-		if _, got, hit := s.Cache().Peek(ie.Spec.Key(ie.Seed), ""); !hit || !bytes.Equal(got, js) {
+		if got, hit := s.Cache().Peek(ie.Spec.Key(), ""); !hit || !bytes.Equal(got, js) {
 			t.Fatalf("cache serves %.80q (resident %v), want the ingested %.80q", got, hit, js)
 		}
 	})
@@ -175,7 +175,7 @@ func TestClusterReplicateRejectsNonResults(t *testing.T) {
 		"no_cycles":        variant(func(r *machine.Result) { r.Breakdown.Exec = 0 }),
 	}
 	entry := func(result []byte) indexEntry {
-		return indexEntry{Key: keyHex(cs.Key(0)), Spec: cs, Result: result}
+		return indexEntry{Key: keyHex(cs.Key()), Spec: cs, Result: result}
 	}
 	for name, result := range bad {
 		body, _ := json.Marshal(entry(result))
@@ -201,7 +201,7 @@ func TestClusterReplicateRejectsNonResults(t *testing.T) {
 func TestClusterComputeRejectsTrailingValue(t *testing.T) {
 	_, h := peerHandler(t, "compute")
 	cs := ConfigSpec{Arch: "agg", App: "fft", Scale: 0.01, Threads: 2, Pressure: 0.75, DRatio: 1}
-	body, _ := json.Marshal(clusterComputeRequest{Spec: cs, Key: keyHex(cs.Key(0))})
+	body, _ := json.Marshal(clusterComputeRequest{Spec: cs, Key: keyHex(cs.Key())})
 	rec := peerRequest(h, "compute", "POST", "/api/v1/cluster/compute", append(body, " {}"...))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("trailing value: HTTP %d: %s, want 400", rec.Code, rec.Body.Bytes())

@@ -163,7 +163,7 @@ func TestIngestCanonicalizes(t *testing.T) {
 	want, _ := json.Marshal(res)
 	indented, _ := json.MarshalIndent(res, "", "\t")
 	padded := append(append([]byte(" \n"), indented...), " \t\n"...)
-	key := cs.canonical().Key(0)
+	key := cs.canonical().Key()
 	never := func(machine.Config) (*machine.Result, error) {
 		t.Error("a cached config was simulated")
 		return nil, context.Canceled

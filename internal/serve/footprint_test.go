@@ -89,7 +89,7 @@ func TestJobLookupRejectsNonCanonicalID(t *testing.T) {
 func TestEvictedJobServesSameBytes(t *testing.T) {
 	fr := &fakeRunner{}
 	s, c := startAPI(t, Options{Slots: 1, Run: fr.run, CacheEntries: 1})
-	spec := batchOf(0, "fft", "lu", "radix")
+	spec := batchOf("fft", "lu", "radix")
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestEvictedJobServesSameBytes(t *testing.T) {
 	}
 	waitJob(t, s, st2.ID)
 	for i, cs := range spec.Configs {
-		if s.cache.Contains(cs.Key(0)) {
+		if s.cache.Contains(cs.Key()) {
 			t.Fatalf("config %d still cached; the test needs it evicted", i)
 		}
 	}

@@ -177,19 +177,19 @@ func (g *goldenScript) run(gr *goldenRunner, clustered bool) {
 	if clustered {
 		peer := map[string]string{clusterHeader: "golden"}
 		fft := goldenSpec("", "fft").Configs[0]
-		g.do("GET", fmt.Sprintf("/api/v1/cluster/lookup?key=%016x", fft.Key(0)), "", nil, peer)
+		g.do("GET", fmt.Sprintf("/api/v1/cluster/lookup?key=%016x", fft.Key()), "", nil, peer)
 		g.do("GET", "/api/v1/cluster/lookup?key=0000000000000001", "", nil, peer)
 		g.do("POST", "/api/v1/cluster/compute", "",
-			clusterComputeRequest{Spec: fft, Key: fmt.Sprintf("%016x", fft.Key(0))}, peer)
+			clusterComputeRequest{Spec: fft, Key: fmt.Sprintf("%016x", fft.Key())}, peer)
 		radix := goldenSpec("", "radix").Configs[0]
 		g.do("POST", "/api/v1/cluster/compute", "",
-			clusterComputeRequest{Spec: radix, Key: fmt.Sprintf("%016x", radix.Key(0))}, peer)
+			clusterComputeRequest{Spec: radix, Key: fmt.Sprintf("%016x", radix.Key())}, peer)
 		water := goldenSpec("", "water").Configs[0]
 		res, _ := gr.run(water.canonical().Config())
 		res.PerThread = make([]stats.Thread, res.Threads)
 		js, _ := canonicalResultJSON(res)
 		g.do("POST", "/api/v1/cluster/replicate", "", indexEntry{
-			Key: fmt.Sprintf("%016x", water.Key(0)), Spec: water, Result: js,
+			Key: fmt.Sprintf("%016x", water.Key()), Spec: water, Result: js,
 		}, peer)
 		g.do("GET", "/api/v1/cluster/lookup?key=1", "", nil, nil)
 	}

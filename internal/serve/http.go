@@ -459,13 +459,17 @@ func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	reg := a.srv.Metrics(j)
+	reg, err := a.srv.Metrics(j)
+	if err != nil {
+		a.writeError(w, r, http.StatusInternalServerError, err.Error())
+		return
+	}
 	if reg == nil {
 		a.writeError(w, r, http.StatusNotFound, "job has no metrics artifact (submit with \"metrics\": true and wait for it to finish)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	reg.WriteJSON(w)
+	a.logWriteErr(r, http.StatusOK, reg.WriteJSON(w))
 }
 
 func (a *API) spans(w http.ResponseWriter, r *http.Request) {
@@ -479,7 +483,7 @@ func (a *API) spans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	sp.WriteBinary(w)
+	a.logWriteErr(r, http.StatusOK, sp.WriteBinary(w))
 }
 
 // artifact serves one flight-recorder artifact. The 404 bodies are the
@@ -506,7 +510,8 @@ func (a *API) artifact(kind, contentType string) http.HandlerFunc {
 			return
 		}
 		w.Header().Set("Content-Type", contentType)
-		w.Write(b)
+		_, err = w.Write(b)
+		a.logWriteErr(r, http.StatusOK, err)
 	}
 }
 

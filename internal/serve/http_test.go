@@ -5,15 +5,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"pimdsm/internal/cluster"
 	"pimdsm/internal/machine"
 	"pimdsm/internal/obs/svclog"
 )
@@ -165,6 +169,10 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 	if code := post(`{"bogus_field":1,"configs":[]}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d", code)
+	}
+	// A run is deterministic from its config, so a submission has no seed.
+	if code := post(`{"seed":1,"configs":[{"arch":"agg","app":"fft","threads":8,"pressure":0.75}]}`); code != http.StatusBadRequest {
+		t.Fatalf("seed member: %d", code)
 	}
 	if code := post(`{"configs":[]}`); code != http.StatusBadRequest {
 		t.Fatalf("empty config list: %d", code)
@@ -682,5 +690,69 @@ func TestHTTPStatusBodiesMatchEncodingJSON(t *testing.T) {
 	}
 	if seen < last {
 		t.Fatalf("read %d SSE events, want %d: %v", seen, last, sc.Err())
+	}
+}
+
+// failingWriter is a client that went away: every body write fails.
+type failingWriter struct{ h http.Header }
+
+func (w *failingWriter) Header() http.Header       { return w.h }
+func (w *failingWriter) WriteHeader(int)           {}
+func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestResponseWriteErrorsLogged: a route whose response body fails to write
+// logs one response_encode_failed line naming itself, instead of dropping
+// the error.
+func TestResponseWriteErrorsLogged(t *testing.T) {
+	var logs bytes.Buffer
+	s, err := New(Options{Slots: 1, Run: (&fakeRunner{}).run, Log: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := cluster.New(cluster.Config{Name: "w", Self: "w-node:1", HeartbeatEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachCluster(node)
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	spec := spec1("fft")
+	spec.Metrics, spec.Spans, spec.Telemetry = true, true, true
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, s, st.ID)
+	cs := spec.Configs[0]
+	compute, _ := json.Marshal(clusterComputeRequest{Spec: cs, Key: keyHex(cs.Key())})
+
+	h := NewAPI(s, nil).Handler()
+	job := "/api/v1/jobs/" + st.ID
+	for _, c := range []struct {
+		route, target string
+		body          []byte
+	}{
+		{"GET /api/v1/jobs/{id}/metrics", job + "/metrics", nil},
+		{"GET /api/v1/jobs/{id}/spans", job + "/spans", nil},
+		{"GET /api/v1/jobs/{id}/profile", job + "/profile", nil},
+		{"GET /api/v1/jobs/{id}/folded", job + "/folded", nil},
+		{"GET /api/v1/jobs/{id}/decompose", job + "/decompose", nil},
+		{"POST /api/v1/cluster/compute", "/api/v1/cluster/compute", compute},
+		{"GET /api/v1/cluster/lookup", "/api/v1/cluster/lookup?key=" + keyHex(cs.Key()), nil},
+	} {
+		logs.Reset()
+		method, _, _ := strings.Cut(c.route, " ")
+		req := httptest.NewRequest(method, c.target, bytes.NewReader(c.body))
+		req.Header.Set(clusterHeader, "w")
+		h.ServeHTTP(&failingWriter{h: http.Header{}}, req)
+		var routes []string
+		for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+			var rec struct{ Msg, Route string }
+			if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "response_encode_failed" {
+				routes = append(routes, rec.Route)
+			}
+		}
+		if len(routes) != 1 || routes[0] != c.route {
+			t.Errorf("%s: response_encode_failed lines name %q, want the route once:\n%s", c.route, routes, logs.Bytes())
+		}
 	}
 }

@@ -18,7 +18,6 @@ func TestKeyGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		spec ConfigSpec
-		seed uint64
 		want uint64
 	}{
 		{
@@ -31,17 +30,29 @@ func TestKeyGolden(t *testing.T) {
 			spec: ConfigSpec{Arch: "agg", App: "fft", Scale: 1.0, Threads: 32, Pressure: 0.75, DRatio: 1},
 			want: 0xe076f3f61cf24050,
 		},
-		{
-			name: "seeded",
-			spec: ConfigSpec{Arch: "agg", App: "ocean", Scale: 0.5, Threads: 16, Pressure: 0.25, DRatio: 2},
-			seed: 7,
-			want: 0x64fc84615db634a1,
-		},
 	}
 	for _, c := range cases {
-		if got := c.spec.Key(c.seed); got != c.want {
+		if got := c.spec.Key(); got != c.want {
 			t.Errorf("%s: key = %#016x, want %#016x (KEY CONTRACT BROKEN — bump KeyVersion)",
 				c.name, got, c.want)
+		}
+	}
+}
+
+// TestArtifactDigestGolden pins flight-record names: a restarted daemon finds
+// the records an earlier one stored only while the digest of the same
+// configs stays the same.
+func TestArtifactDigestGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec JobSpec
+		want uint64
+	}{
+		{"fft", spec1("fft"), 0x2f6d51115ca4e98e},
+		{"fig6-fft", JobSpec{Configs: fig6Batch("fft", 32, 0.02)}, 0xa60f43102f496974},
+	} {
+		if got := artifactDigest(c.spec); got != c.want {
+			t.Errorf("%s: artifact digest = %#016x, want %#016x", c.name, got, c.want)
 		}
 	}
 }
@@ -52,35 +63,35 @@ func TestKeyCanonicalEquivalence(t *testing.T) {
 	base := ConfigSpec{Arch: "agg", App: "fft", Threads: 32, Pressure: 0.75}
 	a := base
 	a.Scale, a.DRatio = 1.0, 1
-	if base.Key(0) != a.Key(0) {
+	if base.Key() != a.Key() {
 		t.Error("zero-default spec and explicit-default spec hash differently")
 	}
 	b, c := base, base
 	b.DNodes, b.DRatio = 8, 1
 	c.DNodes, c.DRatio = 8, 4
-	if b.Key(0) != c.Key(0) {
+	if b.Key() != c.Key() {
 		t.Error("DRatio must be irrelevant when DNodes is set")
 	}
 	n1 := ConfigSpec{Arch: "numa", App: "fft", Threads: 32, Pressure: 0.75}
 	n2 := n1
 	n2.DRatio, n2.DNodes, n2.DMemTotal = 4, 8, 1<<20
-	if n1.Key(0) != n2.Key(0) {
+	if n1.Key() != n2.Key() {
 		t.Error("NUMA must ignore the D-node split in its key")
 	}
 	// JSON's "-0" decodes to −0, which the simulator runs as 0.
 	z := a
 	negZero := math.Copysign(0, -1)
 	z.OnChipFraction, z.SharedMinFrac, z.HandlerScale = negZero, negZero, negZero
-	if z.Key(0) != a.Key(0) {
+	if z.Key() != a.Key() {
 		t.Error("a −0 float field must hash as the omitted field")
 	}
 }
 
 func TestKeyDiscriminates(t *testing.T) {
 	base := ConfigSpec{Arch: "agg", App: "fft", Scale: 1.0, Threads: 32, Pressure: 0.75, DRatio: 1}
-	seen := map[uint64]string{base.Key(0): "base"}
-	add := func(name string, s ConfigSpec, seed uint64) {
-		k := s.Key(seed)
+	seen := map[uint64]string{base.Key(): "base"}
+	add := func(name string, s ConfigSpec) {
+		k := s.Key()
 		if prev, dup := seen[k]; dup {
 			t.Errorf("%s collides with %s", name, prev)
 		}
@@ -88,20 +99,22 @@ func TestKeyDiscriminates(t *testing.T) {
 	}
 	m := base
 	m.App = "radix"
-	add("app", m, 0)
+	add("app", m)
 	m = base
 	m.Threads = 16
-	add("threads", m, 0)
+	add("threads", m)
 	m = base
 	m.Pressure = 0.25
-	add("pressure", m, 0)
+	add("pressure", m)
 	m = base
 	m.DRatio = 4
-	add("dratio", m, 0)
+	add("dratio", m)
 	m = base
 	m.HandlerScale = 0.7
-	add("handler-scale", m, 0)
-	add("seed", base, 1)
+	add("handler-scale", m)
+	m = base
+	m.DMemSetAssoc = 4
+	add("dmem-set-assoc", m)
 }
 
 // TestSpecOfIgnoresObservers: two configs differing only in record-only
@@ -120,7 +133,7 @@ func TestSpecOfIgnoresObservers(t *testing.T) {
 	if SpecOf(cfg) != plain {
 		t.Fatal("observer attachments leaked into the wire spec")
 	}
-	if SpecOf(cfg).Key(0) != plain.Key(0) {
+	if SpecOf(cfg).Key() != plain.Key() {
 		t.Fatal("observer attachments changed the cache key")
 	}
 }
@@ -143,7 +156,7 @@ func TestSpecConfigRoundTrip(t *testing.T) {
 // the sign of every zero float flipped (JSON's "-0" decodes to −0, which
 // runs as 0). Seeds live in testdata/fuzz/FuzzConfigSpecKey.
 func FuzzConfigSpecKey(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decodeJobSpec(data)
 		if err != nil {
 			return
@@ -166,9 +179,9 @@ func FuzzConfigSpecKey(f *testing.F) {
 		}
 		for i, a := range pairs {
 			for _, b := range pairs[i+1:] {
-				if a.canonical() == b.canonical() && a.Key(seed) != b.Key(seed) {
+				if a.canonical() == b.canonical() && a.Key() != b.Key() {
 					t.Fatalf("canonical specs compare == but keys differ:\n %+v: %#016x\n %+v: %#016x",
-						a, a.Key(seed), b, b.Key(seed))
+						a, a.Key(), b, b.Key())
 				}
 			}
 		}

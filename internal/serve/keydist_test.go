@@ -14,14 +14,15 @@ func TestKeyDistributionUniform(t *testing.T) {
 	const buckets = 64
 	var counts [buckets]int
 	n := 0
-	bucket := func(cs ConfigSpec, seed uint64) {
-		counts[cs.Key(seed)>>58]++
+	bucket := func(cs ConfigSpec) {
+		counts[cs.Key()>>58]++
 		n++
 	}
 
 	// A realistic sweep grid: the Figure 6 families crossed with thread
-	// counts, pressures, scales and seeds — the shape of keys an aggsimd
-	// cluster actually partitions.
+	// counts, pressures, scales, a handler-cost variant and an explicit
+	// D-node split — the shape of keys an aggsimd cluster actually
+	// partitions.
 	for _, arch := range []string{"numa", "coma", "agg", "agg-split"} {
 		for _, app := range []string{"fft", "radix", "ocean", "lu", "barnes", "water"} {
 			for _, threads := range []int{1, 2, 4, 8, 16, 32} {
@@ -31,10 +32,12 @@ func TestKeyDistributionUniform(t *testing.T) {
 							Arch: arch, App: app, Threads: threads,
 							Pressure: pressure, Scale: scale,
 						}
-						bucket(cs, 0)
-						bucket(cs, 1)
+						bucket(cs)
+						hs := cs
+						hs.HandlerScale = 0.7
+						bucket(hs)
 						cs.DRatio, cs.DNodes = 4, 8
-						bucket(cs, 0)
+						bucket(cs)
 					}
 				}
 			}
@@ -53,6 +56,7 @@ func TestKeyDistributionUniform(t *testing.T) {
 	// df = 63; the p=0.001 critical value is ~106. The digest is frozen
 	// (KeyVersion 1), so this is deterministic — a failure means the digest
 	// or the spec canonicalization changed, not bad luck.
+	t.Logf("chi-square = %.1f over %d buckets (n=%d)", chi2, buckets, n)
 	if chi2 > 106 {
 		t.Fatalf("chi-square = %.1f over %d buckets (n=%d), exceeds the df=63 p=0.001 critical value 106 — key distribution is skewed", chi2, buckets, n)
 	}

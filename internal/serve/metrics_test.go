@@ -8,10 +8,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"pimdsm/internal/cluster"
+	"pimdsm/internal/machine"
+	"pimdsm/internal/obs"
 	"pimdsm/internal/obs/svclog"
 	"pimdsm/internal/stats"
 )
@@ -227,7 +230,7 @@ func TestReplicaRecoveryCountsTenantMiss(t *testing.T) {
 	for threads := 1; ; threads++ {
 		spec = goldenSpec("recover", "fft")
 		spec.Configs[0].Threads = threads
-		if _, self := owner.clusterNode().Owner(spec.Configs[0].Key(0)); self {
+		if _, self := owner.clusterNode().Owner(spec.Configs[0].Key()); self {
 			break
 		}
 	}
@@ -235,7 +238,7 @@ func TestReplicaRecoveryCountsTenantMiss(t *testing.T) {
 	res, _ := gr.run(cs.canonical().Config())
 	res.PerThread = make([]stats.Thread, res.Threads)
 	js, _ := canonicalResultJSON(res)
-	body, _ := json.Marshal(indexEntry{Key: keyHex(cs.Key(0)), Spec: cs.canonical(), Result: js})
+	body, _ := json.Marshal(indexEntry{Key: keyHex(cs.Key()), Spec: cs.canonical(), Result: js})
 	req, _ := http.NewRequest("POST", "http://"+addrB+"/api/v1/cluster/replicate", bytes.NewReader(body))
 	req.Header.Set(clusterHeader, "recover")
 	resp, err := http.DefaultClient.Do(req)
@@ -260,4 +263,121 @@ func TestReplicaRecoveryCountsTenantMiss(t *testing.T) {
 		t.Fatalf("recoveries = %d, want 1", got)
 	}
 	checkTenantSums(t, scrape(t, owner))
+}
+
+// TestJobMetricsArtifactMatchesDirectRun: a job's metrics artifact is a view
+// of its result bytes, byte-identical to CollectMetrics folded over direct
+// machine.Run results in config order, whether the job's configs were
+// simulated, served as cache hits, restored from a cache file or forwarded
+// from a cluster peer.
+func TestJobMetricsArtifactMatchesDirectRun(t *testing.T) {
+	direct := func(cfgs []ConfigSpec) []byte {
+		t.Helper()
+		reg := obs.NewRegistry()
+		for _, cs := range cfgs {
+			r, err := machine.Run(cs.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			machine.CollectMetrics(reg, r)
+		}
+		var b bytes.Buffer
+		if err := reg.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	listen := func(s *Server) string {
+		t.Helper()
+		addr, stop, err := NewAPI(s, nil).ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stop)
+		return addr
+	}
+	// check fetches the metrics artifact of job id over HTTP once the job is
+	// done, after resolved has accepted how its configs resolved.
+	check := func(how string, s *Server, addr, id string, want []byte, resolved func(JobStatus) bool) {
+		t.Helper()
+		if fin := waitJob(t, s, id); fin.State != JobDone || !resolved(fin) {
+			t.Fatalf("%s: job finished %+v", how, fin)
+		}
+		got, err := NewClient(addr).Metrics(id)
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: metrics artifact\n %s\nCollectMetrics over direct runs\n %s", how, got, want)
+		}
+	}
+	noRun := func(machine.Config) (*machine.Result, error) {
+		return nil, errors.New("simulated a config it should not have")
+	}
+
+	cfgs := []ConfigSpec{
+		{Arch: "numa", App: "fft", Scale: 0.02, Threads: 4, Pressure: 0.75},
+		{Arch: "agg", App: "fft", Scale: 0.02, Threads: 4, Pressure: 0.75, DRatio: 1},
+	}
+	want := direct(cfgs)
+	path := filepath.Join(t.TempDir(), "cache.json")
+	first, err := New(Options{Slots: 2, CachePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := listen(first)
+	for _, c := range []struct {
+		how      string
+		resolved func(JobStatus) bool
+	}{
+		{"simulated", func(st JobStatus) bool { return st.Simulated == len(cfgs) }},
+		{"hit", func(st JobStatus) bool { return st.CacheHits == len(cfgs) }},
+	} {
+		st, err := first.Submit(JobSpec{Metrics: true, Configs: cfgs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.how, first, addr, st.ID, want, c.resolved)
+	}
+	if err := first.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	restored := newPoolServer(t, Options{Slots: 1, CachePath: path, Run: noRun}, nil)
+	st, err := restored.Submit(JobSpec{Metrics: true, Configs: cfgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored, listen(restored), st.ID, want,
+		func(st JobStatus) bool { return st.CacheHits == len(cfgs) })
+
+	// Forwarded: a front door that cannot simulate resolves every config
+	// at the peer that owns it.
+	peer := newPoolServer(t, Options{Slots: 2}, nil)
+	door := newPoolServer(t, Options{Slots: 1, Run: noRun}, nil)
+	addrs := []string{listen(peer), listen(door)}
+	for i, s := range []*Server{peer, door} {
+		node, err := cluster.New(cluster.Config{Name: "metrics", Self: addrs[i], Seeds: addrs, HeartbeatEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.AttachCluster(node)
+	}
+	var fwd []ConfigSpec
+	for i := 1; i < 20 && len(fwd) < 2; i++ {
+		for _, arch := range []string{"numa", "agg"} {
+			cs := ConfigSpec{Arch: arch, App: "fft", Scale: 0.02, Threads: 4, Pressure: float64(i) / 20}
+			if owner, _ := door.clusterNode().Owner(cs.Key()); owner == addrs[0] && len(fwd) < 2 {
+				fwd = append(fwd, cs)
+			}
+		}
+	}
+	if len(fwd) < 2 {
+		t.Fatalf("the peer owns %d of 38 candidate keys", len(fwd))
+	}
+	st, err = door.Submit(JobSpec{Metrics: true, Configs: fwd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("forwarded", door, addrs[1], st.ID, direct(fwd),
+		func(st JobStatus) bool { return st.Forwarded == len(fwd) })
 }

@@ -279,7 +279,7 @@ func TestPoolClusterComputeTakesASlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := missBatch("", 2, 1).Configs[0]
-	body, _ := json.Marshal(clusterComputeRequest{Spec: peer, Key: fmt.Sprintf("%016x", peer.Key(0))})
+	body, _ := json.Marshal(clusterComputeRequest{Spec: peer, Key: fmt.Sprintf("%016x", peer.Key())})
 	code := make(chan int, 1)
 	go func() {
 		rec := peerRequest(h, "pool", "POST", "/api/v1/cluster/compute", body)

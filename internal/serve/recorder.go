@@ -23,8 +23,8 @@ import (
 //	                input, so multi-config jobs collapse naturally)
 //	decompose.json  obs.SpanBreakdown — per-phase latency decomposition
 //
-// Artifacts are content-addressed by the job's configuration keys plus seed,
-// not by job id: the record outlives the job table, survives daemon restarts
+// Artifacts are content-addressed by the job's configuration keys, not by
+// job id: the record outlives the job table, survives daemon restarts
 // through the ArtifactStore index, and resubmitting the same configurations
 // after a restart finds the original flight record even though every result
 // came from the cache. Like spans, the record only covers configurations the
@@ -52,17 +52,17 @@ func artifactFile(kind string) (string, bool) {
 }
 
 // artifactDigest content-addresses a job's flight record: the sorted config
-// keys plus the seed. Sorting makes the address insensitive to batch order —
-// the merged record is, too.
+// keys. Sorting makes the address insensitive to batch order — the merged
+// record is, too.
 func artifactDigest(spec JobSpec) uint64 {
 	keys := make([]uint64, len(spec.Configs))
 	for i, cs := range spec.Configs {
-		keys[i] = cs.Key(spec.Seed)
+		keys[i] = cs.Key()
 	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	var d hashmap.Digest
 	d.WriteUint64(KeyVersion)
-	d.WriteUint64(spec.Seed)
+	d.WriteUint64(0) // the since-removed seed's word: stored names stay valid
 	for _, k := range keys {
 		d.WriteUint64(k)
 	}

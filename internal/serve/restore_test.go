@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pimdsm/internal/machine"
 )
 
 // restoreFiles lays out the three restart files of one daemon under root:
@@ -165,13 +168,17 @@ func FuzzRestore(f *testing.F) {
 			return
 		}
 		s.cache.lru.each(func(e *entry) {
-			if e.key != e.spec.Key(e.seed) {
-				t.Fatalf("entry served under key %016x, its spec derives %016x", e.key, e.spec.Key(e.seed))
+			if e.key != e.spec.Key() {
+				t.Fatalf("entry served under key %016x, its spec derives %016x", e.key, e.spec.Key())
 			}
-			if err := e.res.CheckFor(e.spec.Config()); err != nil {
+			var res *machine.Result
+			if err := json.Unmarshal(e.js, &res); err != nil {
+				t.Fatalf("served bytes do not decode: %v", err)
+			}
+			if err := res.CheckFor(e.spec.Config()); err != nil {
 				t.Fatalf("restored a result its spec cannot produce: %v", err)
 			}
-			if js, _ := canonicalResultJSON(e.res); !bytes.Equal(js, e.js) {
+			if js, _ := canonicalResultJSON(res); !bytes.Equal(js, e.js) {
 				t.Fatalf("served %q, canonical bytes are %q", e.js, js)
 			}
 		})

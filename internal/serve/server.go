@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -107,12 +108,8 @@ func (o Options) withDefaults() Options {
 type JobSpec struct {
 	Name     string `json:"name,omitempty"`
 	Priority int    `json:"priority,omitempty"`
-	// Seed is folded into every cache key; reserved for future stochastic
-	// workloads (today results are deterministic from the config alone).
-	Seed uint64 `json:"seed,omitempty"`
-	// Metrics attaches a per-job metrics registry, folded deterministically
-	// from every result (cached or simulated); fetch it as the job's
-	// metrics artifact.
+	// Metrics gives the job a metrics artifact: machine.CollectMetrics
+	// folded over every result (cached or simulated), in config order.
 	Metrics bool `json:"metrics,omitempty"`
 	// Spans attaches a per-job transaction-span recorder. Spans only cover
 	// the configurations this job actually simulates (cache hits recorded
@@ -167,7 +164,6 @@ type Job struct {
 	err       error
 
 	resultJSON [][]byte
-	metrics    *obs.Registry
 	spans      *obs.Spans
 
 	// Flight-recorder state (telemetry jobs only): the merged profile
@@ -370,7 +366,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	keys := make([]uint64, len(spec.Configs))
 	for i, cs := range spec.Configs {
-		keys[i] = cs.Key(spec.Seed)
+		keys[i] = cs.Key()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -426,9 +422,6 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	// artifacts when it finishes.
 	j.telemetry = spec.Telemetry ||
 		(s.opt.TelemetrySample > 0 && seq%uint64(s.opt.TelemetrySample) == 0)
-	if spec.Metrics || j.telemetry {
-		j.metrics = obs.NewRegistry()
-	}
 	if spec.Spans || j.telemetry {
 		j.spans = obs.NewSpans(0)
 	}
@@ -437,11 +430,10 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	// An all-hit batch finishes here, with the events and counters its own
 	// goroutine would have produced: a cache hit costs no goroutine. Telemetry
 	// jobs still take one, which records their flight.
-	var hits []*machine.Result
 	var hitJSON [][]byte
 	allHit := false
 	if !j.telemetry {
-		hits, hitJSON, allHit = s.cache.PeekAll(keys, spec.Tenant)
+		hitJSON, allHit = s.cache.PeekAll(keys, spec.Tenant)
 	}
 	if allHit {
 		j.doneCh = closedDone
@@ -461,9 +453,9 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	if allHit {
 		s.startLocked(j)
 		for i, js := range hitJSON {
-			s.hitLocked(j, i, js)
+			s.accountResolvedLocked(j, i, js, "hit", 0)
 		}
-		s.finishLocked(j, hits, hitJSON, nil)
+		s.finishLocked(j, hitJSON, nil)
 		return s.statusLocked(j), nil
 	}
 	// A job that will simulate here takes its place in the slot queue now,
@@ -571,14 +563,27 @@ func (s *Server) Results(j *Job) ([][]byte, bool) {
 	return j.resultJSON, true
 }
 
-// Metrics returns the job's metrics registry (nil unless JobSpec.Metrics).
-func (s *Server) Metrics(j *Job) *obs.Registry {
+// Metrics renders a done job's metrics registry, nil unless JobSpec.Metrics
+// or telemetry: machine.CollectMetrics folded over the job's result bytes,
+// in config order. The registry is a view of the results made when asked,
+// so the job keeps none and no decode runs under the server mutex.
+func (s *Server) Metrics(j *Job) (*obs.Registry, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state != JobDone {
-		return nil
+	results := j.resultJSON
+	want := j.state == JobDone && (j.spec.Metrics || j.telemetry)
+	s.mu.Unlock()
+	if !want {
+		return nil, nil
 	}
-	return j.metrics
+	reg := obs.NewRegistry()
+	for _, js := range results {
+		var r machine.Result
+		if err := json.Unmarshal(js, &r); err != nil {
+			return nil, fmt.Errorf("serve: decode result for metrics: %w", err)
+		}
+		machine.CollectMetrics(reg, &r)
+	}
+	return reg, nil
 }
 
 // Spans returns the job's span recorder (nil unless JobSpec.Spans).
@@ -702,15 +707,6 @@ func (s *Server) startLocked(j *Job) {
 	s.eventLocked(j, svclog.EvStarted, -1, 0, "")
 }
 
-// hitLocked counts config i of j as served from this node's cache; s.mu
-// must be held.
-func (s *Server) hitLocked(j *Job, i int, js []byte) {
-	j.done++
-	j.cacheHits++
-	s.eventLocked(j, svclog.EvCacheHit, i, 0, "")
-	s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
-}
-
 // runJob runs one admitted job on its own goroutine, tracked by s.wg: queued
 // until it holds w's slot (w nil: at once), it resolves every config against
 // the cache, simulates the misses it owns (the first in that slot) while
@@ -735,10 +731,8 @@ func (s *Server) runJob(j *Job, w *slotWaiter) {
 		return
 	}
 
-	n := len(j.spec.Configs)
 	keys := j.keys
-	results := make([]*machine.Result, n)
-	resJSON := make([][]byte, n)
+	resJSON := make([][]byte, len(j.spec.Configs))
 	var toRun []int
 	type join struct {
 		i  int
@@ -748,35 +742,36 @@ func (s *Server) runJob(j *Job, w *slotWaiter) {
 	var remote []int
 
 	tenant := j.spec.Tenant
-	resolved := func(i int, res *machine.Result, js []byte, how string) {
-		results[i], resJSON[i] = res, js
-		s.accountResolved(j, i, res, js, how)
+	resolved := func(i int, js []byte, how string, cycles uint64) {
+		resJSON[i] = js
+		s.mu.Lock()
+		s.accountResolvedLocked(j, i, js, how, cycles)
+		s.mu.Unlock()
 	}
 
 	for i, cs := range j.spec.Configs {
 		if !owns(node, keys[i]) {
 			// A replicated or previously forwarded copy serves locally;
 			// otherwise the owner resolves it (never a local flight).
-			if res, js, ok := s.cache.Peek(keys[i], tenant); ok {
-				resolved(i, res, js, "hit")
+			if js, ok := s.cache.Peek(keys[i], tenant); ok {
+				resolved(i, js, "hit", 0)
 			} else {
 				remote = append(remote, i)
 			}
 			continue
 		}
-		res, js, hit, fl, owner := s.cache.Acquire(keys[i], tenant)
+		js, hit, fl, owner := s.cache.Acquire(keys[i], tenant)
 		switch {
 		case hit:
-			resolved(i, res, js, "hit")
+			resolved(i, js, "hit", 0)
 		case owner:
 			if node != nil {
 				// Owned key, no cached copy: ask the replica set before
 				// burning a simulation — a restarted owner recovers the
 				// results its successors kept (exactly-once across
 				// kill/restart, even through its own front door).
-				if res, js, ok := s.recoverFromReplicas(keys[i], cs); ok {
-					s.cache.Fulfill(keys[i], j.spec.Seed, cs.canonical(), res, js)
-					resolved(i, res, js, "recovered")
+				if js, ok := s.recoverFromReplicas(keys[i], cs.canonical()); ok {
+					resolved(i, js, "recovered", 0)
 					continue
 				}
 			}
@@ -792,7 +787,7 @@ func (s *Server) runJob(j *Job, w *slotWaiter) {
 
 	remoteErr := make(chan error, 1)
 	go func() { remoteErr <- s.resolveRemote(j, remote, resolved) }()
-	jobErr := s.simulate(j, keys, toRun, held, results, resJSON)
+	jobErr := s.simulate(j, toRun, held, resolved)
 	if err := <-remoteErr; err != nil {
 		jobErr = err
 	}
@@ -800,7 +795,7 @@ func (s *Server) runJob(j *Job, w *slotWaiter) {
 	for _, jn := range joins {
 		<-jn.fl.done
 		if jn.fl.err == nil {
-			resolved(jn.i, jn.fl.res, jn.fl.js, "join")
+			resolved(jn.i, jn.fl.js, "join", 0)
 		} else if jobErr == nil {
 			jobErr = jn.fl.err
 		}
@@ -812,20 +807,15 @@ func (s *Server) runJob(j *Job, w *slotWaiter) {
 		s.recordFlight(j)
 	}
 	s.mu.Lock()
-	s.finishLocked(j, results, resJSON, jobErr)
+	s.finishLocked(j, resJSON, jobErr)
 	s.mu.Unlock()
 }
 
-// finishLocked moves a running job to done or failed: the job's metrics
-// registry, counters, terminal event and log line, the EWMA job time and
-// the tenant's accounting, then doneCh. s.mu must be held.
-func (s *Server) finishLocked(j *Job, results []*machine.Result, resJSON [][]byte, jobErr error) {
+// finishLocked moves a running job to done or failed: its result bytes,
+// counters, terminal event and log line, the EWMA job time and the tenant's
+// accounting, then doneCh. s.mu must be held.
+func (s *Server) finishLocked(j *Job, resJSON [][]byte, jobErr error) {
 	tenant := j.spec.Tenant
-	if jobErr == nil && j.metrics != nil {
-		for _, r := range results {
-			machine.CollectMetrics(j.metrics, r)
-		}
-	}
 	j.finished = time.Now()
 	s.running--
 	if jobErr != nil {
@@ -878,56 +868,38 @@ var closedDone = func() chan struct{} {
 }()
 
 // simulate runs the cache-missing configs this job owns, each in its own
-// slot, and publishes each result into the cache (resolving the singleflight
-// flights) as it lands. held says the first run's slot is already held. A
-// job asks for slots in config order, one at a time, so alone it fills every
-// idle slot and beside another job it shares them by priority. With spans
-// attached the runs go one at a time: a span recorder is a shared observer,
-// exactly like the figure drivers' shared-trace mode.
-func (s *Server) simulate(j *Job, keys []uint64, toRun []int, held bool, results []*machine.Result, resJSON [][]byte) error {
+// slot, publishing each result (resolving the singleflight flights) and
+// handing it to resolved as it lands. held says the first run's slot is
+// already held. A job asks for slots in config order, one at a time, so
+// alone it fills every idle slot and beside another job it shares them by
+// priority. With spans attached the runs go one at a time: a span recorder
+// is a shared observer, exactly like the figure drivers' shared-trace mode.
+func (s *Server) simulate(j *Job, toRun []int, held bool, resolved func(int, []byte, string, uint64)) error {
 	errs := make([]error, len(toRun))
-	// publish lands run n (config i) in the cache, the job and the counters,
-	// or aborts its flight with the run's error so joined jobs unblock.
+	// publish lands run n (config i), or keeps the run's error.
 	publish := func(n, i int, prof *obs.Profile, r *machine.Result, err error) {
-		var js []byte
-		if err == nil {
-			js, err = canonicalResultJSON(r)
-		}
+		js, err := s.publishRun(j.keys[i], j.spec.Configs[i].canonical(), j.spec.Tenant, r, err)
 		if err != nil {
-			s.cache.Abort(keys[i], err)
 			errs[n] = err
 			return
 		}
-		cs := j.spec.Configs[i].canonical()
-		results[i], resJSON[i] = r, js
-		s.cache.Fulfill(keys[i], j.spec.Seed, cs, r, js)
-		s.replicateAsync(keys[i], j.spec.Seed, cs, js)
-		var snap *obs.ProfileSnapshot
-		var fb bytes.Buffer
 		if prof != nil {
 			// Fold this config's cycle attribution into the job's flight
 			// record: additive snapshot merge plus folded flamegraph stacks
 			// (concatenation is valid folded input).
-			snap = obs.SnapshotProfile(prof)
+			snap := obs.SnapshotProfile(prof)
+			var fb bytes.Buffer
 			prof.WriteFolded(&fb)
-		}
-		s.mu.Lock()
-		if snap != nil {
+			s.mu.Lock()
 			if j.profSnap == nil {
 				j.profSnap = snap
 			} else {
 				j.profSnap.Merge(snap)
 			}
 			j.folded = append(j.folded, fb.Bytes()...)
+			s.mu.Unlock()
 		}
-		j.done++
-		j.simulated++
-		s.eventLocked(j, svclog.EvSimulated, i, uint64(r.Breakdown.Exec), "")
-		s.eventLocked(j, svclog.EvPersisted, i, 0, "")
-		s.mu.Unlock()
-		s.m.simRuns.With(j.spec.Tenant).Inc()
-		s.m.simCycles.With(j.spec.Tenant).Add(uint64(r.Breakdown.Exec))
-		s.m.resultBytes.With(j.spec.Tenant).Add(uint64(len(js)))
+		resolved(i, js, "simulated", uint64(r.Breakdown.Exec))
 	}
 	var wg sync.WaitGroup
 	for n, i := range toRun {
@@ -962,6 +934,26 @@ func (s *Server) simulate(j *Job, keys []uint64, toRun []int, held bool, results
 		}
 	}
 	return nil
+}
+
+// publishRun lands one finished run of key: its canonical bytes go into the
+// cache (resolving the key's flight) and out to its replicas, and the run
+// counts against tenant. A failed run aborts the flight instead, so the jobs
+// joined to it unblock with its error. cs must be canonical.
+func (s *Server) publishRun(key uint64, cs ConfigSpec, tenant string, r *machine.Result, err error) ([]byte, error) {
+	var js []byte
+	if err == nil {
+		js, err = canonicalResultJSON(r)
+	}
+	if err != nil {
+		s.cache.Abort(key, err)
+		return nil, err
+	}
+	s.cache.Fulfill(key, cs, js)
+	s.replicateAsync(key, cs, js)
+	s.m.simRuns.With(tenant).Inc()
+	s.m.simCycles.With(tenant).Add(uint64(r.Breakdown.Exec))
+	return js, nil
 }
 
 // errNoResult fails a run that returned neither a result nor an error.

@@ -96,7 +96,7 @@ func TestSlotQueuePeerComputeRanksAsAJobAdmittedOnArrival(t *testing.T) {
 	}
 	waitSlotWaiters(t, s, 1)
 	peer := missBatch("", 20, 1).Configs[0]
-	body, _ := json.Marshal(clusterComputeRequest{Spec: peer, Key: fmt.Sprintf("%016x", peer.Key(0))})
+	body, _ := json.Marshal(clusterComputeRequest{Spec: peer, Key: fmt.Sprintf("%016x", peer.Key())})
 	code := make(chan int, 1)
 	go func() { code <- peerRequest(h, "order", "POST", "/api/v1/cluster/compute", body).Code }()
 	waitSlotWaiters(t, s, 2)
@@ -148,7 +148,7 @@ func TestPoolForwardsHoldNoSlot(t *testing.T) {
 	var ids []string
 	for threads := 1; len(ids) < 4; threads++ {
 		spec := missBatch("", threads, 1)
-		key := spec.Configs[0].Key(0)
+		key := spec.Configs[0].Key()
 		if owner, _ := door.clusterNode().Owner(key); owner != addrs[0] {
 			continue
 		}

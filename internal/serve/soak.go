@@ -291,7 +291,7 @@ func RunSoak(addr string, opt SoakOptions) (*SoakReport, error) {
 	distinct := map[uint64]struct{}{}
 	for _, spec := range opt.Specs {
 		for _, cs := range spec.Configs {
-			distinct[cs.Key(spec.Seed)] = struct{}{}
+			distinct[cs.Key()] = struct{}{}
 		}
 	}
 	rep.DistinctConfigs = len(distinct)

@@ -19,9 +19,10 @@ import (
 )
 
 // KeyVersion versions the cache-key derivation (canonical field order plus
-// the hashmap.Digest encoding). Bump it whenever either changes: persisted
-// cache indexes carry the version and stale entries are dropped on load
-// instead of being served under a colliding key.
+// the hashmap.Digest encoding) and is the derivation's first word. Bump it
+// whenever either changes. No file records it: the cache file's "version" is
+// its format version, and skew is caught per entry, since a load re-derives
+// every entry's key and skips the ones that no longer match.
 const KeyVersion = 1
 
 // ConfigSpec is the wire form of one simulation configuration: exactly the
@@ -121,17 +122,16 @@ func plusZero(f float64) float64 {
 }
 
 // Key derives the 64-bit content address of this configuration (canonical
-// form) plus a seed. The seed is reserved for future stochastic workloads;
-// today every run is deterministic from the config alone, so distinct seeds
-// merely shard the cache.
+// form). A run is deterministic from its config alone, so the config is the
+// whole address.
 //
 // STABILITY CONTRACT: field order and encodings here are frozen for
 // KeyVersion 1 (see key_test.go's golden values). Add fields only at the
 // end, and only together with a KeyVersion bump.
-func (s ConfigSpec) Key(seed uint64) uint64 { return s.keyAt(KeyVersion, seed) }
+func (s ConfigSpec) Key() uint64 { return s.keyAt(KeyVersion) }
 
 // keyAt is Key as derived under key version v.
-func (s ConfigSpec) keyAt(v, seed uint64) uint64 {
+func (s ConfigSpec) keyAt(v uint64) uint64 {
 	c := s.canonical()
 	var d hashmap.Digest
 	d.WriteUint64(v)
@@ -148,6 +148,6 @@ func (s ConfigSpec) keyAt(v, seed uint64) uint64 {
 	d.WriteFloat64(c.SharedMinFrac)
 	d.WriteFloat64(c.HandlerScale)
 	d.WriteInt(c.DMemSetAssoc)
-	d.WriteUint64(seed)
+	d.WriteUint64(0) // a since-removed seed's word: keeps every KeyVersion 1 key
 	return d.Sum64()
 }

@@ -137,9 +137,6 @@ func appendJobSpec(dst []byte, spec JobSpec) ([]byte, error) {
 	if spec.Priority != 0 {
 		o.Int("priority", int64(spec.Priority))
 	}
-	if spec.Seed != 0 {
-		o.Uint("seed", spec.Seed)
-	}
 	if spec.Metrics {
 		o.Bool("metrics", true)
 	}
@@ -217,7 +214,7 @@ func appendConfigSpec(dst []byte, cs *ConfigSpec) ([]byte, bool) {
 
 // JobSpec's and ConfigSpec's JSON member names.
 var (
-	jobSpecKeys = []string{"name", "priority", "seed", "metrics", "spans",
+	jobSpecKeys = []string{"name", "priority", "metrics", "spans",
 		"telemetry", "tenant", "configs"}
 	configSpecKeys = []string{"arch", "app", "scale", "threads", "pressure",
 		"dratio", "dnodes", "pmem_bytes", "dmem_total", "on_chip_fraction",
@@ -241,8 +238,6 @@ func decodeJobSpec(b []byte) (JobSpec, error) {
 			spec.Name = r.String()
 		case "priority":
 			spec.Priority = r.Int()
-		case "seed":
-			spec.Seed = r.Uint()
 		case "metrics":
 			spec.Metrics = r.Bool()
 		case "spans":

@@ -123,7 +123,7 @@ func TestAppendJobSpecMatchesJSON(t *testing.T) {
 		{},
 		{Configs: []ConfigSpec{}},
 		{Name: `x<y>&"z"`, Tenant: "t ", Configs: []ConfigSpec{cs(0.02)}},
-		{Name: "all", Priority: -3, Seed: math.MaxUint64, Metrics: true, Spans: true, Telemetry: true,
+		{Name: "all", Priority: -3, Metrics: true, Spans: true, Telemetry: true,
 			Tenant: "acme", Configs: fig6Batch("fft", 32, 0.02)},
 		{Configs: []ConfigSpec{{Arch: "agg", App: "lu", Threads: 4, Pressure: 0.5, DRatio: 2, DNodes: 3,
 			PMemBytes: 1 << 40, DMemTotal: 7, OnChipFraction: 0.25, SharedMinFrac: 0.125, DMemSetAssoc: 4}}},

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pimdsm/internal/obs"
-	"pimdsm/internal/proto"
 )
 
 // PhaseRow is one configuration's miss-latency decomposition: the average
@@ -58,24 +57,14 @@ func Decompose(opt Options) ([]PhaseRow, error) {
 	return out, nil
 }
 
-// phaseRow aggregates a recorder over both directions and all satisfaction
-// classes into one averaged row.
+// phaseRow is obs.SnapshotSpans's breakdown of a recorder, with the phase
+// averages indexed by phase.
 func phaseRow(app, label string, arch Arch, s *obs.Spans) PhaseRow {
+	b := obs.SnapshotSpans(s)
 	row := PhaseRow{App: app, Label: label, Arch: arch,
-		Retired: s.Retired(), Bad: s.Bad(), Spans: s}
-	if row.Retired == 0 {
-		return row
-	}
-	n := float64(row.Retired)
-	for _, wr := range [2]bool{false, true} {
-		for c := proto.LatClass(0); c < proto.NumLatClasses; c++ {
-			for p := obs.Phase(0); p < obs.NumPhases; p++ {
-				v := float64(s.PhaseCycles(wr, c, p)) / n
-				row.Phase[p] += v
-				row.AvgLat += v
-			}
-			row.Queued += float64(s.QueuedCycles(wr, c)) / n
-		}
+		Retired: b.Retired, Bad: b.Bad, AvgLat: b.AvgLat, Queued: b.Queued, Spans: s}
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		row.Phase[p] = b.Phases[p.String()]
 	}
 	return row
 }
